@@ -10,11 +10,8 @@ from .flags import (
     FlagSeed,
     FlagType,
     GrassmannianSeed,
-    build_arrangement,
     build_flag_quiver,
     embedded_flag_seed,
-    flag_initial_seed,
-    grassmannian_initial_seed,
     initial_index_sets,
     lift_index_set,
     weight_of_index_set,
@@ -27,7 +24,6 @@ from .programs import (
     mt_program,
     run_program,
     sh_program,
-    two_step_program,
     verify_theorem,
 )
 from .quiver import Quiver, Seed, seeds_equal
@@ -45,12 +41,9 @@ __all__ = [
     "Report",
     "Seed",
     "Tableau",
-    "build_arrangement",
     "build_flag_quiver",
     "embedded_flag_seed",
-    "flag_initial_seed",
     "general_flag_program",
-    "grassmannian_initial_seed",
     "initial_index_sets",
     "laplace_initial_minor",
     "lift_index_set",
@@ -60,7 +53,6 @@ __all__ = [
     "seeds_equal",
     "sh_program",
     "tableau_mutation",
-    "two_step_program",
     "verify_theorem",
     "weight_of_index_set",
 ]

@@ -26,7 +26,7 @@ from .programs import (
     sh_program,
     verify_theorem,
 )
-from .quiver import LaurentExpr, Quiver, QuiverError, Seed, VariableState, Vertex
+from .quiver import LaurentError, LaurentExpr, Quiver, QuiverError, Seed, VariableState, Vertex
 
 
 # -- serialization ------------------------------------------------------------
@@ -118,6 +118,11 @@ def seed_to_dot(seed: Seed) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_seed(seed: Seed, fmt: str) -> str:
+    """A seed as DOT when ``fmt`` is "dot", else as indented JSON."""
+    return seed_to_dot(seed) if fmt == "dot" else json.dumps(seed_to_dict(seed), indent=1)
+
+
 # -- option helpers -----------------------------------------------------------
 
 
@@ -160,7 +165,7 @@ def _build_seed(flag_opt: str | None, gr_opt: str | None, seed_file: str | None)
         try:
             with open(seed_file) as fh:
                 return seed_from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise click.UsageError("cannot read seed file: %s" % exc) from None
     if flag_opt is not None:
         return FlagSeed(parse_flag_option(flag_opt)).seed
@@ -184,8 +189,7 @@ def main() -> None:
 def seed_cmd(flag_opt, gr_opt, fmt, output):
     """Construct an initial seed and print it."""
     seed = _build_seed(flag_opt, gr_opt, None)
-    text = seed_to_dot(seed) if fmt == "dot" else json.dumps(seed_to_dict(seed), indent=1)
-    _write_output(text, output)
+    _write_output(render_seed(seed, fmt), output)
 
 
 @main.command("mutate")
@@ -203,10 +207,9 @@ def mutate_cmd(flag_opt, gr_opt, seed_file, at_opt, fmt, output):
         try:
             vid = int(token) if token.lstrip("-").isdigit() else seed.vertex_by_name(token)
             seed = seed.mutate(vid)
-        except (QuiverError, KeyError, tb.TableauError) as exc:
+        except (QuiverError, LaurentError, KeyError, tb.TableauError) as exc:
             raise click.ClickException("mutation at %r failed: %s" % (token, exc)) from None
-    text = seed_to_dot(seed) if fmt == "dot" else json.dumps(seed_to_dict(seed), indent=1)
-    _write_output(text, output)
+    _write_output(render_seed(seed, fmt), output)
 
 
 @main.command("run")
@@ -254,12 +257,7 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
         raise click.ClickException("endpoint did not restrict to the flag seed")
     click.echo("kept %d vertices" % len(result.kept))
     if export_fmt:
-        text = (
-            seed_to_dot(result.restricted)
-            if export_fmt == "dot"
-            else json.dumps(seed_to_dict(result.restricted), indent=1)
-        )
-        _write_output(text, output)
+        _write_output(render_seed(result.restricted, export_fmt), output)
 
 
 @main.command("verify")
@@ -279,7 +277,10 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
 def verify_cmd(ctx, flag_opt, trials, prime, master_seed, output):
     """Certify freeze/delete endpoint == flag initial seed for one flag."""
     flag = parse_flag_option(flag_opt)
-    report = verify_theorem(flag, trials=trials, prime=prime, master_seed=master_seed)
+    try:
+        report = verify_theorem(flag, trials=trials, prime=prime, master_seed=master_seed)
+    except ProgramError as exc:
+        raise click.UsageError(str(exc)) from None
     for line in report.summary_lines():
         click.echo(line)
     if output:
@@ -327,8 +328,7 @@ def translate_cmd(sh_n, mt_n, token):
 def export_cmd(seed_file, flag_opt, gr_opt, fmt, output):
     """Re-emit a seed as JSON or DOT."""
     seed = _build_seed(flag_opt, gr_opt, seed_file)
-    text = seed_to_dot(seed) if fmt == "dot" else json.dumps(seed_to_dict(seed), indent=1)
-    _write_output(text, output)
+    _write_output(render_seed(seed, fmt), output)
 
 
 if __name__ == "__main__":

@@ -180,10 +180,6 @@ class Arrangement:
         return self.cell_face.get((x, y))
 
 
-def build_arrangement(flag: FlagType) -> Arrangement:
-    return Arrangement(flag)
-
-
 def initial_index_sets(flag: FlagType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Closed-form list of the face labels: for each level pair
     (d_j, d_{j+1}) and i in [1, d_j], the bare interval [i, d_j] and the
@@ -387,10 +383,6 @@ class FlagSeed:
         self.seed = Seed(quiver, variables, dictionary, flag.k)
 
 
-def flag_initial_seed(flag: FlagType) -> FlagSeed:
-    return FlagSeed(flag)
-
-
 class GrassmannianSeed:
     """Rectangle seed of Gr_{k;n}: grid of solid minors, one extra frozen
     vertex for P_{[1,k]}."""
@@ -446,22 +438,16 @@ class GrassmannianSeed:
         except KeyError:
             raise FlagError("no grid vertex (%d, %d)" % (r, c)) from None
 
-    def coords_of(self, vid: int) -> tuple[int, int] | None:
-        for rc, v in self.grid.items():
-            if v == vid:
-                return rc
-        return None
-
     def label_of(self, vid: int) -> int:
         """Figure-style label: column-major from the bottom-right corner;
-        the extra vertex gets the largest label."""
+        the extra vertex gets the largest label.  Grid ids run row-major
+        from 0, so the grid position is read off the id."""
         if vid == self.extra_id:
             return self.rows * self.cols + 1
-        rc = self.coords_of(vid)
-        if rc is None:
+        if not 0 <= vid < self.extra_id:
             raise FlagError("unknown vertex %d" % vid)
-        r, c = rc
-        return self.rows * (self.cols - c) + (self.rows + 1 - r)
+        r, c = divmod(vid, self.cols)  # zero-based
+        return self.rows * (self.cols - 1 - c) + (self.rows - r)
 
     def vertex_by_label(self, label: int) -> int:
         if label == self.rows * self.cols + 1:
@@ -470,10 +456,6 @@ class GrassmannianSeed:
         c = self.cols - q
         r = self.rows - rem
         return self.vertex_at(r, c)
-
-
-def grassmannian_initial_seed(k: int, n: int) -> GrassmannianSeed:
-    return GrassmannianSeed(k, n)
 
 
 def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:
@@ -491,4 +473,4 @@ def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:
         )
         for vid, st in seed.variables.items()
     }
-    return Seed(seed.quiver.copy(), variables, dictionary, seed.weight_rank)
+    return Seed(seed.quiver, variables, dictionary, seed.weight_rank)

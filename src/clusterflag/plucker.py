@@ -314,6 +314,33 @@ def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> Plucker
 
 DEFAULT_PRIME = (1 << 61) - 1
 
+# Miller-Rabin with these bases has no strong pseudoprime below 2**64.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 2**64."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class EvaluationPoint:
     """A matrix over F_p at which Plucker coordinates are evaluated.

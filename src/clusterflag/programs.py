@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 from . import tableaux as tb
 from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
-from .plucker import DEFAULT_PRIME, EvaluationPoint, random_matrix_point
-from .quiver import LaurentError, QuiverError, Seed, quivers_agree
+from .plucker import DEFAULT_PRIME, EvaluationPoint, is_prime, random_matrix_point
+from .quiver import LaurentError, QuiverError, Seed, exchange_weights, quivers_agree
 
 
 class ProgramError(ValueError):
@@ -118,12 +118,6 @@ def general_flag_program(flag: FlagType, region_order: Sequence[int] | None = No
         steps.extend(_region_steps(flag, j))
     steps.extend(_freeze_steps(flag))
     return MutationProgram(flag, steps)
-
-
-def two_step_program(d1: int, d2: int, n: int) -> MutationProgram:
-    if not (1 <= d1 < d2 <= n - 1):
-        raise ProgramError("need 1 <= d1 < d2 <= n-1")
-    return general_flag_program(FlagType((d1, d2), n))
 
 
 def mt_program(n: int) -> MutationProgram:
@@ -354,7 +348,14 @@ def verify_theorem(
     page_hook: Callable[[Seed, int, int], None] | None = None,
 ) -> Report:
     """Run the program for a flag type and certify that freezing plus
-    deletion turns the endpoint into the padded flag initial seed."""
+    deletion turns the endpoint into the padded flag initial seed.
+
+    Raises ProgramError when the evaluation check would be vacuous
+    (``trials < 1``) or unsound (``prime`` not a prime below 2**64)."""
+    if trials < 1:
+        raise ProgramError("trials must be at least 1, got %d" % trials)
+    if not (prime < 1 << 64 and is_prime(prime)):
+        raise ProgramError("prime must be a prime below 2^64, got %d" % prime)
     t0 = time.perf_counter()
     report = Report(flag, prime=prime, trials=trials, master_seed=master_seed)
     program = general_flag_program(flag)
@@ -415,17 +416,12 @@ def verify_theorem(
     )
 
     # flag-grading balance of the restricted seed, via the matched weights
-    inverse = {g: f for f, g in result.mapping.items()}
+    flag_weight = {g: result.embedded.variables[f].weight for f, g in result.mapping.items()}
     weight_issues: list[str] = []
     for vid in result.restricted.mutable_ids():
-        w_in = [0] * flag.k
-        w_out = [0] * flag.k
-        for u, m in result.restricted.quiver.arrows_in(vid):
-            wu = result.embedded.variables[inverse[u]].weight
-            w_in = [a + m * b for a, b in zip(w_in, wu)]
-        for w, m in result.restricted.quiver.arrows_out(vid):
-            ww = result.embedded.variables[inverse[w]].weight
-            w_out = [a + m * b for a, b in zip(w_out, ww)]
+        w_in, w_out = exchange_weights(
+            result.restricted.quiver, vid, flag_weight.__getitem__, flag.k
+        )
         if w_in != w_out:
             weight_issues.append(result.restricted.quiver.vertices[vid].name)
     report.add(

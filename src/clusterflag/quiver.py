@@ -11,11 +11,17 @@ tracked three ways at once:
 Mutation updates all three and fails loudly if the exchange is not an exact
 Laurent division or the grading is not balanced, so silent drift between the
 tracks is impossible.
+
+``Vertex``, ``VariableState``, ``Quiver`` and ``Seed`` values are never
+changed in place once built: ``mutate``, ``freeze`` and ``restrict`` return
+new objects (freezing replaces the ``Vertex``), so a derived seed shares
+every unchanged vertex, variable state and polynomial with its source
+instead of copying it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import tableaux as tb
 from .plucker import EvaluationPoint, PluckerPoly
@@ -184,9 +190,6 @@ class Vertex:
         self.name = name
         self.frozen = frozen
 
-    def copy(self) -> "Vertex":
-        return Vertex(self.id, self.name, self.frozen)
-
     def __repr__(self):
         return "Vertex(%d, %r%s)" % (self.id, self.name, ", frozen" if self.frozen else "")
 
@@ -195,7 +198,9 @@ class Quiver:
     """Directed graph with arrow multiplicities and frozen vertices.
 
     Arrows between two frozen vertices are never stored (they play no role
-    in mutation and the figures omit them)."""
+    in mutation and the figures omit them).  ``add_arrow`` is for building a
+    quiver; after that ``mutate``, ``freeze`` and ``restrict`` return new
+    quivers and leave this one unchanged."""
 
     def __init__(self, vertices: Iterable[Vertex], arrows: Mapping[tuple[int, int], int] | None = None):
         self.vertices = {v.id: v for v in vertices}
@@ -206,7 +211,7 @@ class Quiver:
 
     def copy(self) -> "Quiver":
         q = Quiver.__new__(Quiver)
-        q.vertices = {vid: v.copy() for vid, v in self.vertices.items()}
+        q.vertices = dict(self.vertices)
         q.arrows = dict(self.arrows)
         return q
 
@@ -229,46 +234,39 @@ class Quiver:
     def b_entry(self, u: int, w: int) -> int:
         return self.arrows.get((u, w), 0) - self.arrows.get((w, u), 0)
 
-    def arrows_in(self, vid: int) -> list[tuple[int, int]]:
-        """(source, multiplicity) pairs."""
-        return [(u, m) for (u, w), m in self.arrows.items() if w == vid]
-
-    def arrows_out(self, vid: int) -> list[tuple[int, int]]:
-        return [(w, m) for (u, w), m in self.arrows.items() if u == vid]
-
-    def neighbors(self, vid: int) -> set[int]:
-        out = set()
-        for (u, w) in self.arrows:
-            if u == vid:
-                out.add(w)
-            elif w == vid:
-                out.add(u)
-        return out
+    def exchange(self, vid: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(ins, outs) of a vertex: (source, multiplicity) pairs of the arrows
+        into it and (target, multiplicity) pairs of the arrows out of it."""
+        ins: list[tuple[int, int]] = []
+        outs: list[tuple[int, int]] = []
+        for (u, w), m in self.arrows.items():
+            if w == vid:
+                ins.append((u, m))
+            elif u == vid:
+                outs.append((w, m))
+        return ins, outs
 
     def mutate(self, vid: int) -> "Quiver":
         if self.is_frozen(vid):
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
         q = self.copy()
-        ins = self.arrows_in(vid)
-        outs = self.arrows_out(vid)
+        ins, outs = self.exchange(vid)
         # compose through the mutated vertex
         for u, mu in ins:
             for w, mw in outs:
                 q.add_arrow(u, w, mu * mw)
         # reverse arrows at the vertex
         for u, mu in ins:
-            q.arrows.pop((u, vid), None)
+            del q.arrows[(u, vid)]
+            q.arrows[(vid, u)] = mu
         for w, mw in outs:
-            q.arrows.pop((vid, w), None)
-        for u, mu in ins:
-            q.add_arrow(vid, u, mu)
-        for w, mw in outs:
-            q.add_arrow(w, vid, mw)
+            del q.arrows[(vid, w)]
+            q.arrows[(w, vid)] = mw
         return q
 
     def freeze(self, vid: int) -> "Quiver":
         q = self.copy()
-        q.vertices[vid].frozen = True
+        q.vertices[vid] = Vertex(vid, self.vertices[vid].name, True)
         for (u, w) in list(q.arrows):
             if q.vertices[u].frozen and q.vertices[w].frozen:
                 del q.arrows[(u, w)]
@@ -292,7 +290,7 @@ class Quiver:
                         "to deleted vertex %s" % (self.vertices[a].name, self.vertices[b].name)
                     )
         q = Quiver.__new__(Quiver)
-        q.vertices = {vid: v.copy() for vid, v in self.vertices.items() if vid in keep_set}
+        q.vertices = {vid: v for vid, v in self.vertices.items() if vid in keep_set}
         q.arrows = {
             (u, w): m
             for (u, w), m in self.arrows.items()
@@ -339,6 +337,21 @@ def quivers_agree(q1: Quiver, q2: Quiver, mapping: Mapping[int, int]) -> list[st
     return problems
 
 
+def exchange_weights(
+    quiver: Quiver, vid: int, weight: Callable[[int], Sequence[int]], rank: int
+) -> tuple[list[int], list[int]]:
+    """Sums of ``weight`` over the arrows into and out of ``vid``, each
+    arrow counted with its multiplicity; a vertex is balanced when the two
+    agree."""
+    sums = []
+    for side in quiver.exchange(vid):
+        total = [0] * rank
+        for u, m in side:
+            total = [a + m * b for a, b in zip(total, weight(u))]
+        sums.append(total)
+    return sums[0], sums[1]
+
+
 # -- seeds --------------------------------------------------------------------
 
 
@@ -349,9 +362,6 @@ class VariableState:
         self.laurent = laurent
         self.tableau = tableau
         self.weight = weight
-
-    def copy(self) -> "VariableState":
-        return VariableState(self.laurent, self.tableau, self.weight)
 
 
 class Seed:
@@ -381,14 +391,6 @@ class Seed:
     def nvars(self) -> int:
         return len(self.dictionary)
 
-    def copy(self) -> "Seed":
-        return Seed(
-            self.quiver.copy(),
-            {vid: st.copy() for vid, st in self.variables.items()},
-            self.dictionary,
-            self.weight_rank,
-        )
-
     def vertex_by_name(self, name: str) -> int:
         for vid, v in self.quiver.vertices.items():
             if v.name == name:
@@ -402,69 +404,59 @@ class Seed:
         """Mutate at a mutable vertex, updating all three variable tracks."""
         if self.quiver.is_frozen(vid):
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
-        ins = self.quiver.arrows_in(vid)
-        outs = self.quiver.arrows_out(vid)
         state = self.variables[vid]
-
-        prod_in = LaurentExpr.constant(state.laurent.nvars, 1)
-        prod_out = LaurentExpr.constant(state.laurent.nvars, 1)
-        w_in = [0] * self.weight_rank
-        w_out = [0] * self.weight_rank
-        in_tabs: list[tb.Tableau] = []
-        out_tabs: list[tb.Tableau] = []
-        for u, m in ins:
-            for _ in range(m):
-                prod_in = prod_in * self.variables[u].laurent
-                in_tabs.append(self.variables[u].tableau)
-                w_in = [a + b for a, b in zip(w_in, self.variables[u].weight)]
-        for w, m in outs:
-            for _ in range(m):
-                prod_out = prod_out * self.variables[w].laurent
-                out_tabs.append(self.variables[w].tableau)
-                w_out = [a + b for a, b in zip(w_out, self.variables[w].weight)]
-
+        w_in, w_out = exchange_weights(self.quiver, vid, self._weight, self.weight_rank)
         if w_in != w_out:
             raise QuiverError(
                 "exchange at %s is not weight-balanced: %s vs %s"
                 % (self.quiver.vertices[vid].name, w_in, w_out)
             )
-        new_laurent = (prod_in + prod_out).exact_div(state.laurent)
-        new_tableau = tb.tableau_mutation(state.tableau, in_tabs, out_tabs)
-        new_weight = tuple(a - b for a, b in zip(w_in, state.weight))
 
-        out = self.copy()
-        out.quiver = self.quiver.mutate(vid)
-        out.variables[vid] = VariableState(new_laurent, new_tableau, new_weight)
-        return out
-
-    def freeze(self, vids: int | Iterable[int]) -> "Seed":
-        out = self.copy()
-        for vid in ([vids] if isinstance(vids, int) else vids):
-            out.quiver = out.quiver.freeze(vid)
-        return out
-
-    def restrict(self, keep: Iterable[int]) -> "Seed":
-        keep_set = set(keep)
-        quiver = self.quiver.restrict(keep_set)
+        # neighbor states, each repeated by its arrow multiplicity
+        ins, outs = (
+            [self.variables[u] for u, m in side for _ in range(m)]
+            for side in self.quiver.exchange(vid)
+        )
+        prod_in = prod_out = LaurentExpr.constant(state.laurent.nvars, 1)
+        for st in ins:
+            prod_in = prod_in * st.laurent
+        for st in outs:
+            prod_out = prod_out * st.laurent
+        new_state = VariableState(
+            (prod_in + prod_out).exact_div(state.laurent),
+            tb.tableau_mutation(state.tableau, [st.tableau for st in ins], [st.tableau for st in outs]),
+            tuple(a - b for a, b in zip(w_in, state.weight)),
+        )
         return Seed(
-            quiver,
-            {vid: self.variables[vid].copy() for vid in keep_set},
+            self.quiver.mutate(vid),
+            {**self.variables, vid: new_state},
             self.dictionary,
             self.weight_rank,
         )
+
+    def freeze(self, vids: int | Iterable[int]) -> "Seed":
+        quiver = self.quiver
+        for vid in ([vids] if isinstance(vids, int) else vids):
+            quiver = quiver.freeze(vid)
+        return Seed(quiver, self.variables, self.dictionary, self.weight_rank)
+
+    def restrict(self, keep: Iterable[int]) -> "Seed":
+        keep_set = set(keep)
+        return Seed(
+            self.quiver.restrict(keep_set),
+            {vid: self.variables[vid] for vid in keep_set},
+            self.dictionary,
+            self.weight_rank,
+        )
+
+    def _weight(self, vid: int) -> tuple[int, ...]:
+        return self.variables[vid].weight
 
     def is_balanced(self) -> list[str]:
         """Weight balance at every mutable vertex; returns violations."""
         problems = []
         for vid in self.mutable_ids():
-            w_in = [0] * self.weight_rank
-            w_out = [0] * self.weight_rank
-            for u, m in self.quiver.arrows_in(vid):
-                for _ in range(m):
-                    w_in = [a + b for a, b in zip(w_in, self.variables[u].weight)]
-            for w, m in self.quiver.arrows_out(vid):
-                for _ in range(m):
-                    w_out = [a + b for a, b in zip(w_out, self.variables[w].weight)]
+            w_in, w_out = exchange_weights(self.quiver, vid, self._weight, self.weight_rank)
             if w_in != w_out:
                 problems.append(
                     "vertex %s: incoming weight %s != outgoing weight %s"

@@ -340,75 +340,3 @@ def tableau_mutation(t_r: Tableau, incoming: Sequence[Tableau], outgoing: Sequen
         top = padded
     return reduce(quotient(top, t_r))
 
-
-# -- Grassmannian fundamental factorization --------------------------------
-
-
-def is_fundamental_column(col: Sequence[int], k: int) -> bool:
-    """A height-k column is fundamental when its entries are a window
-    [i, i+k] with exactly one interior entry missing."""
-    return len(col) == k and col[-1] - col[0] == k
-
-
-def is_interval_column(col: Sequence[int], k: int) -> bool:
-    return len(col) == k and col[-1] - col[0] == k - 1
-
-
-def strip_interval_columns(t: Tableau, k: int) -> tuple[Tableau, list[tuple[int, ...]]]:
-    """Remove interval-column factors [i, i+k-1] (trivial on the quotient
-    Grassmannian) until none divides; returns (reduced tableau, removed)."""
-    removed: list[tuple[int, ...]] = []
-    changed = True
-    while changed:
-        changed = False
-        lo = min((row[0] for row in t.rows), default=1)
-        hi = max((row[-1] for row in t.rows), default=0)
-        for i in range(lo, hi - k + 2):
-            col = one_column(range(i, i + k))
-            while is_factor(col, t):
-                t = quotient(t, col)
-                removed.append(tuple(range(i, i + k)))
-                changed = True
-    return t, removed
-
-
-def fundamental_factorization_gr(t: Tableau, k: int, n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Split a rectangular k-row tableau into fundamental columns.
-
-    Returns (fundamental_columns, interval_complement): unioning the
-    complement columns into the interval-reduced input yields the unique
-    equivalent tableau all of whose columns are fundamental.  Interval
-    columns of the input itself are dropped first (they are trivial for this
-    equivalence).
-    """
-    if any(len(row) != len(t.rows[0]) for row in t.rows) or (t.rows and t.num_rows != k):
-        if not t.is_empty():
-            raise TableauError("expected a rectangular tableau with %d rows" % k)
-    if t.max_entry() > n:
-        raise TableauError("entries exceed %d" % n)
-    t, _ = strip_interval_columns(t, k)
-    added: list[tuple[int, ...]] = []
-    guard = 4 * (n + 1) * (t.width + 1) + 16
-    current = t
-    for _ in range(guard):
-        bad = None
-        for col in current.columns():
-            if not is_fundamental_column(col, k):
-                bad = col
-                break
-        if bad is None:
-            return [tuple(c) for c in current.columns()], added
-        if is_interval_column(bad, k):
-            # can only appear if it was one of our own pads reshuffled; drop it
-            try:
-                added.remove(tuple(bad))
-            except ValueError:
-                raise TableauError("interval column %s resurfaced unexpectedly" % (bad,))
-            current = quotient(current, one_column(bad))
-            continue
-        pad = tuple(range(bad[0] + 1, bad[0] + 1 + k))
-        if pad[-1] > n + k:
-            raise TableauError("cannot repair column %s within bounds" % (bad,))
-        added.append(pad)
-        current = union(current, one_column(pad))
-    raise TableauError("fundamental factorization did not converge")

@@ -123,3 +123,39 @@ def random_quiver(rng: random.Random, max_vertices: int = 8):
         u, w = rng.sample(range(nv), 2)
         q.add_arrow(u, w, rng.randint(1, 2))
     return q
+
+
+def matrix_mutation_oracle(quiver, k: int) -> dict[tuple[int, int], int]:
+    """Arrows after mutating at ``k`` by the Fomin-Zelevinsky matrix rule
+    b'_ij = -b_ij if k in {i, j}, else b_ij + sgn(b_ik) max(b_ik b_kj, 0),
+    read from and written back to the ``arrows`` layout: positive entries
+    only, frozen-frozen entries dropped."""
+    ids = list(quiver.vertices)
+    frozen = {i: quiver.vertices[i].frozen for i in ids}
+    b = {
+        (i, j): quiver.arrows.get((i, j), 0) - quiver.arrows.get((j, i), 0)
+        for i in ids
+        for j in ids
+    }
+    out = {}
+    for i in ids:
+        for j in ids:
+            if k in (i, j):
+                entry = -b[i, j]
+            else:
+                sign = (b[i, k] > 0) - (b[i, k] < 0)
+                entry = b[i, j] + sign * max(b[i, k] * b[k, j], 0)
+            if entry > 0 and not (frozen[i] and frozen[j]):
+                out[i, j] = entry
+    return out
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

@@ -8,12 +8,7 @@ import itertools
 import random
 import time
 
-from clusterflag.flags import (
-    FlagType,
-    GrassmannianSeed,
-    flag_initial_seed,
-    grassmannian_initial_seed,
-)
+from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed
 from clusterflag.plucker import (
     DEFAULT_PRIME,
     PluckerPoly,
@@ -28,7 +23,6 @@ from clusterflag.programs import (
     general_flag_program,
     region_mutation_count,
     region_parameters,
-    two_step_program,
     verify_theorem,
 )
 from clusterflag.quiver import seeds_equal
@@ -186,7 +180,7 @@ def test_criterion_5a_mutation_involution():
         pairs += 1
     # full three-track involutions on honest seeds
     for k, n in [(2, 6), (3, 6), (3, 7)]:
-        gr = grassmannian_initial_seed(k, n)
+        gr = GrassmannianSeed(k, n)
         seed = gr.seed
         ident = {v: v for v in seed.quiver.vertices}
         for _ in range(40):
@@ -257,7 +251,7 @@ def test_criterion_5c_tableau_invariants():
 def test_criterion_5d_balance_sweep():
     count = 0
     for flag in all_flag_types(9, 3):
-        seed = flag_initial_seed(flag).seed
+        seed = FlagSeed(flag).seed
         bad = seed.is_balanced()
         if bad:
             emit("criterion-5d weight balance", False, "%r: %s" % (flag, bad[:2]))
@@ -297,7 +291,7 @@ def test_criterion_6_two_step_count_formula():
         for d1 in range(1, d2):
             a, b, c = d2 - d1 - 1, d2 - 2, d1
             expect = a * c * (c + 1) // 2 + a * (a - 1) // 2 * b
-            prog = two_step_program(d1, d2, d2 + 2)
+            prog = general_flag_program(FlagType((d1, d2), d2 + 2))
             assert len(prog.mutations) == expect, (d1, d2)
             checked += 1
     for flag in all_flag_types(9, 3):

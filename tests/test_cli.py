@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import clusterflag.cli as cli
 from clusterflag.cli import main, seed_from_dict, seed_to_dict, seed_to_dot
-from clusterflag.flags import FlagType, flag_initial_seed, grassmannian_initial_seed
+from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed
 from clusterflag.quiver import seeds_equal
 from clusterflag.tableaux import one_column
 
@@ -22,10 +22,10 @@ def runner():
 
 def test_seed_json_round_trip():
     for seed in (
-        grassmannian_initial_seed(2, 5).seed,
-        flag_initial_seed(FlagType((2, 4), 6)).seed,
-        grassmannian_initial_seed(2, 4).seed.mutate(
-            grassmannian_initial_seed(2, 4).seed.mutable_ids()[0]
+        GrassmannianSeed(2, 5).seed,
+        FlagSeed(FlagType((2, 4), 6)).seed,
+        GrassmannianSeed(2, 4).seed.mutate(
+            GrassmannianSeed(2, 4).seed.mutable_ids()[0]
         ),
     ):
         data = json.loads(json.dumps(seed_to_dict(seed)))
@@ -43,9 +43,9 @@ def test_seed_from_dict_rejects_unknown_schema():
 
 
 def test_dot_deterministic_and_marks_frozen():
-    seed = grassmannian_initial_seed(2, 5).seed
+    seed = GrassmannianSeed(2, 5).seed
     a = seed_to_dot(seed)
-    b = seed_to_dot(grassmannian_initial_seed(2, 5).seed)
+    b = seed_to_dot(GrassmannianSeed(2, 5).seed)
     assert a == b
     assert a.startswith("digraph seed {")
     assert "shape=box" in a       # frozen vertices
@@ -85,7 +85,7 @@ def test_mutate_command(runner):
     assert result.exit_code == 0
     data = json.loads(result.output)
     mutated = seed_from_dict(data)
-    gr = grassmannian_initial_seed(2, 4)
+    gr = GrassmannianSeed(2, 4)
     vid = gr.seed.vertex_by_name("r2c2")
     assert mutated.variables[vid].tableau == one_column([2, 4])
 
@@ -97,7 +97,7 @@ def test_mutate_rejects_frozen_vertex(runner):
 
 
 def test_mutate_by_id_round_trip(runner):
-    gr = grassmannian_initial_seed(2, 4)
+    gr = GrassmannianSeed(2, 4)
     vid = gr.seed.mutable_ids()[0]
     twice = "%d,%d" % (vid, vid)
     result = runner.invoke(main, ["mutate", "--gr", "2,4", "--at", twice])
@@ -121,6 +121,31 @@ def test_export_from_seed_file(runner, tmp_path):
 def test_export_unreadable_file(runner, tmp_path):
     missing = tmp_path / "missing.json"
     assert runner.invoke(main, ["export", "--seed-file", str(missing)]).exit_code == 2
+
+
+def test_malformed_seed_file_is_usage_error(runner, tmp_path):
+    data = seed_to_dict(GrassmannianSeed(2, 4).seed)
+    data["vertices"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["export", "--seed-file", str(path)])
+    assert result.exit_code == 2
+    assert "cannot read seed file" in result.output
+
+
+def test_mutate_inexact_exchange_is_clean_error(runner, tmp_path):
+    gr = GrassmannianSeed(2, 4)
+    vid = gr.vertex_at(2, 2)
+    data = seed_to_dict(gr.seed)
+    for v in data["vertices"]:
+        if v["id"] == vid:
+            v["laurent"] = [[exps, 2 * coeff] for exps, coeff in v["laurent"]]
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["mutate", "--seed-file", str(path), "--at", str(vid)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "inexact Laurent division" in result.output
 
 
 # -- run ---------------------------------------------------------------------------
@@ -211,6 +236,20 @@ def test_verify_env_seed(runner, monkeypatch):
 def test_verify_usage_error(runner):
     assert runner.invoke(main, ["verify"]).exit_code == 2
     assert runner.invoke(main, ["verify", "--flag", "bogus"]).exit_code == 2
+
+
+def test_verify_rejects_vacuous_or_unsound_checks(runner):
+    for args in (
+        ["--trials", "0"],
+        ["--trials", "-1"],
+        ["--prime", "0"],
+        ["--prime", "4"],
+        ["--prime", "1000001"],
+        ["--prime", str((1 << 89) - 1)],    # prime, but not below 2^64
+    ):
+        result = runner.invoke(main, ["verify", "--flag", "6,2,4", *args])
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
 
 
 # -- translate ------------------------------------------------------------------------

@@ -11,11 +11,8 @@ from clusterflag.flags import (
     FlagSeed,
     FlagType,
     GrassmannianSeed,
-    build_arrangement,
     decompose_index_set,
     embedded_flag_seed,
-    flag_initial_seed,
-    grassmannian_initial_seed,
     initial_index_sets,
     lift_index_set,
     sigma_draw,
@@ -70,7 +67,7 @@ def test_sigma_draw_is_permutation():
 
 
 def test_square_grassmannian_faces():
-    arr = build_arrangement(FlagType((2,), 4))
+    arr = Arrangement(FlagType((2,), 4))
     labels = {f.index_set: f.frozen for f in arr.faces}
     assert labels == {
         (2,): True,
@@ -82,7 +79,7 @@ def test_square_grassmannian_faces():
 
 def test_faces_match_closed_form_lists():
     for flag in all_flag_types(8, 3):
-        arr = build_arrangement(flag)
+        arr = Arrangement(flag)
         mutable, frozen = initial_index_sets(flag)
         got_mut = sorted(f.index_set for f in arr.faces if not f.frozen)
         got_fro = sorted(f.index_set for f in arr.faces if f.frozen)
@@ -92,7 +89,7 @@ def test_faces_match_closed_form_lists():
 
 
 def test_face_lookup_by_cell():
-    arr = build_arrangement(FlagType((2,), 4))
+    arr = Arrangement(FlagType((2,), 4))
     # bottom row of cells is always discarded
     assert all(arr.face_at(x, 0) is None for x in range(4))
     face = arr.face_at(1, 1)
@@ -141,7 +138,7 @@ def test_weight_of_index_set():
 
 def test_flag_seed_counts_and_balance():
     for flag in all_flag_types(7, 3):
-        fs = flag_initial_seed(flag)
+        fs = FlagSeed(flag)
         seed = fs.seed
         mutable, frozen = initial_index_sets(flag)
         assert len(seed.mutable_ids()) == len(mutable)
@@ -150,7 +147,7 @@ def test_flag_seed_counts_and_balance():
 
 
 def test_unit_vertices_carry_prefix_columns():
-    fs = flag_initial_seed(FlagType((2, 4), 6))
+    fs = FlagSeed(FlagType((2, 4), 6))
     for j, d in enumerate(fs.flag.dims):
         vid = fs.unit_vertex[d]
         st = fs.seed.variables[vid]
@@ -165,7 +162,7 @@ def test_flag_seed_dictionary_matches_unipotent_minors():
     rng = random.Random(17)
     for dims, n in [((2, 4), 5), ((2, 4), 6), ((3, 5), 7), ((1, 3, 5), 6)]:
         flag = FlagType(dims, n)
-        fs = flag_initial_seed(flag)
+        fs = FlagSeed(flag)
         for _ in range(3):
             pt = random_unipotent_point(dims, n, DEFAULT_PRIME, rng)
             for face in fs.arrangement.faces:
@@ -176,8 +173,8 @@ def test_flag_seed_dictionary_matches_unipotent_minors():
 
 def test_rank_one_flag_equals_grassmannian_seed():
     for k, n in [(2, 4), (2, 5), (3, 6)]:
-        fs = flag_initial_seed(FlagType((k,), n))
-        gr = grassmannian_initial_seed(k, n)
+        fs = FlagSeed(FlagType((k,), n))
+        gr = GrassmannianSeed(k, n)
         by_tab = {st.tableau: vid for vid, st in gr.seed.variables.items()}
         mapping = {
             vid: by_tab[st.tableau] for vid, st in fs.seed.variables.items()
@@ -192,7 +189,7 @@ def test_rank_one_flag_equals_grassmannian_seed():
 
 
 def test_square_seed_layout():
-    gr = grassmannian_initial_seed(2, 4)
+    gr = GrassmannianSeed(2, 4)
     assert gr.rows == 2 and gr.cols == 2
     idx_of = {rc: gr.seed.dictionary[vid] for rc, vid in gr.grid.items()}
     assert idx_of[(1, 1)] == PluckerPoly.variable((3, 4))
@@ -205,7 +202,7 @@ def test_square_seed_layout():
 
 
 def test_grid_labels_round_trip():
-    gr = grassmannian_initial_seed(4, 8)
+    gr = GrassmannianSeed(4, 8)
     assert gr.label_of(gr.extra_id) == gr.rows * gr.cols + 1
     seen = set()
     for rc, vid in gr.grid.items():
@@ -220,7 +217,7 @@ def test_grid_labels_round_trip():
 
 
 def test_square_labels():
-    gr = grassmannian_initial_seed(2, 4)
+    gr = GrassmannianSeed(2, 4)
     labels = {rc: gr.label_of(vid) for rc, vid in gr.grid.items()}
     assert labels == {(1, 1): 4, (2, 1): 3, (1, 2): 2, (2, 2): 1}
 
@@ -228,7 +225,7 @@ def test_square_labels():
 def test_grassmannian_seed_balance_sweep():
     for k in (2, 3):
         for n in range(k + 1, k + 6):
-            gr = grassmannian_initial_seed(k, n)
+            gr = GrassmannianSeed(k, n)
             assert gr.seed.is_balanced() == []
             frozen = [v for v in gr.seed.quiver.vertices.values() if v.frozen]
             assert len(frozen) == gr.rows + gr.cols            # row 1, col 1, unit
@@ -239,7 +236,7 @@ def test_grassmannian_seed_balance_sweep():
 
 def test_embedded_flag_seed():
     flag = FlagType((2, 4), 6)
-    fs = flag_initial_seed(flag)
+    fs = FlagSeed(flag)
     emb = embedded_flag_seed(fs)
     assert emb.quiver == fs.seed.quiver
     for vid, st in emb.variables.items():
@@ -256,7 +253,7 @@ def test_embedded_flag_seed():
 
 def test_embedded_indices_have_full_size():
     flag = FlagType((2, 3, 5), 7)
-    emb = embedded_flag_seed(flag_initial_seed(flag))
+    emb = embedded_flag_seed(FlagSeed(flag))
     for poly in emb.dictionary.values():
         for idx in poly.variables():
             assert len(idx) == 5

@@ -14,6 +14,7 @@ from clusterflag.plucker import (
     format_poly,
     index_label,
     interval_minor_to_plucker,
+    is_prime,
     laplace_initial_minor,
     mt_coordinate,
     mt_coordinates,
@@ -29,6 +30,8 @@ from clusterflag.plucker import (
     unipotent_pattern,
 )
 from clusterflag.tableaux import Tableau, initial_tableau, interval_index_set, one_column
+
+from support import trial_division_is_prime
 
 P = PluckerPoly.variable
 M = PluckerPoly.monomial
@@ -117,6 +120,17 @@ def test_det_mod_against_naive_expansion():
                     term *= m[r][c]
                 naive += term
             assert det_mod(m, prime) == naive % prime
+
+
+def test_is_prime_against_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == trial_division_is_prime(n), n
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7,
+    # and the product 101 * 9901
+    for n in (561, 3215031751, 1000001):
+        assert not is_prime(n) and not trial_division_is_prime(n), n
+    assert is_prime(DEFAULT_PRIME)          # 2^61 - 1, a Mersenne prime
+    assert not is_prime(DEFAULT_PRIME * 3)
 
 
 # -- exchange relations ----------------------------------------------------------

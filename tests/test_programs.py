@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from clusterflag.flags import FlagType, GrassmannianSeed, grassmannian_initial_seed
+from clusterflag.flags import FlagError, FlagType, GrassmannianSeed
 from clusterflag.programs import (
     ProgramError,
     expected_mutation_count,
@@ -17,7 +17,6 @@ from clusterflag.programs import (
     run_program,
     sh_program,
     standard_form_tableau,
-    two_step_program,
     verify_theorem,
 )
 from clusterflag.quiver import seeds_equal
@@ -36,20 +35,20 @@ def test_two_step_count_formula():
             a, b, c = d2 - d1 - 1, d2 - 2, d1
             expect = a * c * (c + 1) // 2 + a * (a - 1) // 2 * b
             for n in (d2 + 1, d2 + 3):
-                prog = two_step_program(d1, d2, n)
+                prog = general_flag_program(FlagType((d1, d2), n))
                 assert len(prog.mutations) == expect
                 assert region_mutation_count(a, b, c) == expect
 
 
 def test_small_two_step_sequence():
     # (2,4): one-row region, three mutations walking out and back
-    prog = two_step_program(2, 4, 7)
+    prog = general_flag_program(FlagType((2, 4), 7))
     assert [(s.row, s.col) for s in prog.mutations] == [(2, 2), (2, 3), (2, 2)]
     assert [s.page for s in prog.mutations] == [1, 1, 2]
 
 
 def test_ten_step_region():
-    prog = two_step_program(4, 6, 12)
+    prog = general_flag_program(FlagType((4, 6), 12))
     assert len(prog.mutations) == 10
     # single region row: widths shrink 4,4,3,2,1 over pages 1..4... plus echo
     assert [(s.row, s.col) for s in prog.mutations] == [
@@ -62,7 +61,7 @@ def test_ten_step_region():
 
 def test_degenerate_region_is_empty():
     # adjacent dimensions: a = 0, nothing to mutate
-    assert two_step_program(2, 3, 6).mutations == []
+    assert general_flag_program(FlagType((2, 3), 6)).mutations == []
     assert expected_mutation_count(FlagType((2, 3), 6)) == 0
 
 
@@ -86,8 +85,8 @@ def test_preset_guards():
         mt_program(4)
     with pytest.raises(ProgramError):
         sh_program(5)
-    with pytest.raises(ProgramError):
-        two_step_program(3, 3, 6)
+    with pytest.raises(FlagError):
+        general_flag_program(FlagType((3, 3), 6))
 
 
 def test_count_formula_over_flag_sweep():

@@ -15,11 +15,12 @@ from clusterflag.quiver import (
     quivers_agree,
     seeds_equal,
 )
-from clusterflag.flags import grassmannian_initial_seed
+from clusterflag.cli import seed_to_dict
+from clusterflag.flags import GrassmannianSeed
 from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, random_matrix_point
 from clusterflag.tableaux import one_column
 
-from support import random_quiver
+from support import matrix_mutation_oracle, random_quiver
 
 
 def rand_laurent(rng: random.Random, nvars: int, nterms: int = 3) -> LaurentExpr:
@@ -135,6 +136,19 @@ def test_mutation_involution_bulk():
         count += 1
 
 
+def test_mutation_matches_matrix_rule():
+    rng = random.Random(23)
+    for _ in range(1000):
+        q = random_quiver(rng)
+        mutable = [vid for vid, v in q.vertices.items() if not v.frozen]
+        vid = rng.choice(mutable)
+        m = q.mutate(vid)
+        assert m.arrows == matrix_mutation_oracle(q, vid)
+        assert {i: v.frozen for i, v in m.vertices.items()} == {
+            i: v.frozen for i, v in q.vertices.items()
+        }
+
+
 def test_mutation_multiplicity_example():
     # doubled arrows compose with multiplicity product
     q = make_quiver(3, [(0, 1, 2), (1, 2, 3)])
@@ -179,8 +193,8 @@ def test_quivers_agree_under_relabeling():
 
 
 def toy_seed(last_weight=(1,)):
-    """The square exchange by hand: mutable vertex 0 with two incoming and
-    two outgoing frozen neighbors."""
+    """The square exchange by hand: mutable vertex 0 with arrows from two
+    frozen vertices and arrows to two more."""
     q = make_quiver(
         5, [(1, 0, 1), (2, 0, 1), (0, 3, 1), (0, 4, 1)], frozen=(1, 2, 3, 4)
     )
@@ -237,6 +251,21 @@ def test_seed_freeze_and_restrict():
         s.restrict({0, 1})                  # 0 still mutable, arrows to 2,3,4
 
 
+def test_derived_seeds_leave_source_unchanged():
+    gr = GrassmannianSeed(3, 6)
+    s = gr.seed.mutate(gr.vertex_at(2, 2))
+    before = seed_to_dict(s)
+    mutable = s.mutable_ids()
+    for vid in mutable:
+        s.mutate(vid)
+    frozen = s.freeze(mutable)
+    s.freeze(mutable[0])
+    frozen_before = seed_to_dict(frozen)
+    frozen.restrict(mutable)
+    assert seed_to_dict(s) == before
+    assert seed_to_dict(frozen) == frozen_before
+
+
 def test_seed_requires_variable_per_vertex():
     s = toy_seed()
     with pytest.raises(QuiverError):
@@ -246,7 +275,7 @@ def test_seed_requires_variable_per_vertex():
 def test_grassmannian_square_exchange_values():
     """On the 2x2 grid the single exchange is the three-term relation;
     check the Laurent track against direct polynomial evaluation."""
-    gr = grassmannian_initial_seed(2, 4)
+    gr = GrassmannianSeed(2, 4)
     seed = gr.seed
     vid = seed.mutable_ids()[0]
     mutated = seed.mutate(vid)
@@ -273,7 +302,7 @@ def test_seed_involution_walks():
     three tracks exactly."""
     rng = random.Random(23)
     for k, n in [(2, 5), (2, 6), (3, 6)]:
-        gr = grassmannian_initial_seed(k, n)
+        gr = GrassmannianSeed(k, n)
         for _ in range(12):
             seed = gr.seed
             for _ in range(5):
@@ -287,7 +316,7 @@ def test_seed_involution_walks():
 
 
 def test_variable_values_track_laurent():
-    gr = grassmannian_initial_seed(2, 5)
+    gr = GrassmannianSeed(2, 5)
     seed = gr.seed
     for vid in seed.mutable_ids():
         seed = seed.mutate(vid)
@@ -299,7 +328,7 @@ def test_variable_values_track_laurent():
 
 
 def test_initial_values_raise_on_vanishing():
-    gr = grassmannian_initial_seed(2, 4)
+    gr = GrassmannianSeed(2, 4)
     zero_pt_matrix = [[1, 0, 0, 0], [0, 1, 0, 0]]
     from clusterflag.plucker import EvaluationPoint
 

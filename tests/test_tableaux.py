@@ -14,18 +14,14 @@ from clusterflag.tableaux import (
     equivalent,
     fill_up,
     from_columns,
-    fundamental_factorization_gr,
     initial_tableau,
     interval_index_set,
     is_factor,
-    is_fundamental_column,
-    is_interval_column,
     is_trivial,
     one_column,
     quotient,
     reduce,
     restrict,
-    strip_interval_columns,
     tableau_mutation,
     trivial_column,
     union,
@@ -307,43 +303,3 @@ def test_tableau_mutation_non_factor_error():
             [one_column([1, 3])],
         )
 
-
-# -- fundamental factorization -----------------------------------------------------
-
-
-def test_fundamental_column_predicates():
-    assert is_fundamental_column((1, 3), 2)
-    assert not is_fundamental_column((1, 2), 2)
-    assert is_interval_column((2, 3), 2)
-    assert not is_interval_column((1, 3), 2)
-
-
-def test_strip_interval_columns():
-    t = from_columns([(1, 2), (2, 3), (1, 3)])
-    stripped, removed = strip_interval_columns(t, 2)
-    assert stripped == one_column([1, 3])
-    assert sorted(removed) == [(1, 2), (2, 3)]
-
-
-def test_fundamental_factorization_fixed_points():
-    cols, added = fundamental_factorization_gr(one_column([1, 3]), 2, 4)
-    assert cols == [(1, 3)] and added == []
-    cols, added = fundamental_factorization_gr(from_columns([(1, 2)]), 2, 4)
-    assert cols == [] and added == []         # interval column is trivial here
-
-
-def test_fundamental_factorization_random():
-    rng = random.Random(5)
-    k, n = 3, 7
-    for _ in range(200):
-        cols = [
-            tuple(sorted(rng.sample(range(1, n + 1), k)))
-            for _ in range(rng.randint(1, 4))
-        ]
-        t = from_columns(cols)
-        fund, added = fundamental_factorization_gr(t, k, n)
-        assert all(is_fundamental_column(c, k) for c in fund)
-        # identity of row multisets: interval-stripped input + added pads
-        # = the fundamental representative
-        stripped, _ = strip_interval_columns(t, k)
-        assert union(stripped, from_columns(added)) == from_columns(fund)
