@@ -157,6 +157,20 @@ def _write_output(text: str, output: str | None) -> None:
         click.echo(text, nl=not text.endswith("\n"))
 
 
+def _vertex_id(seed: Seed, token: str) -> int:
+    """The vertex a ``--at`` token names: a numeric id or a vertex name."""
+    try:
+        vid = int(token)
+    except ValueError:
+        try:
+            return seed.vertex_by_name(token)
+        except QuiverError as exc:
+            raise click.UsageError(str(exc)) from None
+    if vid not in seed.quiver.vertices:
+        raise click.UsageError("no vertex with id %d" % vid)
+    return vid
+
+
 def _build_seed(flag_opt: str | None, gr_opt: str | None, seed_file: str | None) -> Seed:
     given = sum(x is not None for x in (flag_opt, gr_opt, seed_file))
     if given != 1:
@@ -202,12 +216,12 @@ def seed_cmd(flag_opt, gr_opt, fmt, output):
 def mutate_cmd(flag_opt, gr_opt, seed_file, at_opt, fmt, output):
     """Mutate a seed at the listed vertices, in order."""
     seed = _build_seed(flag_opt, gr_opt, seed_file)
-    for token in at_opt.split(","):
-        token = token.strip()
+    tokens = [token.strip() for token in at_opt.split(",")]
+    vids = [_vertex_id(seed, token) for token in tokens]
+    for token, vid in zip(tokens, vids):
         try:
-            vid = int(token) if token.lstrip("-").isdigit() else seed.vertex_by_name(token)
             seed = seed.mutate(vid)
-        except (QuiverError, LaurentError, KeyError, tb.TableauError) as exc:
+        except (QuiverError, LaurentError, tb.TableauError) as exc:
             raise click.ClickException("mutation at %r failed: %s" % (token, exc)) from None
     _write_output(render_seed(seed, fmt), output)
 
@@ -239,23 +253,21 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
     flag = program.flag
     gr = GrassmannianSeed(*flag.target_grassmannian)
     result = run_program(gr, program)
-    labels = [lab for (_, _, lab) in result.mutation_trace]
     click.echo(
         "flag (%s; %d) in Gr(%d; %d)"
         % (",".join(map(str, flag.dims)), flag.n, *flag.target_grassmannian)
     )
-    click.echo("mutations: %s" % " ".join("(%d)" % lab for lab in labels))
-    click.echo("freezes:   %s" % " ".join("(%d)" % lab for lab in sorted(result.frozen_effective)))
-    click.echo(
-        "deleted:   %s"
-        % " ".join("(%d)" % lab for lab in sorted(gr.label_of(v) for v in result.deleted))
-    )
-    if result.match_problems:
-        for p in result.match_problems:
-            click.echo("problem: %s" % p)
+    for title, labels in (
+        ("mutations:", result.mutation_labels),
+        ("freezes:  ", result.freeze_labels),
+        ("deleted:  ", result.deleted_labels),
+    ):
+        click.echo("%s %s" % (title, " ".join("(%d)" % lab for lab in labels)))
+    for p in result.match_problems:
+        click.echo("problem: %s" % p)
     if result.restricted is None:
         raise click.ClickException("endpoint did not restrict to the flag seed")
-    click.echo("kept %d vertices" % len(result.kept))
+    click.echo("kept %d vertices" % len(result.mapping))
     if export_fmt:
         _write_output(render_seed(result.restricted, export_fmt), output)
 
@@ -301,9 +313,10 @@ def translate_cmd(sh_n, mt_n, token):
     if len(token) < 3 or token[0] not in "<[" or token[-1] not in ">]":
         raise click.UsageError("token must look like <ij> or [ij]")
     body = token[1:-1]
-    entries = (
-        [int(p) for p in body.split(",")] if "," in body else [int(ch) for ch in body]
-    )
+    try:
+        entries = [int(p) for p in (body.split(",") if "," in body else body)]
+    except ValueError:
+        raise click.UsageError("token entries must be integers, got %r" % token) from None
     try:
         if sh_n is not None:
             if len(entries) != 2:

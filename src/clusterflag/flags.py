@@ -91,10 +91,9 @@ def sigma_draw(flag: FlagType) -> tuple[int, ...]:
 
 
 class Face:
-    __slots__ = ("cells", "index_set", "frozen")
+    __slots__ = ("index_set", "frozen")
 
-    def __init__(self, cells: frozenset, index_set: tuple[int, ...], frozen: bool):
-        self.cells = cells
+    def __init__(self, index_set: tuple[int, ...], frozen: bool):
         self.index_set = index_set
         self.frozen = frozen
 
@@ -160,7 +159,7 @@ class Arrangement:
                 for c in cells:
                     self.cell_face[c] = None
                 continue
-            face = Face(frozenset(cells), index_set, touches_y)
+            face = Face(index_set, touches_y)
             faces.append(face)
             for c in cells:
                 self.cell_face[c] = face
@@ -448,14 +447,6 @@ class GrassmannianSeed:
             raise FlagError("unknown vertex %d" % vid)
         r, c = divmod(vid, self.cols)  # zero-based
         return self.rows * (self.cols - 1 - c) + (self.rows - r)
-
-    def vertex_by_label(self, label: int) -> int:
-        if label == self.rows * self.cols + 1:
-            return self.extra_id
-        q, rem = divmod(label - 1, self.rows)
-        c = self.cols - q
-        r = self.rows - rem
-        return self.vertex_at(r, c)
 
 
 def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:

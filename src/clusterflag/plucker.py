@@ -3,24 +3,16 @@
 Variables are Plucker coordinates P_I indexed by strictly increasing tuples.
 Polynomials are sparse integer combinations of monomials (multisets of index
 tuples).  Identity testing is randomized: evaluate both sides on random
-matrices over F_p (p a large prime) with P_I read off as a minor.
-
-Two kinds of evaluation points appear:
-
-* full random matrices with d rows, for identities inside a single
-  Grassmannian (every index set has size d);
-* patterned unipotent n x n matrices, for identities on the open patch of a
-  partial flag variety (P_I is the top-|I| x I minor; entries inside each
-  diagonal block vanish, the diagonal is 1).
+matrices over F_p (p a large prime) with P_I read off as the minor on the
+top |I| rows and the columns I.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .tableaux import Tableau, initial_tableau, interval_index_set
+from .tableaux import initial_tableau, interval_index_set
 
 
 class PluckerError(ValueError):
@@ -202,11 +194,6 @@ def format_poly(poly: PluckerPoly) -> str:
     return "".join(chunks)
 
 
-def standard_monomial(t: Tableau) -> PluckerPoly:
-    """Product of the Plucker coordinates named by the columns of ``t``."""
-    return PluckerPoly.monomial(t.columns())
-
-
 # -- exchange relations ----------------------------------------------------
 
 
@@ -359,10 +346,6 @@ class EvaluationPoint:
     def num_rows(self) -> int:
         return len(self.matrix)
 
-    @property
-    def num_cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> int:
         """Determinant of the submatrix (rows and cols are 1-based)."""
         sub = [[self.matrix[r - 1][c - 1] for c in cols] for r in rows]
@@ -407,48 +390,7 @@ def random_matrix_point(rows: int, cols: int, prime: int, rng: random.Random) ->
     return EvaluationPoint(matrix, prime)
 
 
-def unipotent_pattern(dims: Sequence[int], n: int) -> list[list[bool]]:
-    """Which entries of the n x n matrix are free: strictly above the
-    diagonal and not inside any diagonal block of the flag type (blocks are
-    (0,d1], (d1,d2], ..., (dk,n])."""
-    bounds = [0] + list(dims) + [n]
-
-    def block(i: int) -> int:
-        for b in range(1, len(bounds)):
-            if bounds[b - 1] < i <= bounds[b]:
-                return b
-        raise PluckerError("index out of range")
-
-    free = [[False] * n for _ in range(n)]
-    for r in range(1, n + 1):
-        for c in range(r + 1, n + 1):
-            if block(r) != block(c):
-                free[r - 1][c - 1] = True
-    return free
-
-
-def random_unipotent_point(dims: Sequence[int], n: int, prime: int, rng: random.Random) -> EvaluationPoint:
-    """Random point of the unipotent patch of the flag variety: upper
-    unitriangular with zeros inside every diagonal block."""
-    free = unipotent_pattern(dims, n)
-    matrix = [[0] * n for _ in range(n)]
-    for r in range(n):
-        matrix[r][r] = 1
-        for c in range(n):
-            if free[r][c]:
-                matrix[r][c] = rng.randrange(prime)
-    return EvaluationPoint(matrix, prime)
-
-
-def pattern_minor(point: EvaluationPoint, row_set: Sequence[int]) -> int:
-    """Minor of the point on rows ``row_set`` and the last |row_set| columns;
-    the function the lifted seed variables restrict to on the patch."""
-    m = len(row_set)
-    n = point.num_cols
-    return point.minor(row_set, range(n - m + 1, n + 1))
-
-
-# -- small coordinate dictionaries -------------------------------------------
+# -- coordinates of the worked families ------------------------------------
 
 
 def sh_coordinate(n: int, token_kind: str, i: int, j: int) -> PluckerPoly:
@@ -473,26 +415,3 @@ def mt_coordinate(n: int, entries: Sequence[int]) -> PluckerPoly:
     if not all(1 <= e <= n for e in entries):
         raise PluckerError("entries out of range")
     return PluckerPoly.variable(tuple(entries))
-
-
-def sh_coordinates(n: int) -> dict[str, PluckerPoly]:
-    """All angle/bracket coordinates for ambient size n, keyed by their
-    conventional spelling (``<ij>`` and ``[ij]``, comma-separated past 9)."""
-    out: dict[str, PluckerPoly] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            body = "%d%d" % (i, j) if n <= 9 else "%d,%d" % (i, j)
-            out["<%s>" % body] = sh_coordinate(n, "angle", i, j)
-            out["[%s]" % body] = sh_coordinate(n, "bracket", i, j)
-    return out
-
-
-def mt_coordinates(n: int) -> dict[str, PluckerPoly]:
-    """All 2- and 4-index angle coordinates for ambient size n."""
-    out: dict[str, PluckerPoly] = {}
-    for size in (2, 4):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            joiner = "" if n <= 9 else ","
-            body = joiner.join(map(str, combo))
-            out["<%s>" % body] = mt_coordinate(n, combo)
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import tableaux as tb
 from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
@@ -28,7 +28,6 @@ class ProgramError(ValueError):
 
 @dataclass(frozen=True)
 class Step:
-    kind: str  # "mutate" | "freeze"
     row: int
     col: int
     region: int = 0
@@ -38,15 +37,8 @@ class Step:
 @dataclass
 class MutationProgram:
     flag: FlagType
-    steps: list[Step]
-
-    @property
-    def mutations(self) -> list[Step]:
-        return [s for s in self.steps if s.kind == "mutate"]
-
-    @property
-    def freezes(self) -> list[Step]:
-        return [s for s in self.steps if s.kind == "freeze"]
+    mutations: list[Step]
+    freezes: list[Step]
 
 
 def region_parameters(flag: FlagType, j: int) -> tuple[int, int, int, int]:
@@ -86,7 +78,7 @@ def _region_steps(flag: FlagType, j: int) -> list[Step]:
                 continue
             row = top + t - 1
             for col in range(2, width + 2):
-                steps.append(Step("mutate", row, col, region=j, page=page))
+                steps.append(Step(row, col, region=j, page=page))
     return steps
 
 
@@ -97,27 +89,18 @@ def _freeze_steps(flag: FlagType) -> list[Step]:
     for j in range(2, flag.k + 1):
         col = ext[j - 1] + 1
         for i in range(ext[j - 1] - d1 + 2, ext[j] - d1 + 1):
-            steps.append(Step("freeze", i, col, region=j))
+            steps.append(Step(i, col, region=j))
     # the padded coordinates P_{[1,d_j]} sitting inside the grid
     for j in range(1, flag.k):
-        steps.append(Step("freeze", flag.dims[j - 1] - d1 + 1, flag.dims[j - 1] + 1))
+        steps.append(Step(flag.dims[j - 1] - d1 + 1, flag.dims[j - 1] + 1))
     return steps
 
 
-def general_flag_program(flag: FlagType, region_order: Sequence[int] | None = None) -> MutationProgram:
-    """Concatenation of the per-region schedules followed by all freezes.
-
-    ``region_order`` defaults to 2..k; regions commute (their mutable
-    supports are disjoint), which the test suite exercises.
-    """
-    order = list(region_order) if region_order is not None else list(range(2, flag.k + 1))
-    if sorted(order) != list(range(2, flag.k + 1)):
-        raise ProgramError("region order must be a permutation of 2..k")
-    steps: list[Step] = []
-    for j in order:
-        steps.extend(_region_steps(flag, j))
-    steps.extend(_freeze_steps(flag))
-    return MutationProgram(flag, steps)
+def general_flag_program(flag: FlagType) -> MutationProgram:
+    """The per-region schedules for regions 2..k, then all freezes.  The
+    regions commute: their mutable supports are disjoint."""
+    mutations = [step for j in range(2, flag.k + 1) for step in _region_steps(flag, j)]
+    return MutationProgram(flag, mutations, _freeze_steps(flag))
 
 
 def mt_program(n: int) -> MutationProgram:
@@ -145,18 +128,16 @@ def standard_form_tableau(flag: FlagType, j: int, j1: int, j2: int) -> tb.Tablea
 
 @dataclass
 class RunResult:
-    program: MutationProgram
-    grassmannian: GrassmannianSeed
+    """A program run; the labels are grid labels (``GrassmannianSeed.label_of``)."""
+
     endpoint: Seed              # after mutations and freezes, before deletion
     restricted: Seed | None
-    flag_seed: FlagSeed
     embedded: Seed
-    mapping: dict[int, int]     # flag vertex -> grid vertex
-    kept: set[int]
-    deleted: set[int]
+    mapping: dict[int, int]     # flag vertex -> grid vertex (the kept vertices)
     match_problems: list[str]
-    mutation_trace: list[tuple[Step, int, int]]  # (step, vertex, label)
-    frozen_effective: list[int]                  # labels
+    mutation_labels: list[int]  # in program order
+    freeze_labels: list[int]    # sorted; vertices that were already frozen are left out
+    deleted_labels: list[int]   # sorted
 
 
 def match_embedded_vertices(endpoint: Seed, embedded: Seed) -> tuple[dict[int, int], list[str]]:
@@ -198,7 +179,7 @@ def run_program(
 ) -> RunResult:
     """Execute the program and carry out the freeze/match/delete endgame."""
     seed = gr.seed
-    trace: list[tuple[Step, int, int]] = []
+    mutation_labels: list[int] = []
     current_page = None
     for step in program.mutations:
         if page_hook is not None and current_page is not None and (step.region, step.page) != current_page:
@@ -206,22 +187,20 @@ def run_program(
         current_page = (step.region, step.page)
         vid = gr.vertex_at(step.row, step.col)
         seed = seed.mutate(vid)
-        trace.append((step, vid, gr.label_of(vid)))
+        mutation_labels.append(gr.label_of(vid))
     if page_hook is not None and current_page is not None:
         page_hook(seed, *current_page)
 
-    frozen_effective: list[int] = []
+    freeze_labels: list[int] = []
     for step in program.freezes:
         vid = gr.vertex_at(step.row, step.col)
         if not seed.quiver.is_frozen(vid):
-            frozen_effective.append(gr.label_of(vid))
+            freeze_labels.append(gr.label_of(vid))
             seed = seed.freeze(vid)
 
-    flag_seed = FlagSeed(program.flag)
-    embedded = embedded_flag_seed(flag_seed)
+    embedded = embedded_flag_seed(FlagSeed(program.flag))
     mapping, problems = match_embedded_vertices(seed, embedded)
     kept = set(mapping.values())
-    deleted = set(seed.quiver.vertices) - kept
 
     restricted: Seed | None = None
     if len(mapping) == len(embedded.variables):
@@ -234,18 +213,14 @@ def run_program(
             "matched %d of %d flag vertices" % (len(mapping), len(embedded.variables))
         )
     return RunResult(
-        program=program,
-        grassmannian=gr,
         endpoint=seed,
         restricted=restricted,
-        flag_seed=flag_seed,
         embedded=embedded,
         mapping=mapping,
-        kept=kept,
-        deleted=deleted,
         match_problems=problems,
-        mutation_trace=trace,
-        frozen_effective=frozen_effective,
+        mutation_labels=mutation_labels,
+        freeze_labels=sorted(freeze_labels),
+        deleted_labels=sorted(gr.label_of(v) for v in seed.quiver.vertices if v not in kept),
     )
 
 
@@ -345,7 +320,6 @@ def verify_theorem(
     trials: int = 20,
     prime: int = DEFAULT_PRIME,
     master_seed: int = 0,
-    page_hook: Callable[[Seed, int, int], None] | None = None,
 ) -> Report:
     """Run the program for a flag type and certify that freezing plus
     deletion turns the endpoint into the padded flag initial seed.
@@ -370,7 +344,7 @@ def verify_theorem(
     )
 
     try:
-        result = run_program(gr, program, page_hook=page_hook)
+        result = run_program(gr, program)
     except (LaurentError, QuiverError, tb.TableauError) as exc:
         report.add("program executed with exact exchanges", False, str(exc))
         report.elapsed = time.perf_counter() - t0
@@ -378,17 +352,17 @@ def verify_theorem(
     report.add(
         "program executed with exact exchanges",
         True,
-        "%d Laurent divisions" % len(result.mutation_trace),
+        "%d Laurent divisions" % len(result.mutation_labels),
     )
 
-    report.mutation_labels = [lab for (_, _, lab) in result.mutation_trace]
-    report.freeze_labels = sorted(result.frozen_effective)
-    report.deleted_labels = sorted(gr.label_of(v) for v in result.deleted)
+    report.mutation_labels = result.mutation_labels
+    report.freeze_labels = result.freeze_labels
+    report.deleted_labels = result.deleted_labels
     report.counts = {
-        "mutations": len(result.mutation_trace),
-        "freezes": len(result.frozen_effective),
-        "deleted": len(result.deleted),
-        "kept": len(result.kept),
+        "mutations": len(result.mutation_labels),
+        "freezes": len(result.freeze_labels),
+        "deleted": len(result.deleted_labels),
+        "kept": len(result.mapping),
         "flag_vertices": len(result.embedded.variables),
         "grid_vertices": len(gr.seed.variables),
     }
@@ -420,7 +394,7 @@ def verify_theorem(
     weight_issues: list[str] = []
     for vid in result.restricted.mutable_ids():
         w_in, w_out = exchange_weights(
-            result.restricted.quiver, vid, flag_weight.__getitem__, flag.k
+            result.restricted.quiver.exchange(vid), flag_weight.__getitem__, flag.k
         )
         if w_in != w_out:
             weight_issues.append(result.restricted.quiver.vertices[vid].name)

@@ -338,13 +338,15 @@ def quivers_agree(q1: Quiver, q2: Quiver, mapping: Mapping[int, int]) -> list[st
 
 
 def exchange_weights(
-    quiver: Quiver, vid: int, weight: Callable[[int], Sequence[int]], rank: int
+    exchange: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    weight: Callable[[int], Sequence[int]],
+    rank: int,
 ) -> tuple[list[int], list[int]]:
-    """Sums of ``weight`` over the arrows into and out of ``vid``, each
-    arrow counted with its multiplicity; a vertex is balanced when the two
-    agree."""
+    """Sums of ``weight`` over the (ins, outs) pair of ``Quiver.exchange``,
+    each arrow counted with its multiplicity; a vertex is balanced when the
+    two agree."""
     sums = []
-    for side in quiver.exchange(vid):
+    for side in exchange:
         total = [0] * rank
         for u, m in side:
             total = [a + m * b for a, b in zip(total, weight(u))]
@@ -370,7 +372,8 @@ class Seed:
     ``dictionary`` maps initial cluster positions to the polynomials the
     program started from; Laurent expansions of later variables are always
     taken with respect to these positions, also after freezing or deleting
-    vertices.
+    vertices.  ``variables`` and ``dictionary`` are stored as given, not
+    copied, so the caller must not change them afterwards.
     """
 
     def __init__(
@@ -381,8 +384,8 @@ class Seed:
         weight_rank: int,
     ):
         self.quiver = quiver
-        self.variables = dict(variables)
-        self.dictionary = dict(dictionary)
+        self.variables = variables
+        self.dictionary = dictionary
         self.weight_rank = weight_rank
         if set(self.variables) != set(quiver.vertices):
             raise QuiverError("variable per vertex required")
@@ -405,7 +408,8 @@ class Seed:
         if self.quiver.is_frozen(vid):
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
         state = self.variables[vid]
-        w_in, w_out = exchange_weights(self.quiver, vid, self._weight, self.weight_rank)
+        exchange = self.quiver.exchange(vid)
+        w_in, w_out = exchange_weights(exchange, self._weight, self.weight_rank)
         if w_in != w_out:
             raise QuiverError(
                 "exchange at %s is not weight-balanced: %s vs %s"
@@ -414,8 +418,7 @@ class Seed:
 
         # neighbor states, each repeated by its arrow multiplicity
         ins, outs = (
-            [self.variables[u] for u, m in side for _ in range(m)]
-            for side in self.quiver.exchange(vid)
+            [self.variables[u] for u, m in side for _ in range(m)] for side in exchange
         )
         prod_in = prod_out = LaurentExpr.constant(state.laurent.nvars, 1)
         for st in ins:
@@ -456,7 +459,9 @@ class Seed:
         """Weight balance at every mutable vertex; returns violations."""
         problems = []
         for vid in self.mutable_ids():
-            w_in, w_out = exchange_weights(self.quiver, vid, self._weight, self.weight_rank)
+            w_in, w_out = exchange_weights(
+                self.quiver.exchange(vid), self._weight, self.weight_rank
+            )
             if w_in != w_out:
                 problems.append(
                     "vertex %s: incoming weight %s != outgoing weight %s"
@@ -474,13 +479,6 @@ class Seed:
                 raise ArithmeticError("initial variable %d vanishes at point" % pos)
             values[pos] = v
         return values
-
-    def variable_values(self, point: EvaluationPoint, cache: dict | None = None) -> dict[int, int]:
-        vals = self.initial_values(point, cache)
-        return {
-            vid: st.laurent.evaluate(vals, point.prime)
-            for vid, st in self.variables.items()
-        }
 
 
 def seeds_equal(s1: Seed, s2: Seed, mapping: Mapping[int, int]) -> list[str]:

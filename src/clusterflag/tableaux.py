@@ -56,9 +56,6 @@ class Tableau:
     def width(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def is_empty(self) -> bool:
-        return not self.rows
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows if len(row) > j)
 
@@ -166,11 +163,6 @@ def is_factor(s: Tableau, t: Tableau) -> bool:
 def trivial_column(p: int) -> Tableau:
     """The one-column tableau 1,2,...,p (acts as 1 on the unipotent patch)."""
     return one_column(range(1, p + 1))
-
-
-def is_trivial(t: Tableau) -> bool:
-    """True when every column is a prefix column {1,...,p}."""
-    return all(col == tuple(range(1, len(col) + 1)) for col in t.columns())
 
 
 def reduce(t: Tableau) -> Tableau:

@@ -10,6 +10,7 @@ import random
 
 from clusterflag.tableaux import Tableau, one_column, union
 from clusterflag.flags import FlagType
+from clusterflag.plucker import EvaluationPoint
 
 
 def random_column(rng: random.Random, n: int, max_height: int) -> Tableau:
@@ -159,3 +160,52 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+# -- the unipotent patch of a flag variety ---------------------------------------
+#
+# The flag seed's lifted coordinates restrict, on this patch, to plain minors
+# of the matrix; these helpers are the tests' oracle for that statement.  The
+# minors go through ``EvaluationPoint.minor`` (``det_mod``), which
+# test_det_mod_against_naive_expansion checks against cofactor expansion.
+
+
+def unipotent_pattern(dims, n: int) -> list[list[bool]]:
+    """Which entries of the n x n matrix are free: strictly above the
+    diagonal and not inside any diagonal block of the flag type (blocks are
+    (0,d1], (d1,d2], ..., (dk,n])."""
+    bounds = [0] + list(dims) + [n]
+
+    def block(i: int) -> int:
+        for b in range(1, len(bounds)):
+            if bounds[b - 1] < i <= bounds[b]:
+                return b
+        raise ValueError("index out of range")
+
+    free = [[False] * n for _ in range(n)]
+    for r in range(1, n + 1):
+        for c in range(r + 1, n + 1):
+            if block(r) != block(c):
+                free[r - 1][c - 1] = True
+    return free
+
+
+def random_unipotent_point(dims, n: int, prime: int, rng: random.Random) -> EvaluationPoint:
+    """Random point of the unipotent patch of the flag variety: upper
+    unitriangular with zeros inside every diagonal block."""
+    free = unipotent_pattern(dims, n)
+    matrix = [[0] * n for _ in range(n)]
+    for r in range(n):
+        matrix[r][r] = 1
+        for c in range(n):
+            if free[r][c]:
+                matrix[r][c] = rng.randrange(prime)
+    return EvaluationPoint(matrix, prime)
+
+
+def pattern_minor(point: EvaluationPoint, row_set) -> int:
+    """Minor of the point on rows ``row_set`` and the last |row_set| columns;
+    the function the lifted seed variables restrict to on the patch."""
+    m = len(row_set)
+    n = len(point.matrix[0])
+    return point.minor(row_set, range(n - m + 1, n + 1))

@@ -13,10 +13,8 @@ from clusterflag.plucker import (
     DEFAULT_PRIME,
     PluckerPoly,
     laplace_initial_minor,
-    pattern_minor,
     phi_star,
     plucker_relation,
-    random_unipotent_point,
 )
 from clusterflag.programs import (
     expected_mutation_count,
@@ -32,8 +30,10 @@ from support import (
     all_flag_types,
     brute_dominance,
     check_semistandard,
+    pattern_minor,
     random_quiver,
     random_tableau,
+    random_unipotent_point,
     two_row_tableaux,
 )
 

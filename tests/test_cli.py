@@ -1,6 +1,7 @@
 """Command line front end: construction, presets, verification, translation."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -96,6 +97,13 @@ def test_mutate_rejects_frozen_vertex(runner):
     assert "failed" in result.output
 
 
+def test_mutate_unknown_vertex_is_usage_error(runner):
+    for at in ("99", "-1", "--1", "nosuch", "r2c2,99"):
+        result = runner.invoke(main, ["mutate", "--gr", "2,4", "--at", at])
+        assert result.exit_code == 2, at
+        assert "failed" not in result.output, at
+
+
 def test_mutate_by_id_round_trip(runner):
     gr = GrassmannianSeed(2, 4)
     vid = gr.seed.mutable_ids()[0]
@@ -152,11 +160,19 @@ def test_mutate_inexact_exchange_is_clean_error(runner, tmp_path):
 
 
 def test_run_preset_mt(runner):
+    expected = (
+        "flag (2,4; 6) in Gr(4; 8)\n"
+        "mutations: (11) (7) (11)\n"
+        "freezes:   (7)\n"
+        "deleted:   (3) (4) (15)\n"
+        "kept 14 vertices\n"
+    )
     result = runner.invoke(main, ["run", "--preset", "mt", "--n", "6"])
     assert result.exit_code == 0
-    assert "mutations: (11) (7) (11)" in result.output
-    assert "freezes:   (7)" in result.output
-    assert "deleted:   (3) (4) (15)" in result.output
+    assert result.output == expected
+    # the README shows this run verbatim
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert "```\n%s```" % expected in readme.read_text()
 
 
 def test_run_preset_sh_export_dot(runner, tmp_path):
@@ -265,6 +281,8 @@ def test_translate_examples(runner):
     assert result.output.strip() == "-P_{245}"
     result = runner.invoke(main, ["translate", "--mt", "6", "<1234>"])
     assert result.output.strip() == "+P_{1234}"
+    result = runner.invoke(main, ["translate", "--sh", "11", "<1,11>"])
+    assert result.output.strip() == "+P_{1,11}"
 
 
 def test_translate_usage_errors(runner):
@@ -274,3 +292,7 @@ def test_translate_usage_errors(runner):
     assert runner.invoke(main, ["translate", "--sh", "5", "[123]"]).exit_code == 2
     assert runner.invoke(main, ["translate", "--mt", "6", "[12]"]).exit_code == 2
     assert runner.invoke(main, ["translate", "--sh", "5", "[19]"]).exit_code == 2
+    for args in (["--sh", "5", "<1a>"], ["--sh", "5", "<1,>"], ["--mt", "6", "<1,2,x>"]):
+        result = runner.invoke(main, ["translate", *args])
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args

@@ -22,14 +22,12 @@ from clusterflag.plucker import (
     DEFAULT_PRIME,
     PluckerPoly,
     laplace_initial_minor,
-    pattern_minor,
     phi_star,
-    random_unipotent_point,
 )
 from clusterflag.quiver import seeds_equal
 from clusterflag.tableaux import fill_up, initial_tableau, interval_index_set, one_column
 
-from support import all_flag_types
+from support import all_flag_types, pattern_minor, random_unipotent_point
 
 
 # -- flag types ---------------------------------------------------------------
@@ -207,7 +205,9 @@ def test_grid_labels_round_trip():
     seen = set()
     for rc, vid in gr.grid.items():
         lab = gr.label_of(vid)
-        assert gr.vertex_by_label(lab) == vid
+        r, c = rc
+        # column-major from the bottom-right corner
+        assert lab == gr.rows * (gr.cols - c) + (gr.rows - r + 1)
         seen.add(lab)
     assert seen == set(range(1, gr.rows * gr.cols + 1))
     # bottom-right corner carries label 1

@@ -17,21 +17,20 @@ from clusterflag.plucker import (
     is_prime,
     laplace_initial_minor,
     mt_coordinate,
-    mt_coordinates,
     normalize_index,
-    pattern_minor,
     phi_star,
     plucker_relation,
     random_matrix_point,
-    random_unipotent_point,
     sh_coordinate,
-    sh_coordinates,
-    standard_monomial,
+)
+from clusterflag.tableaux import initial_tableau, interval_index_set
+
+from support import (
+    pattern_minor,
+    random_unipotent_point,
+    trial_division_is_prime,
     unipotent_pattern,
 )
-from clusterflag.tableaux import Tableau, initial_tableau, interval_index_set, one_column
-
-from support import trial_division_is_prime
 
 P = PluckerPoly.variable
 M = PluckerPoly.monomial
@@ -82,12 +81,6 @@ def test_format_poly():
     assert format_poly(M([(1, 2)], -3)) == "-3P_{12}"
     assert format_poly(PluckerPoly.one()) == "+1"
     assert index_label((2, 11)) == "2,11"
-
-
-def test_standard_monomial():
-    assert standard_monomial(one_column([1, 2])) == P((1, 2))
-    assert standard_monomial(Tableau([[1, 3], [2, 4]])) == M([(1, 2), (3, 4)])
-    assert standard_monomial(Tableau([])) == PluckerPoly.one()
 
 
 def test_evaluation_is_ring_homomorphism():
@@ -324,22 +317,19 @@ def test_evaluation_point_bounds():
 
 
 def test_sh_coordinates():
-    table = sh_coordinates(5)
-    assert format_poly(table["[12]"]) == "+P_{345}"
-    assert table["<13>"] == P((1, 3))
-    assert table["[23]"] == P((1, 4, 5))          # (-1)^(2+3-1) = +1
-    assert table["[13]"] == -1 * P((2, 4, 5))     # (-1)^(1+3-1) = -1
-    assert sh_coordinate(5, "bracket", 1, 2) == table["[12]"]
+    assert format_poly(sh_coordinate(5, "bracket", 1, 2)) == "+P_{345}"
+    assert sh_coordinate(5, "angle", 1, 3) == P((1, 3))
+    assert sh_coordinate(5, "bracket", 2, 3) == P((1, 4, 5))       # (-1)^(2+3-1) = +1
+    assert sh_coordinate(5, "bracket", 1, 3) == -1 * P((2, 4, 5))  # (-1)^(1+3-1) = -1
     with pytest.raises(PluckerError):
         sh_coordinate(5, "angle", 3, 2)
-    big = sh_coordinates(11)
-    assert "<1,11>" in big and "[2,10]" in big
+    assert sh_coordinate(11, "angle", 1, 11) == P((1, 11))
+    assert sh_coordinate(11, "bracket", 2, 10) == -1 * P((1, 3, 4, 5, 6, 7, 8, 9, 11))
 
 
 def test_mt_coordinates():
-    table = mt_coordinates(6)
-    assert table["<12>"] == P((1, 2))
-    assert table["<1234>"] == P((1, 2, 3, 4))
+    assert mt_coordinate(6, (1, 2)) == P((1, 2))
+    assert mt_coordinate(6, (1, 2, 3, 4)) == P((1, 2, 3, 4))
     assert mt_coordinate(6, (1, 3)) == P((1, 3))
     with pytest.raises(PluckerError):
         mt_coordinate(6, (1, 2, 3))
@@ -353,10 +343,8 @@ def test_sh_bracket_matches_complementary_minor():
     determinant expansion sign."""
     rng = random.Random(3)
     n = 6
-    table = sh_coordinates(n)
     pt = random_matrix_point(n - 2, n, DEFAULT_PRIME, rng)
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        body = "%d%d" % (i, j)
         comp = tuple(x for x in range(1, n + 1) if x not in (i, j))
         expect = ((-1) ** (i + j - 1)) * pt.plucker(comp) % DEFAULT_PRIME
-        assert table["[%s]" % body].evaluate(pt) == expect
+        assert sh_coordinate(n, "bracket", i, j).evaluate(pt) == expect

@@ -7,6 +7,7 @@ import pytest
 
 from clusterflag.flags import FlagError, FlagType, GrassmannianSeed
 from clusterflag.programs import (
+    MutationProgram,
     ProgramError,
     expected_mutation_count,
     general_flag_program,
@@ -72,14 +73,6 @@ def test_region_parameters():
     assert expected_mutation_count(flag) == 10 + 49
 
 
-def test_general_program_region_order_validation():
-    flag = FlagType((2, 4, 6), 7)
-    with pytest.raises(ProgramError):
-        general_flag_program(flag, region_order=(2,))
-    with pytest.raises(ProgramError):
-        general_flag_program(flag, region_order=(2, 2, 3))
-
-
 def test_preset_guards():
     with pytest.raises(ProgramError):
         mt_program(4)
@@ -114,9 +107,9 @@ def run_preset(program):
 def test_mt_trace_and_endgame():
     prog = mt_program(6)
     gr, result = run_preset(prog)
-    assert [lab for (_, _, lab) in result.mutation_trace] == [11, 7, 11]
-    assert result.frozen_effective == [7]
-    assert sorted(gr.label_of(v) for v in result.deleted) == [3, 4, 15]
+    assert result.mutation_labels == [11, 7, 11]
+    assert result.freeze_labels == [7]
+    assert result.deleted_labels == [3, 4, 15]
     assert result.match_problems == []
     assert result.restricted is not None
     # boxed endpoint tableau at the twice-mutated position
@@ -137,12 +130,12 @@ def test_mt_boxed_tableau_other_sizes():
 def test_sh8_verbatim_labels():
     prog = sh_program(8)
     gr, result = run_preset(prog)
-    assert [lab for (_, _, lab) in result.mutation_trace] == [
+    assert result.mutation_labels == [
         27, 21, 15, 9, 28, 22, 16, 10, 29, 23,
         27, 21, 15, 9, 28, 22, 29, 27, 21, 28, 27,
     ]
-    assert sorted(result.frozen_effective) == [21, 22, 23]
-    assert len(result.deleted) == 15
+    assert result.freeze_labels == [21, 22, 23]
+    assert len(result.deleted_labels) == 15
     assert result.match_problems == []
 
 
@@ -180,12 +173,14 @@ def test_reversed_mutations_restore_seed():
 
 def test_region_order_commutes():
     flag = FlagType((2, 4, 6), 7)
+    prog = general_flag_program(flag)
+    # region 3 first; the stable sort keeps the step order inside each region
+    swapped = MutationProgram(
+        flag, sorted(prog.mutations, key=lambda s: -s.region), prog.freezes
+    )
+    assert swapped.mutations != prog.mutations
     k, ambient = flag.target_grassmannian
-    results = []
-    for order in [(2, 3), (3, 2)]:
-        gr = GrassmannianSeed(k, ambient)
-        results.append(run_program(gr, general_flag_program(flag, region_order=order)))
-    a, b = results
+    a, b = (run_program(GrassmannianSeed(k, ambient), p) for p in (prog, swapped))
     ident = {v: v for v in a.endpoint.quiver.vertices}
     assert seeds_equal(a.endpoint, b.endpoint, ident) == []
     for vid in a.endpoint.quiver.vertices:
