@@ -45,7 +45,7 @@ def seed_to_dict(seed: Seed) -> dict:
                 "tableau": [list(r) for r in st.tableau.rows],
                 "weight": list(st.weight),
                 "laurent": sorted(
-                    [list(exps), coeff] for exps, coeff in st.laurent.terms.items()
+                    [list(exps), coeff] for exps, coeff in st.laurent.exponent_items()
                 ),
             }
         )
@@ -75,6 +75,8 @@ def seed_from_dict(data: dict) -> Seed:
     if data.get("schema") != "clusterflag-seed/1":
         raise ValueError("unrecognized seed schema")
     nvars = data["nvars"]
+    if sorted(entry["position"] for entry in data["dictionary"]) != list(range(nvars)):
+        raise ValueError("dictionary positions must be 0..%d" % (nvars - 1))
     vertices = [Vertex(v["id"], v["name"], v["frozen"]) for v in data["vertices"]]
     quiver = Quiver(vertices)
     for u, w, m in data["arrows"]:
@@ -179,7 +181,7 @@ def _build_seed(flag_opt: str | None, gr_opt: str | None, seed_file: str | None)
         try:
             with open(seed_file) as fh:
                 return seed_from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, LaurentError) as exc:
             raise click.UsageError("cannot read seed file: %s" % exc) from None
     if flag_opt is not None:
         return FlagSeed(parse_flag_option(flag_opt)).seed
@@ -253,10 +255,7 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
     flag = program.flag
     gr = GrassmannianSeed(*flag.target_grassmannian)
     result = run_program(gr, program)
-    click.echo(
-        "flag (%s; %d) in Gr(%d; %d)"
-        % (",".join(map(str, flag.dims)), flag.n, *flag.target_grassmannian)
-    )
+    click.echo(flag.heading())
     for title, labels in (
         ("mutations:", result.mutation_labels),
         ("freezes:  ", result.freeze_labels),

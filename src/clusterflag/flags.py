@@ -61,6 +61,13 @@ class FlagType:
         dk = self.dims[-1]
         return dk, self.n + dk - self.dims[0]
 
+    def heading(self) -> str:
+        """``flag (d_1,...,d_k; n) in Gr(k'; N)``, the first line of a run
+        or a report."""
+        return "flag (%s; %d) in Gr(%d; %d)" % (
+            ",".join(map(str, self.dims)), self.n, *self.target_grassmannian
+        )
+
     def dimension_count(self) -> int:
         """Number of arrangement faces kept: sum d_i (d_{i+1} - d_i)."""
         ext = self.extended

@@ -414,4 +414,6 @@ def mt_coordinate(n: int, entries: Sequence[int]) -> PluckerPoly:
         raise PluckerError("expected an index tuple of size 2 or 4")
     if not all(1 <= e <= n for e in entries):
         raise PluckerError("entries out of range")
+    if any(b <= a for a, b in zip(entries, entries[1:])):
+        raise PluckerError("entries must strictly increase")
     return PluckerPoly.variable(tuple(entries))

@@ -277,14 +277,7 @@ class Report:
         }
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            "flag (%s; %d) in Gr(%d; %d)"
-            % (
-                ",".join(map(str, self.flag.dims)),
-                self.flag.n,
-                *self.flag.target_grassmannian,
-            )
-        ]
+        lines = [self.flag.heading()]
         for c in self.checks:
             mark = "ok" if c.passed else "FAIL"
             lines.append("  [%s] %s%s" % (mark, c.name, (": " + c.detail) if c.detail else ""))
@@ -325,11 +318,13 @@ def verify_theorem(
     deletion turns the endpoint into the padded flag initial seed.
 
     Raises ProgramError when the evaluation check would be vacuous
-    (``trials < 1``) or unsound (``prime`` not a prime below 2**64)."""
+    (``trials < 1``), unsound (``prime`` not a prime below 2**64) or weak
+    (``prime`` below 2**31, where sampling may fail outright and a passing
+    check says little)."""
     if trials < 1:
         raise ProgramError("trials must be at least 1, got %d" % trials)
-    if not (prime < 1 << 64 and is_prime(prime)):
-        raise ProgramError("prime must be a prime below 2^64, got %d" % prime)
+    if not (1 << 31 <= prime < 1 << 64 and is_prime(prime)):
+        raise ProgramError("prime must be a prime between 2^31 and 2^64, got %d" % prime)
     t0 = time.perf_counter()
     report = Report(flag, prime=prime, trials=trials, master_seed=master_seed)
     program = general_flag_program(flag)

@@ -21,6 +21,8 @@ instead of copying it.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import tableaux as tb
@@ -36,33 +38,128 @@ class LaurentError(ArithmeticError):
 
 
 # -- Laurent expressions -----------------------------------------------------
+#
+# A monomial is one int: the exponent of variable ``i`` plus ``_BIAS`` fills
+# the 16-bit field at bit ``16 * i``.  Every stored exponent has
+# |e| <= MAX_EXPONENT, so the sum or the difference of two exponents, biased,
+# still lies in [0, 2**15): fields never carry into each other and the top
+# bit of every field stays clear.  Integer order of keys is then a monomial
+# order (lexicographic, last variable most significant), the product of two
+# monomials is ``k1 + k2 - offset``, and the top bits serve as guard bits for
+# the field-wise comparisons of ``exact_div``.
+
+_FIELD_BITS = 16
+_BIAS = 1 << 14
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_EXPONENT = (1 << 13) - 1
+
+
+@functools.cache
+def _offset(nvars: int) -> int:
+    """The key of the constant monomial: every field at ``_BIAS``."""
+    return sum(_BIAS << (_FIELD_BITS * i) for i in range(nvars))
+
+
+def _envelope(keys: Iterable[int], guard: int) -> tuple[int, int]:
+    """Keys of the field-wise least and greatest exponents over ``keys``
+    (nonempty).  ``(k | guard) - low`` keeps a field's guard bit exactly
+    where k's field is at least low's; the guard bits, moved to the bottom
+    of their fields and multiplied by the field mask, select whole fields."""
+    it = iter(keys)
+    low = high = next(it)
+    for k in it:
+        kg = k | guard
+        k_ge = (((kg - low) & guard) >> (_FIELD_BITS - 1)) * _FIELD_MASK
+        low = (low & k_ge) | (k & ~k_ge)
+        k_ge = (((kg - high) & guard) >> (_FIELD_BITS - 1)) * _FIELD_MASK
+        high = (k & k_ge) | (high & ~k_ge)
+    return low, high
+
+
+def _nonzero_exponents(key: int, nvars: int) -> tuple[tuple[int, int], ...]:
+    """(position, exponent) for each nonzero exponent of a key."""
+    x = key ^ _offset(nvars)                # zero exactly in the zero exponents
+    out = []
+    pos = 0
+    while x:
+        skip = ((x & -x).bit_length() - 1) // _FIELD_BITS
+        x >>= skip * _FIELD_BITS
+        pos += skip
+        out.append((pos, ((x & _FIELD_MASK) ^ _BIAS) - _BIAS))
+        x >>= _FIELD_BITS
+        pos += 1
+    return tuple(out)
 
 
 class LaurentExpr:
-    """Sparse integer Laurent polynomial; keys are exponent tuples."""
+    """Sparse integer Laurent polynomial in ``nvars`` variables.
 
-    __slots__ = ("nvars", "terms")
+    ``terms`` maps packed monomials (see above) to nonzero coefficients; the
+    constructor takes exponent tuples instead.  ``bound`` is an upper bound
+    on |exponent| over all terms: a product whose factors' bounds add up
+    past ``MAX_EXPONENT`` raises ``LaurentError`` rather than overflow a
+    field.  Expressions are never changed once built; ``evaluate`` decodes
+    the nonzero exponents on its first call and keeps them."""
+
+    __slots__ = ("nvars", "terms", "bound", "_sparse")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.terms = {}
+        self.bound = 0
+        self._sparse = None
+        off = _offset(nvars)
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != nvars:
+                raise LaurentError(
+                    "exponent vector of length %d in %d variables" % (len(exps), nvars)
+                )
+            if not coeff:
+                continue
+            self.bound = max(self.bound, max(map(abs, exps), default=0))
+            if self.bound > MAX_EXPONENT:
+                raise LaurentError("exponent beyond +-%d" % MAX_EXPONENT)
+            self.terms[off + sum(e << (_FIELD_BITS * i) for i, e in enumerate(exps))] = coeff
+
+    @classmethod
+    def _packed(cls, nvars: int, terms: dict[int, int], bound: int) -> "LaurentExpr":
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        out.bound = bound
+        out._sparse = None
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentExpr":
-        return cls(nvars)
+        return cls._packed(nvars, {}, 0)
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentExpr":
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls._packed(nvars, {_offset(nvars): c} if c else {}, 0)
 
     @classmethod
     def generator(cls, nvars: int, pos: int) -> "LaurentExpr":
-        exp = [0] * nvars
-        exp[pos] = 1
-        return cls(nvars, {tuple(exp): 1})
+        if not 0 <= pos < nvars:
+            raise LaurentError("no variable %d among %d" % (pos, nvars))
+        return cls._packed(nvars, {_offset(nvars) + (1 << (_FIELD_BITS * pos)): 1}, 1)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def exponent_items(self) -> list[tuple[tuple[int, ...], int]]:
+        """(exponent tuple, coefficient) for every term."""
+        items = []
+        for key, coeff in self.terms.items():
+            exps = [0] * self.nvars
+            for pos, e in _nonzero_exponents(key, self.nvars):
+                exps[pos] = e
+            items.append((tuple(exps), coeff))
+        return items
+
+    def _same_ring(self, other: "LaurentExpr") -> None:
+        if other.nvars != self.nvars:
+            raise LaurentError("%d variables vs %d" % (self.nvars, other.nvars))
 
     def __eq__(self, other):
         return (
@@ -75,6 +172,7 @@ class LaurentExpr:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "LaurentExpr") -> "LaurentExpr":
+        self._same_ring(other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
             n = terms.get(k, 0) + v
@@ -82,101 +180,123 @@ class LaurentExpr:
                 terms[k] = n
             else:
                 del terms[k]
-        out = LaurentExpr.__new__(LaurentExpr)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return LaurentExpr._packed(self.nvars, terms, max(self.bound, other.bound))
 
     def __neg__(self) -> "LaurentExpr":
-        out = LaurentExpr.__new__(LaurentExpr)
-        out.nvars = self.nvars
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return LaurentExpr._packed(
+            self.nvars, {k: -v for k, v in self.terms.items()}, self.bound
+        )
 
     def __sub__(self, other: "LaurentExpr") -> "LaurentExpr":
         return self + (-other)
 
     def __mul__(self, other: "LaurentExpr") -> "LaurentExpr":
-        terms: dict[tuple[int, ...], int] = {}
+        self._same_ring(other)
+        bound = self.bound + other.bound
+        if bound > MAX_EXPONENT:
+            raise LaurentError("product exponents may pass +-%d" % MAX_EXPONENT)
+        off = _offset(self.nvars)
+        right = other.terms.items()
+        terms: dict[int, int] = {}
         for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
+            k1 -= off
+            for k2, v2 in right:
+                key = k1 + k2
                 n = terms.get(key, 0) + v1 * v2
                 if n:
                     terms[key] = n
                 else:
                     del terms[key]
-        out = LaurentExpr.__new__(LaurentExpr)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return LaurentExpr._packed(self.nvars, terms, bound)
 
     def exact_div(self, other: "LaurentExpr") -> "LaurentExpr":
         """Exact division; raises LaurentError when the quotient is not a
-        Laurent polynomial with integer coefficients."""
+        Laurent polynomial with integer coefficients.
+
+        Newton polytopes add under products, so an exact quotient has, in
+        each variable, exponents in [min_num - min_den, max_num - max_den].
+        A quotient term outside that box proves the division inexact, and
+        the box bounds the number of steps.  The remainder's keys sit in a
+        heap of negated keys; a key whose coefficient cancelled is skipped
+        when it comes up."""
+        self._same_ring(other)
         if other.is_zero():
             raise LaurentError("division by zero")
+        n = self.nvars
         if self.is_zero():
-            return LaurentExpr.zero(self.nvars)
-        shift_n = _min_exponents(self.terms)
-        shift_d = _min_exponents(other.terms)
-        num = {tuple(a - b for a, b in zip(k, shift_n)): v for k, v in self.terms.items()}
-        den = {tuple(a - b for a, b in zip(k, shift_d)): v for k, v in other.terms.items()}
-        lead_d = max(den)
-        lead_dc = den[lead_d]
-        quo: dict[tuple[int, ...], int] = {}
-        rem = dict(num)
-        while rem:
-            lead_n = max(rem)
-            lead_nc = rem[lead_n]
-            exp = tuple(a - b for a, b in zip(lead_n, lead_d))
-            if any(e < 0 for e in exp) or lead_nc % lead_dc:
+            return LaurentExpr.zero(n)
+        off = _offset(n)
+        guard = off << 1
+        num_lo, num_hi = _envelope(self.terms, guard)
+        den_lo, den_hi = _envelope(other.terms, guard)
+        lo_key = num_lo - den_lo + off
+        hi_key = num_hi - den_hi + off
+        bound = max(
+            [abs(e) for key in (lo_key, hi_key) for _, e in _nonzero_exponents(key, n)],
+            default=0,
+        )
+        if bound > MAX_EXPONENT:
+            raise LaurentError("quotient exponents may pass +-%d" % MAX_EXPONENT)
+        hi_key |= guard                     # for the box check below
+
+        den = other.terms
+        lead = max(den)
+        lead_c = den[lead]
+        lead_shift = lead - off
+        rest = [(k, v) for k, v in den.items() if k != lead]
+        rem = dict(self.terms)
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        quo: dict[int, int] = {}
+        while heap:
+            key = -heapq.heappop(heap)
+            c = rem.pop(key, 0)
+            if not c:
+                continue
+            q = key - lead_shift
+            # field-wise lo <= q <= hi: no subtraction may clear a guard bit
+            if (
+                ((q | guard) - lo_key) & guard != guard
+                or (hi_key - q) & guard != guard
+                or c % lead_c
+            ):
                 raise LaurentError("inexact Laurent division")
-            c = lead_nc // lead_dc
-            quo[exp] = c
-            for k, v in den.items():
-                key = tuple(a + b for a, b in zip(k, exp))
-                n = rem.get(key, 0) - c * v
-                if n:
-                    rem[key] = n
+            qc = c // lead_c
+            quo[q] = qc
+            q -= off
+            for k, v in rest:
+                k += q
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = -qc * v
+                    heapq.heappush(heap, -k)
+                elif old == qc * v:
+                    del rem[k]
                 else:
-                    rem.pop(key, None)
-        net = tuple(a - b for a, b in zip(shift_n, shift_d))
-        out = LaurentExpr.__new__(LaurentExpr)
-        out.nvars = self.nvars
-        out.terms = {tuple(a + b for a, b in zip(k, net)): v for k, v in quo.items()}
-        return out
+                    rem[k] = old - qc * v
+        return LaurentExpr._packed(n, quo, bound)
 
     def evaluate(self, values: Sequence[int], prime: int) -> int:
         """Evaluate at nonzero residues ``values`` modulo ``prime``."""
+        if self._sparse is None:
+            self._sparse = [
+                (coeff, _nonzero_exponents(key, self.nvars))
+                for key, coeff in self.terms.items()
+            ]
         total = 0
         powers: dict[tuple[int, int], int] = {}
-        for exps, coeff in self.terms.items():
+        for coeff, factors in self._sparse:
             val = coeff % prime
-            for pos, e in enumerate(exps):
-                if e:
-                    key = (pos, e)
-                    v = powers.get(key)
-                    if v is None:
-                        v = pow(values[pos], e, prime)
-                        powers[key] = v
-                    val = (val * v) % prime
+            for key in factors:
+                v = powers.get(key)
+                if v is None:
+                    v = powers[key] = pow(values[key[0]], key[1], prime)
+                val = val * v % prime
             total = (total + val) % prime
         return total
 
     def __repr__(self):
         return "LaurentExpr(%d terms in %d vars)" % (len(self.terms), self.nvars)
-
-
-def _min_exponents(terms: Mapping[tuple[int, ...], int]) -> tuple[int, ...]:
-    it = iter(terms)
-    first = next(it)
-    mins = list(first)
-    for k in it:
-        for i, e in enumerate(k):
-            if e < mins[i]:
-                mins[i] = e
-    return tuple(mins)
 
 
 # -- quivers ------------------------------------------------------------------

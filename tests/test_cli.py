@@ -141,6 +141,23 @@ def test_malformed_seed_file_is_usage_error(runner, tmp_path):
     assert "cannot read seed file" in result.output
 
 
+def test_seed_file_with_mismatched_nvars_is_usage_error(runner, tmp_path):
+    data = seed_to_dict(GrassmannianSeed(2, 5).seed)
+    assert data["nvars"] == 7
+    short = json.loads(json.dumps(data))
+    for v in short["vertices"]:
+        v["laurent"] = [[exps[:-1], coeff] for exps, coeff in v["laurent"]]
+    missing = json.loads(json.dumps(data))
+    missing["dictionary"].pop()
+    for name, bad in (("short", short), ("missing", missing)):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(bad))
+        result = runner.invoke(main, ["mutate", "--seed-file", str(path), "--at", "3"])
+        assert result.exit_code == 2, name
+        assert isinstance(result.exception, SystemExit), name
+        assert "cannot read seed file" in result.output, name
+
+
 def test_mutate_inexact_exchange_is_clean_error(runner, tmp_path):
     gr = GrassmannianSeed(2, 4)
     vid = gr.vertex_at(2, 2)
@@ -262,6 +279,10 @@ def test_verify_rejects_vacuous_or_unsound_checks(runner):
         ["--prime", "4"],
         ["--prime", "1000001"],
         ["--prime", str((1 << 89) - 1)],    # prime, but not below 2^64
+        ["--prime", "2"],                   # primes too small for a sound check
+        ["--prime", "3"],
+        ["--prime", "101"],
+        ["--prime", str((1 << 31) - 1)],
     ):
         result = runner.invoke(main, ["verify", "--flag", "6,2,4", *args])
         assert result.exit_code == 2, args
@@ -292,7 +313,13 @@ def test_translate_usage_errors(runner):
     assert runner.invoke(main, ["translate", "--sh", "5", "[123]"]).exit_code == 2
     assert runner.invoke(main, ["translate", "--mt", "6", "[12]"]).exit_code == 2
     assert runner.invoke(main, ["translate", "--sh", "5", "[19]"]).exit_code == 2
-    for args in (["--sh", "5", "<1a>"], ["--sh", "5", "<1,>"], ["--mt", "6", "<1,2,x>"]):
+    for args in (
+        ["--sh", "5", "<1a>"],
+        ["--sh", "5", "<1,>"],
+        ["--mt", "6", "<1,2,x>"],
+        ["--mt", "6", "<1,1>"],
+        ["--mt", "6", "<2,1>"],
+    ):
         result = runner.invoke(main, ["translate", *args])
         assert result.exit_code == 2, args
         assert isinstance(result.exception, SystemExit), args

@@ -259,3 +259,11 @@ def test_verify_rank_one_flag():
     assert report.passed
     assert report.counts["mutations"] == 0
     assert report.counts["deleted"] == 0
+
+
+@pytest.mark.slow
+def test_verify_deep_flag_types():
+    # the slowest rungs of the certification ladder, about half a minute together
+    for dims, n in [((1, 8), 9), ((3, 7, 11), 14)]:
+        report = verify_theorem(FlagType(dims, n), trials=5)
+        assert report.passed, [c.name for c in report.checks if not c.passed]

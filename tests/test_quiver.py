@@ -79,6 +79,25 @@ def test_exact_div_failures():
     assert (x * x).exact_div(LaurentExpr(1, {(-1,): 1})) == LaurentExpr(1, {(3,): 1})
 
 
+def test_mismatched_nvars_raise():
+    with pytest.raises(LaurentError):
+        LaurentExpr(3, {(1, 2): 1})
+    with pytest.raises(LaurentError):
+        LaurentExpr(2, {(1, 2, 0): 1})
+    x2 = LaurentExpr.generator(2, 0)
+    x3 = LaurentExpr.generator(3, 0)
+    for op in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a.exact_div(b),
+    ):
+        with pytest.raises(LaurentError):
+            op(x2, x3)
+        with pytest.raises(LaurentError):
+            op(x3, x2)
+
+
 def test_laurent_evaluate():
     f = LaurentExpr(2, {(2, -1): 3, (0, 0): -1})
     p = 101
