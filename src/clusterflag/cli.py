@@ -71,30 +71,57 @@ def seed_to_dict(seed: Seed) -> dict:
     }
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when its type is exactly ``kind`` (so a bool is not an int)."""
+    if type(value) is not kind:
+        raise ValueError("%s must be of type %s, got %r" % (what, kind.__name__, value))
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_typed(x, int, what) for x in _typed(value, list, what))
+
+
 def seed_from_dict(data: dict) -> Seed:
-    if data.get("schema") != "clusterflag-seed/1":
+    """The seed a ``seed_to_dict`` snapshot describes; raises ValueError,
+    KeyError or TypeError on a malformed one."""
+    if type(data) is not dict or data.get("schema") != "clusterflag-seed/1":
         raise ValueError("unrecognized seed schema")
-    nvars = data["nvars"]
-    if sorted(entry["position"] for entry in data["dictionary"]) != list(range(nvars)):
+    nvars = _typed(data["nvars"], int, "nvars")
+    weight_rank = _typed(data["weight_rank"], int, "weight_rank")
+    entries = _typed(data["dictionary"], list, "dictionary")
+    if sorted(_typed(e["position"], int, "position") for e in entries) != list(range(nvars)):
         raise ValueError("dictionary positions must be 0..%d" % (nvars - 1))
-    vertices = [Vertex(v["id"], v["name"], v["frozen"]) for v in data["vertices"]]
-    quiver = Quiver(vertices)
-    for u, w, m in data["arrows"]:
-        quiver.add_arrow(u, w, m)
-    variables = {}
-    for v in data["vertices"]:
-        laurent = LaurentExpr(
-            nvars, {tuple(exps): coeff for exps, coeff in v["laurent"]}
+    dictionary = {
+        e["position"]: pk.PluckerPoly(
+            {tuple(_ints(idx, "index") for idx in _typed(mono, list, "monomial")):
+             _typed(coeff, int, "coefficient") for mono, coeff in _typed(e["terms"], list, "terms")}
         )
-        tableau = tb.Tableau(tuple(tuple(r) for r in v["tableau"]))
-        variables[v["id"]] = VariableState(laurent, tableau, tuple(v["weight"]))
-    dictionary = {}
-    for entry in data["dictionary"]:
-        terms = {
-            tuple(tuple(idx) for idx in mono): coeff for mono, coeff in entry["terms"]
-        }
-        dictionary[entry["position"]] = pk.PluckerPoly(terms)
-    return Seed(quiver, variables, dictionary, data["weight_rank"])
+        for e in entries
+    }
+    vertices = []
+    variables = {}
+    for v in _typed(data["vertices"], list, "vertices"):
+        vid = _typed(v["id"], int, "vertex id")
+        if vid in variables:
+            raise ValueError("duplicate vertex id %d" % vid)
+        vertices.append(Vertex(vid, _typed(v["name"], str, "name"), _typed(v["frozen"], bool, "frozen")))
+        laurent = LaurentExpr(
+            nvars,
+            {_ints(exps, "exponent"): _typed(coeff, int, "coefficient")
+             for exps, coeff in _typed(v["laurent"], list, "laurent")},
+        )
+        tableau = tb.Tableau(_ints(r, "tableau entry") for r in _typed(v["tableau"], list, "tableau"))
+        weight = _ints(v["weight"], "weight")
+        if len(weight) != weight_rank:
+            raise ValueError("vertex %d has a weight of length %d, not %d" % (vid, len(weight), weight_rank))
+        variables[vid] = VariableState(laurent, tableau, weight)
+    if len({v.name for v in vertices}) != len(vertices):
+        raise ValueError("vertex names must be distinct")
+    quiver = Quiver(vertices)
+    for u, w, m in _typed(data["arrows"], list, "arrows"):
+        quiver.add_arrow(*(_typed(x, int, "arrow entry") for x in (u, w, m)))
+    return Seed(quiver, variables, dictionary, weight_rank)
 
 
 def _tableau_brief(t: tb.Tableau) -> str:
@@ -153,8 +180,11 @@ def parse_gr_option(text: str) -> tuple[int, int]:
 
 def _write_output(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError("cannot write %s: %s" % (output, exc.strerror)) from None
     else:
         click.echo(text, nl=not text.endswith("\n"))
 
@@ -238,6 +268,10 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
     """Run a mutation program and report the freeze/delete endgame."""
     if (preset is None) == (flag_opt is None):
         raise click.UsageError("give exactly one of --preset or --flag")
+    if n_opt is not None and preset is None:
+        raise click.UsageError("--n applies only to --preset")
+    if output is not None and export_fmt is None:
+        raise click.UsageError("--output applies only to --export")
     try:
         if preset == "mt":
             if n_opt is None:
@@ -295,8 +329,7 @@ def verify_cmd(ctx, flag_opt, trials, prime, master_seed, output):
     for line in report.summary_lines():
         click.echo(line)
     if output:
-        with open(output, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1)
+        _write_output(json.dumps(report.to_dict(), indent=1), output)
     ctx.exit(0 if report.passed else 1)
 
 

@@ -155,19 +155,13 @@ class PluckerPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, point: "EvaluationPoint", cache: dict | None = None) -> int:
-        if cache is None:
-            cache = {}
+    def evaluate(self, point: "EvaluationPoint") -> int:
         total = 0
         p = point.prime
         for mono, coeff in self.terms.items():
             val = coeff % p
             for idx in mono:
-                v = cache.get(idx)
-                if v is None:
-                    v = point.plucker(idx)
-                    cache[idx] = v
-                val = (val * v) % p
+                val = (val * point.plucker(idx)) % p
             total = (total + val) % p
         return total
 
@@ -333,14 +327,16 @@ class EvaluationPoint:
     """A matrix over F_p at which Plucker coordinates are evaluated.
 
     ``plucker(I)`` is the minor on the top |I| rows and columns I; the
-    matrix must have at least |I| rows and max(I) columns.
+    matrix must have at least |I| rows and max(I) columns.  Each minor is
+    computed once per point and kept in ``_pluckers``.
     """
 
-    __slots__ = ("matrix", "prime")
+    __slots__ = ("matrix", "prime", "_pluckers")
 
     def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME):
         self.matrix = tuple(tuple(x % prime for x in row) for row in matrix)
         self.prime = prime
+        self._pluckers: dict[tuple[int, ...], int] = {}
 
     @property
     def num_rows(self) -> int:
@@ -352,10 +348,14 @@ class EvaluationPoint:
         return det_mod(sub, self.prime)
 
     def plucker(self, index: Sequence[int]) -> int:
-        m = len(index)
-        if m > self.num_rows:
-            raise PluckerError("index size %d exceeds row count %d" % (m, self.num_rows))
-        return self.minor(range(1, m + 1), index)
+        index = tuple(index)
+        v = self._pluckers.get(index)
+        if v is None:
+            m = len(index)
+            if m > self.num_rows:
+                raise PluckerError("index size %d exceeds row count %d" % (m, self.num_rows))
+            v = self._pluckers[index] = self.minor(range(1, m + 1), index)
+        return v
 
 
 def det_mod(matrix: list[list[int]], p: int) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import tableaux as tb
 from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
@@ -142,8 +141,8 @@ class RunResult:
 
 def match_embedded_vertices(endpoint: Seed, embedded: Seed) -> tuple[dict[int, int], list[str]]:
     """Pair every embedded flag vertex with the endpoint vertex carrying the
-    same tableau.  Exact equality is expected; equivalence up to trivial
-    columns is accepted as a fallback and reported."""
+    same tableau; a flag vertex with no such endpoint vertex, or with
+    several, is reported and left unmatched."""
     problems: list[str] = []
     by_tab: dict[tb.Tableau, list[int]] = {}
     for vid, st in endpoint.variables.items():
@@ -153,14 +152,6 @@ def match_embedded_vertices(endpoint: Seed, embedded: Seed) -> tuple[dict[int, i
     for fvid, st in embedded.variables.items():
         name = embedded.quiver.vertices[fvid].name
         cands = [v for v in by_tab.get(st.tableau, []) if v not in used]
-        if not cands:
-            cands = [
-                v
-                for v, est in endpoint.variables.items()
-                if v not in used and tb.equivalent(est.tableau, st.tableau)
-            ]
-            if cands:
-                problems.append("vertex %s matched only up to trivial columns" % name)
         if not cands:
             problems.append("no endpoint vertex carries the tableau of %s" % name)
             continue
@@ -172,24 +163,14 @@ def match_embedded_vertices(endpoint: Seed, embedded: Seed) -> tuple[dict[int, i
     return mapping, problems
 
 
-def run_program(
-    gr: GrassmannianSeed,
-    program: MutationProgram,
-    page_hook: Callable[[Seed, int, int], None] | None = None,
-) -> RunResult:
+def run_program(gr: GrassmannianSeed, program: MutationProgram) -> RunResult:
     """Execute the program and carry out the freeze/match/delete endgame."""
     seed = gr.seed
     mutation_labels: list[int] = []
-    current_page = None
     for step in program.mutations:
-        if page_hook is not None and current_page is not None and (step.region, step.page) != current_page:
-            page_hook(seed, *current_page)
-        current_page = (step.region, step.page)
         vid = gr.vertex_at(step.row, step.col)
         seed = seed.mutate(vid)
         mutation_labels.append(gr.label_of(vid))
-    if page_hook is not None and current_page is not None:
-        page_hook(seed, *current_page)
 
     freeze_labels: list[int] = []
     for step in program.freezes:
@@ -294,17 +275,15 @@ class Report:
 
 
 def sample_nonsingular_point(
-    seed: Seed, rows: int, cols: int, prime: int, rng: random.Random, max_tries: int = 100
-) -> tuple[EvaluationPoint, list[int], dict]:
+    seed: Seed, rows: int, cols: int, prime: int, rng: random.Random
+) -> tuple[EvaluationPoint, list[int]]:
     """Random matrix at which every initial variable is nonzero."""
-    for _ in range(max_tries):
+    for _ in range(100):
         point = random_matrix_point(rows, cols, prime, rng)
-        cache: dict = {}
         try:
-            values = seed.initial_values(point, cache)
+            return point, seed.initial_values(point)
         except ArithmeticError:
             continue
-        return point, values, cache
     raise ProgramError("could not sample a nonsingular evaluation point")
 
 
@@ -402,12 +381,10 @@ def verify_theorem(
     rng = random.Random(master_seed)
     value_issues: list[str] = []
     for trial in range(trials):
-        point, values, cache = sample_nonsingular_point(
-            result.restricted, k, ambient, prime, rng
-        )
+        point, values = sample_nonsingular_point(result.restricted, k, ambient, prime, rng)
         for fvid, gvid in result.mapping.items():
             lhs = result.restricted.variables[gvid].laurent.evaluate(values, prime)
-            rhs = result.embedded.dictionary[fvid].evaluate(point, cache)
+            rhs = result.embedded.dictionary[fvid].evaluate(point)
             if lhs != rhs % prime:
                 value_issues.append(
                     "trial %d at %s" % (trial, result.embedded.quiver.vertices[fvid].name)

@@ -322,12 +322,9 @@ class Quiver:
     quiver; after that ``mutate``, ``freeze`` and ``restrict`` return new
     quivers and leave this one unchanged."""
 
-    def __init__(self, vertices: Iterable[Vertex], arrows: Mapping[tuple[int, int], int] | None = None):
+    def __init__(self, vertices: Iterable[Vertex]):
         self.vertices = {v.id: v for v in vertices}
         self.arrows: dict[tuple[int, int], int] = {}
-        for (u, w), m in (arrows or {}).items():
-            if m:
-                self.add_arrow(u, w, m)
 
     def copy(self) -> "Quiver":
         q = Quiver.__new__(Quiver)
@@ -589,12 +586,12 @@ class Seed:
                 )
         return problems
 
-    def initial_values(self, point: EvaluationPoint, cache: dict | None = None) -> list[int]:
+    def initial_values(self, point: EvaluationPoint) -> list[int]:
         """Values of the initial cluster at a point (positions in dictionary
         order); raises if any vanishes (pick another point)."""
         values = [0] * self.nvars
         for pos, poly in self.dictionary.items():
-            v = poly.evaluate(point, cache)
+            v = poly.evaluate(point)
             if v == 0:
                 raise ArithmeticError("initial variable %d vanishes at point" % pos)
             values[pos] = v

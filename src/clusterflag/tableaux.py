@@ -18,7 +18,7 @@ increasing, row lengths weakly decreasing.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from typing import Iterable, Sequence
 
 
@@ -169,7 +169,7 @@ def reduce(t: Tableau) -> Tableau:
     """Strip prefix-column factors {1..p} until none remains.
 
     Tallest columns are tried first; the result is the canonical class
-    representative used by ``equivalent``.
+    representative.
     """
     changed = True
     while changed:
@@ -182,48 +182,27 @@ def reduce(t: Tableau) -> Tableau:
     return t
 
 
-def equivalent(s: Tableau, t: Tableau) -> bool:
-    return reduce(s) == reduce(t)
-
-
-def restrict(t: Tableau, i: int) -> Tableau:
-    """Sub-tableau of entries <= i (row prefixes, since rows are sorted)."""
-    rows = []
-    for row in t.rows:
-        kept = [x for x in row if x <= i]
-        rows.append(kept)
-    return Tableau(rows)
-
-
 # -- dominance order -----------------------------------------------------
-
-
-def _partition_leq(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """Dominance on partitions: all prefix sums of lam are <= those of mu."""
-    length = max(len(lam), len(mu))
-    a = b = 0
-    for i in range(length):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a > b:
-            return False
-    return True
 
 
 def dominance_compare(s: Tableau, t: Tableau) -> str:
     """Compare same-shape tableaux; one of 'equal', 'less', 'greater',
-    'incomparable'.  'less' means s <= t."""
+    'incomparable'.  'less' means s <= t: for every i, the shape of the
+    entries <= i of s is dominated by that of t."""
     if s.shape != t.shape:
         raise TableauError("dominance_compare requires equal shapes")
     le = ge = True
     top = max(s.max_entry(), t.max_entry())
     for i in range(1, top + 1):
-        sh_s = restrict(s, i).shape
-        sh_t = restrict(t, i).shape
-        if not _partition_leq(sh_s, sh_t):
-            le = False
-        if not _partition_leq(sh_t, sh_s):
-            ge = False
+        # prefix sums of the shapes of the sub-tableaux of entries <= i
+        a = b = 0
+        for row_s, row_t in zip(s.rows, t.rows):
+            a += bisect_right(row_s, i)
+            b += bisect_right(row_t, i)
+            if a > b:
+                le = False
+            elif b > a:
+                ge = False
         if not le and not ge:
             return "incomparable"
     if le and ge:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import clusterflag.cli as cli
 from clusterflag.cli import main, seed_from_dict, seed_to_dict, seed_to_dot
@@ -158,6 +159,129 @@ def test_seed_file_with_mismatched_nvars_is_usage_error(runner, tmp_path):
         assert "cannot read seed file" in result.output, name
 
 
+def _seed_file_exits(runner, path, at):
+    """Exit codes of ``export`` and ``mutate --at`` on one seed file; each
+    must end in ``sys.exit``, never in an uncaught exception."""
+    codes = []
+    for args in (["export"], ["mutate", "--at", str(at)]):
+        result = runner.invoke(main, [*args, "--seed-file", str(path)])
+        assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+        codes.append(result.exit_code)
+    return codes
+
+
+def test_seed_file_with_bad_structure_is_usage_error(runner, tmp_path):
+    gr = GrassmannianSeed(2, 4)
+    data = seed_to_dict(gr.seed)
+    duplicated = json.loads(json.dumps(data))
+    duplicated["vertices"].append(dict(duplicated["vertices"][0], name="copy"))
+    bad_rank = dict(data, weight_rank="q")
+    long_weight = json.loads(json.dumps(data))
+    long_weight["vertices"][0]["weight"].append(0)
+    same_name = json.loads(json.dumps(data))
+    same_name["vertices"][0]["name"] = same_name["vertices"][1]["name"]
+    for name, bad in (
+        ("list", []),
+        ("string", "x"),
+        ("dup", duplicated),
+        ("rank", bad_rank),
+        ("weight", long_weight),
+        ("name", same_name),
+    ):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(bad))
+        assert _seed_file_exits(runner, path, gr.vertex_at(2, 2)) == [2, 2], name
+        assert "cannot read seed file" in runner.invoke(
+            main, ["export", "--seed-file", str(path)]
+        ).output, name
+
+
+def _json_paths(node, path=()):
+    """Every position in a JSON tree, as a key path from the root."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+_DELETE = object()
+
+
+def _set_at(data, path, value):
+    """``data`` with the node at ``path`` replaced by ``value``, or deleted
+    when ``value`` is ``_DELETE``."""
+    if not path:
+        return value
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+_FUZZ_GR = GrassmannianSeed(2, 4)
+_FUZZ_SEED = seed_to_dict(_FUZZ_GR.seed.mutate(_FUZZ_GR.vertex_at(2, 2)))
+_WRONG_TYPES = (None, "x", 1.5, 7, True, [], {})
+
+
+def _schema_site(path):
+    """The place of a position in the schema: an index into a list of
+    like items (vertices, arrows, exponents, ...) reads as None, an index
+    into a mixed pair such as [exponents, coefficient] stays."""
+    node, site = _FUZZ_SEED, []
+    for key in path:
+        mixed = isinstance(node, list) and len({type(x) for x in node}) > 1
+        site.append(None if isinstance(key, int) and not mixed else key)
+        node = node[key]
+    return tuple(site)
+
+
+# positions grouped by site, so that a rare field such as "weight_rank" is
+# drawn as often as a Laurent exponent
+_FUZZ_SITES: dict[tuple, list[tuple]] = {}
+for _path in _json_paths(_FUZZ_SEED):
+    _FUZZ_SITES.setdefault(_schema_site(_path), []).append(_path)
+
+
+@st.composite
+def malformed_seeds(draw):
+    """A valid seed snapshot with one structural fault: a deleted key, a
+    value of the wrong JSON type, or a repeated vertex id."""
+    data = json.loads(json.dumps(_FUZZ_SEED))
+    fault = draw(st.sampled_from(["delete", "retype", "duplicate"]))
+    if fault == "duplicate":
+        n = len(data["vertices"])
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            data["vertices"].append(json.loads(json.dumps(data["vertices"][i])))
+        else:
+            data["vertices"][j]["id"] = data["vertices"][i]["id"]
+        return data
+    sites = [s for s in _FUZZ_SITES if fault == "retype" or (s and isinstance(s[-1], str))]
+    path = draw(st.sampled_from(_FUZZ_SITES[draw(st.sampled_from(sites))]))
+    if fault == "delete":
+        return _set_at(data, path, _DELETE)
+    node = data
+    for key in path:
+        node = node[key]
+    value = draw(st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(node)]))
+    return _set_at(data, path, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_seeds())
+def test_seed_file_schema_fuzz(data):
+    """Every fault makes the snapshot malformed, so both commands must stop
+    with a usage error, never a traceback or a verification failure."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("seed.json").write_text(json.dumps(data))
+        assert _seed_file_exits(runner, "seed.json", _FUZZ_GR.vertex_at(2, 2)) == [2, 2]
+
+
 def test_mutate_inexact_exchange_is_clean_error(runner, tmp_path):
     gr = GrassmannianSeed(2, 4)
     vid = gr.vertex_at(2, 2)
@@ -217,6 +341,28 @@ def test_run_usage_errors(runner):
         runner.invoke(main, ["run", "--preset", "mt", "--n", "6", "--flag", "6,2,4"]).exit_code
         == 2
     )
+    for args in (
+        ["--flag", "6,2,4", "--n", "6"],          # --n belongs to --preset
+        ["--preset", "mt", "--n", "6", "--output", "x.dot"],    # --output needs --export
+    ):
+        result = runner.invoke(main, ["run", *args])
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+
+
+def test_unwritable_output_is_usage_error(runner, tmp_path):
+    out = str(tmp_path / "missing" / "out.txt")
+    for args in (
+        ["seed", "--gr", "2,4"],
+        ["mutate", "--gr", "2,4", "--at", "r2c2"],
+        ["run", "--preset", "mt", "--n", "6", "--export", "json"],
+        ["export", "--gr", "2,4"],
+        ["verify", "--flag", "6,2,4", "--trials", "2"],
+    ):
+        result = runner.invoke(main, [*args, "--output", out])
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+        assert "cannot write" in result.output, args
 
 
 # -- verify -------------------------------------------------------------------------

@@ -194,24 +194,23 @@ def test_expected_placement_through_pages():
     for d1, d2, n in cases:
         flag = FlagType((d1, d2), n)
         prog = general_flag_program(flag)
-        k, ambient = flag.target_grassmannian
-        gr = GrassmannianSeed(k, ambient)
+        gr = GrassmannianSeed(*flag.target_grassmannian)
         a, b, c, top = region_parameters(flag, 2)
+        seed = gr.seed
         checked = []
-
-        def hook(seed, region, page, _gr=gr, _flag=flag, _dims=(a, b, c, top)):
-            a_, b_, c_, top_ = _dims
-            for j1 in range(a_):
+        pages = itertools.groupby(prog.mutations, key=lambda s: (s.region, s.page))
+        for (region, page), steps in pages:
+            for step in steps:
+                seed = seed.mutate(gr.vertex_at(step.row, step.col))
+            for j1 in range(a):
                 j2 = page - 1 - j1
-                if j2 < 0 or j2 > c_ - 1:
+                if j2 < 0 or j2 > c - 1:
                     continue
-                vid = _gr.vertex_at(top_ + j1, c_ - j2 + 1)
-                expect = standard_form_tableau(_flag, region, j1, j2)
+                vid = gr.vertex_at(top + j1, c - j2 + 1)
+                expect = standard_form_tableau(flag, region, j1, j2)
                 assert seed.variables[vid].tableau == expect
                 checked.append((page, j1, j2))
-
-        run_program(gr, prog, page_hook=hook)
-        assert checked          # the hook really fired
+        assert checked          # some page placed a standard tableau
 
 
 # -- vertex matching ---------------------------------------------------------------
@@ -262,8 +261,10 @@ def test_verify_rank_one_flag():
 
 
 @pytest.mark.slow
-def test_verify_deep_flag_types():
-    # the slowest rungs of the certification ladder, about half a minute together
-    for dims, n in [((1, 8), 9), ((3, 7, 11), 14)]:
-        report = verify_theorem(FlagType(dims, n), trials=5)
-        assert report.passed, [c.name for c in report.checks if not c.passed]
+def test_verify_every_flag_type_through_n9():
+    """The certified range: every flag type with n <= 9 (502 types, about a
+    minute and a half together), plus the deeper three-step (3,7,11; 14)."""
+    flags = all_flag_types(9, 8) + [FlagType((3, 7, 11), 14)]
+    for flag in flags:
+        report = verify_theorem(flag, trials=5)
+        assert report.passed, (flag.heading(), [c.name for c in report.checks if not c.passed])
