@@ -82,6 +82,14 @@ def _ints(value, what: str) -> tuple[int, ...]:
     return tuple(_typed(x, int, what) for x in _typed(value, list, what))
 
 
+def _index(value) -> tuple[int, ...]:
+    """A Plucker index: strictly increasing entries, the first at least 1."""
+    idx = _ints(value, "index")
+    if any(b <= a for a, b in zip((0,) + idx, idx)):
+        raise ValueError("Plucker index %s is not strictly increasing from 1" % list(idx))
+    return idx
+
+
 def seed_from_dict(data: dict) -> Seed:
     """The seed a ``seed_to_dict`` snapshot describes; raises ValueError,
     KeyError or TypeError on a malformed one."""
@@ -94,7 +102,7 @@ def seed_from_dict(data: dict) -> Seed:
         raise ValueError("dictionary positions must be 0..%d" % (nvars - 1))
     dictionary = {
         e["position"]: pk.PluckerPoly(
-            {tuple(_ints(idx, "index") for idx in _typed(mono, list, "monomial")):
+            {tuple(_index(idx) for idx in _typed(mono, list, "monomial")):
              _typed(coeff, int, "coefficient") for mono, coeff in _typed(e["terms"], list, "terms")}
         )
         for e in entries
@@ -118,9 +126,14 @@ def seed_from_dict(data: dict) -> Seed:
         variables[vid] = VariableState(laurent, tableau, weight)
     if len({v.name for v in vertices}) != len(vertices):
         raise ValueError("vertex names must be distinct")
+    arrows = [_ints(arrow, "arrow entry") for arrow in _typed(data["arrows"], list, "arrows")]
+    if len({frozenset(arrow[:2]) for arrow in arrows}) != len(arrows):
+        raise ValueError("two arrows join the same pair of vertices")
     quiver = Quiver(vertices)
-    for u, w, m in _typed(data["arrows"], list, "arrows"):
-        quiver.add_arrow(*(_typed(x, int, "arrow entry") for x in (u, w, m)))
+    for u, w, m in arrows:
+        if m < 1:
+            raise ValueError("arrow %d -> %d has multiplicity %d, below 1" % (u, w, m))
+        quiver.add_arrow(u, w, m)
     return Seed(quiver, variables, dictionary, weight_rank)
 
 
@@ -272,15 +285,11 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
         raise click.UsageError("--n applies only to --preset")
     if output is not None and export_fmt is None:
         raise click.UsageError("--output applies only to --export")
+    if preset is not None and n_opt is None:
+        raise click.UsageError("--preset %s needs --n" % preset)
     try:
-        if preset == "mt":
-            if n_opt is None:
-                raise click.UsageError("--preset mt needs --n")
-            program = mt_program(n_opt)
-        elif preset == "sh":
-            if n_opt is None:
-                raise click.UsageError("--preset sh needs --n")
-            program = sh_program(n_opt)
+        if preset is not None:
+            program = {"mt": mt_program, "sh": sh_program}[preset](n_opt)
         else:
             program = general_flag_program(parse_flag_option(flag_opt))
     except ProgramError as exc:
@@ -299,7 +308,9 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
     for p in result.match_problems:
         click.echo("problem: %s" % p)
     if result.restricted is None:
-        raise click.ClickException("endpoint did not restrict to the flag seed")
+        raise click.ClickException(
+            "endpoint did not restrict to the flag seed: %s" % result.restrict_problem
+        )
     click.echo("kept %d vertices" % len(result.mapping))
     if export_fmt:
         _write_output(render_seed(result.restricted, export_fmt), output)

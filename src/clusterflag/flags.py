@@ -23,7 +23,7 @@ from .plucker import (
     laplace_initial_minor,
     phi_star,
 )
-from .quiver import LaurentExpr, Quiver, Seed, VariableState, Vertex
+from .quiver import Quiver, Seed, VariableState, Vertex
 
 
 class FlagError(ValueError):
@@ -285,7 +285,9 @@ def arrangement_vertices(arr: Arrangement):
     return vertices, face_vertex, unit_vertex
 
 
-def build_flag_quiver(arr: Arrangement) -> Quiver:
+def build_flag_quiver(
+    arr: Arrangement, vertices: list[Vertex], face_vertex: dict, unit_vertex: dict
+) -> Quiver:
     """Arrows of the arrangement quiver.
 
     Neighboring faces get one arrow per shared boundary run: left to right
@@ -293,9 +295,9 @@ def build_flag_quiver(arr: Arrangement) -> Quiver:
     crossing of two lines adds an arrow from its south-east face to its
     north-west face.  Finally each extra vertex (the coordinate P_{[1,d]})
     receives an arrow from the face north-west of the spot where levels d
-    and d+1 separate, and emits one to the face south-east of it.
+    and d+1 separate, and emits one to the face south-east of it.  The
+    vertices and their lookups are those of ``arrangement_vertices``.
     """
-    vertices, face_vertex, unit_vertex = arrangement_vertices(arr)
     quiver = Quiver(vertices)
     n = arr.flag.n
     sigma = arr.sigma
@@ -364,29 +366,22 @@ class FlagSeed:
         arr = Arrangement(flag)
         self.arrangement = arr
         vertices, self.face_vertex, self.unit_vertex = arrangement_vertices(arr)
-        quiver = build_flag_quiver(arr)
+        quiver = build_flag_quiver(arr, vertices, self.face_vertex, self.unit_vertex)
 
-        total = len(vertices)
-        variables: dict[int, VariableState] = {}
-        dictionary: dict[int, PluckerPoly] = {}
+        entries = {}
         for face in arr.faces:
-            vid = self.face_vertex[face.index_set]
-            poly, tab = lift_index_set(face.index_set, flag)
-            dictionary[vid] = poly
-            variables[vid] = VariableState(
-                LaurentExpr.generator(total, vid),
-                tab,
+            entries[self.face_vertex[face.index_set]] = (
+                *lift_index_set(face.index_set, flag),
                 weight_of_index_set(face.index_set, flag),
             )
         for j, d in enumerate(flag.dims):
-            vid = self.unit_vertex[d]
-            dictionary[vid] = PluckerPoly.variable(range(1, d + 1))
-            variables[vid] = VariableState(
-                LaurentExpr.generator(total, vid),
-                tb.one_column(range(1, d + 1)),
+            prefix = range(1, d + 1)
+            entries[self.unit_vertex[d]] = (
+                PluckerPoly.variable(prefix),
+                tb.one_column(prefix),
                 tuple(1 if t == j else 0 for t in range(flag.k)),
             )
-        self.seed = Seed(quiver, variables, dictionary, flag.k)
+        self.seed = Seed.initial(quiver, entries, flag.k)
 
 
 class GrassmannianSeed:
@@ -400,30 +395,21 @@ class GrassmannianSeed:
         self.n = n
         self.rows = n - k
         self.cols = k
-        total = self.rows * self.cols + 1
 
         vertices = []
-        variables: dict[int, VariableState] = {}
-        dictionary: dict[int, PluckerPoly] = {}
+        entries = {}
         self.grid: dict[tuple[int, int], int] = {}
-        vid = 0
         for r in range(1, self.rows + 1):
             for c in range(1, self.cols + 1):
+                vid = len(vertices)
                 idx = tuple(range(1, c)) + tuple(range(n - k + c - r + 1, n - r + 2))
-                frozen = r == 1 or c == 1
-                vertices.append(Vertex(vid, "r%dc%d" % (r, c), frozen))
-                dictionary[vid] = PluckerPoly.variable(idx)
-                variables[vid] = VariableState(
-                    LaurentExpr.generator(total, vid), tb.one_column(idx), (1,)
-                )
+                vertices.append(Vertex(vid, "r%dc%d" % (r, c), r == 1 or c == 1))
+                entries[vid] = (PluckerPoly.variable(idx), tb.one_column(idx), (1,))
                 self.grid[(r, c)] = vid
-                vid += 1
-        self.extra_id = vid
-        vertices.append(Vertex(vid, "unit", True))
-        dictionary[vid] = PluckerPoly.variable(range(1, k + 1))
-        variables[vid] = VariableState(
-            LaurentExpr.generator(total, vid), tb.one_column(range(1, k + 1)), (1,)
-        )
+        self.extra_id = len(vertices)
+        vertices.append(Vertex(self.extra_id, "unit", True))
+        unit = range(1, k + 1)
+        entries[self.extra_id] = (PluckerPoly.variable(unit), tb.one_column(unit), (1,))
 
         quiver = Quiver(vertices)
         for r in range(1, self.rows + 1):
@@ -436,7 +422,7 @@ class GrassmannianSeed:
                 if r > 1 and c > 1:
                     quiver.add_arrow(v, self.grid[(r - 1, c - 1)])
         quiver.add_arrow(self.grid[(self.rows, self.cols)], self.extra_id)
-        self.seed = Seed(quiver, variables, dictionary, 1)
+        self.seed = Seed.initial(quiver, entries, 1)
 
     def vertex_at(self, r: int, c: int) -> int:
         try:

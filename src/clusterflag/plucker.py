@@ -57,14 +57,6 @@ class PluckerPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "PluckerPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PluckerPoly":
-        return cls({(): 1})
-
-    @classmethod
     def variable(cls, index: Sequence[int]) -> "PluckerPoly":
         sign, idx = normalize_index(index)
         if sign == 0:
@@ -125,17 +117,8 @@ class PluckerPoly:
     def __eq__(self, other):
         return isinstance(other, PluckerPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def variables(self) -> set[tuple[int, ...]]:
-        out: set[tuple[int, ...]] = set()
-        for mono in self.terms:
-            out.update(mono)
-        return out
 
     def coefficient(self, mono: Iterable[Sequence[int]]) -> int:
         key = tuple(sorted(tuple(i) for i in mono))
@@ -338,10 +321,6 @@ class EvaluationPoint:
         self.prime = prime
         self._pluckers: dict[tuple[int, ...], int] = {}
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.matrix)
-
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> int:
         """Determinant of the submatrix (rows and cols are 1-based)."""
         sub = [[self.matrix[r - 1][c - 1] for c in cols] for r in rows]
@@ -352,8 +331,8 @@ class EvaluationPoint:
         v = self._pluckers.get(index)
         if v is None:
             m = len(index)
-            if m > self.num_rows:
-                raise PluckerError("index size %d exceeds row count %d" % (m, self.num_rows))
+            if m > len(self.matrix):
+                raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
             v = self._pluckers[index] = self.minor(range(1, m + 1), index)
         return v
 

@@ -8,22 +8,24 @@ tracked three ways at once:
 * ``tableau``: the combinatorial label (leading standard monomial),
 * ``weight``: an integer grading vector.
 
-Mutation updates all three and fails loudly if the exchange is not an exact
-Laurent division or the grading is not balanced, so silent drift between the
+``Seed.initial`` builds the seed a program starts from, vertex ``i``
+carrying the ``i``-th generator of the initial cluster.  Mutation updates
+all three tracks and fails loudly if the exchange is not an exact Laurent
+division or the grading is not balanced, so silent drift between the
 tracks is impossible.
 
 ``Vertex``, ``VariableState``, ``Quiver`` and ``Seed`` values are never
-changed in place once built: ``mutate``, ``freeze`` and ``restrict`` return
-new objects (freezing replaces the ``Vertex``), so a derived seed shares
-every unchanged vertex, variable state and polynomial with its source
-instead of copying it.
+changed in place once built: ``mutate``, ``freeze`` (each of one vertex)
+and ``restrict`` return new objects (freezing replaces the ``Vertex``), so
+a derived seed shares every unchanged vertex, variable state and
+polynomial with its source instead of copying it.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import tableaux as tb
 from .plucker import EvaluationPoint, PluckerPoly
@@ -167,9 +169,6 @@ class LaurentExpr:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "LaurentExpr") -> "LaurentExpr":
         self._same_ring(other)
@@ -348,9 +347,6 @@ class Quiver:
         elif net < 0:
             self.arrows[(w, u)] = -net
 
-    def b_entry(self, u: int, w: int) -> int:
-        return self.arrows.get((u, w), 0) - self.arrows.get((w, u), 0)
-
     def exchange(self, vid: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(ins, outs) of a vertex: (source, multiplicity) pairs of the arrows
         into it and (target, multiplicity) pairs of the arrows out of it."""
@@ -435,40 +431,21 @@ def quivers_agree(q1: Quiver, q2: Quiver, mapping: Mapping[int, int]) -> list[st
     for vid, v in q1.vertices.items():
         if v.frozen != q2.vertices[mapping[vid]].frozen:
             problems.append("frozen status differs at %s" % v.name)
-    seen = set()
+    mapped = {(mapping[u], mapping[w]): m for (u, w), m in q1.arrows.items()}
     for (u, w), m in q1.arrows.items():
-        m2 = q2.b_entry(mapping[u], mapping[w])
+        m2 = q2.arrows.get((mapping[u], mapping[w]), 0)
         if m2 != m:
             problems.append(
                 "arrow %s -> %s: multiplicity %d vs %d"
                 % (q1.vertices[u].name, q1.vertices[w].name, m, m2)
             )
-        seen.add((mapping[u], mapping[w]))
-        seen.add((mapping[w], mapping[u]))
-    for (u, w), m in q2.arrows.items():
-        if (u, w) not in seen:
+    for u, w in q2.arrows:
+        if (u, w) not in mapped:
             problems.append(
                 "extra arrow %s -> %s in second quiver"
                 % (q2.vertices[u].name, q2.vertices[w].name)
             )
     return problems
-
-
-def exchange_weights(
-    exchange: tuple[list[tuple[int, int]], list[tuple[int, int]]],
-    weight: Callable[[int], Sequence[int]],
-    rank: int,
-) -> tuple[list[int], list[int]]:
-    """Sums of ``weight`` over the (ins, outs) pair of ``Quiver.exchange``,
-    each arrow counted with its multiplicity; a vertex is balanced when the
-    two agree."""
-    sums = []
-    for side in exchange:
-        total = [0] * rank
-        for u, m in side:
-            total = [a + m * b for a, b in zip(total, weight(u))]
-        sums.append(total)
-    return sums[0], sums[1]
 
 
 # -- seeds --------------------------------------------------------------------
@@ -507,6 +484,18 @@ class Seed:
         if set(self.variables) != set(quiver.vertices):
             raise QuiverError("variable per vertex required")
 
+    @classmethod
+    def initial(cls, quiver: Quiver, entries: Mapping[int, tuple], weight_rank: int) -> "Seed":
+        """The seed a program starts from: ``entries[vid]`` is the
+        (polynomial, tableau, weight) of vertex ``vid``, whose variable is
+        the ``vid``-th generator of the initial cluster."""
+        variables = {
+            vid: VariableState(LaurentExpr.generator(len(entries), vid), tab, weight)
+            for vid, (_, tab, weight) in entries.items()
+        }
+        dictionary = {vid: poly for vid, (poly, _, _) in entries.items()}
+        return cls(quiver, variables, dictionary, weight_rank)
+
     @property
     def nvars(self) -> int:
         return len(self.dictionary)
@@ -526,7 +515,7 @@ class Seed:
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
         state = self.variables[vid]
         exchange = self.quiver.exchange(vid)
-        w_in, w_out = exchange_weights(exchange, self._weight, self.weight_rank)
+        w_in, w_out = self.exchange_weights(exchange)
         if w_in != w_out:
             raise QuiverError(
                 "exchange at %s is not weight-balanced: %s vs %s"
@@ -554,11 +543,8 @@ class Seed:
             self.weight_rank,
         )
 
-    def freeze(self, vids: int | Iterable[int]) -> "Seed":
-        quiver = self.quiver
-        for vid in ([vids] if isinstance(vids, int) else vids):
-            quiver = quiver.freeze(vid)
-        return Seed(quiver, self.variables, self.dictionary, self.weight_rank)
+    def freeze(self, vid: int) -> "Seed":
+        return Seed(self.quiver.freeze(vid), self.variables, self.dictionary, self.weight_rank)
 
     def restrict(self, keep: Iterable[int]) -> "Seed":
         keep_set = set(keep)
@@ -569,16 +555,23 @@ class Seed:
             self.weight_rank,
         )
 
-    def _weight(self, vid: int) -> tuple[int, ...]:
-        return self.variables[vid].weight
+    def exchange_weights(self, exchange: tuple[list, list]) -> tuple[list[int], list[int]]:
+        """Sums of the variables' weights over the (ins, outs) pair of
+        ``Quiver.exchange``, each arrow counted with its multiplicity; a
+        vertex is balanced when the two agree."""
+        sums = []
+        for side in exchange:
+            total = [0] * self.weight_rank
+            for u, m in side:
+                total = [a + m * b for a, b in zip(total, self.variables[u].weight)]
+            sums.append(total)
+        return sums[0], sums[1]
 
     def is_balanced(self) -> list[str]:
         """Weight balance at every mutable vertex; returns violations."""
         problems = []
         for vid in self.mutable_ids():
-            w_in, w_out = exchange_weights(
-                self.quiver.exchange(vid), self._weight, self.weight_rank
-            )
+            w_in, w_out = self.exchange_weights(self.quiver.exchange(vid))
             if w_in != w_out:
                 problems.append(
                     "vertex %s: incoming weight %s != outgoing weight %s"

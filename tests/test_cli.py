@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import clusterflag.cli as cli
 from clusterflag.cli import main, seed_from_dict, seed_to_dict, seed_to_dot
 from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed
+from clusterflag.programs import MutationProgram, general_flag_program
 from clusterflag.quiver import seeds_equal
 from clusterflag.tableaux import one_column
 
@@ -196,6 +197,32 @@ def test_seed_file_with_bad_structure_is_usage_error(runner, tmp_path):
         ).output, name
 
 
+def _bad_value(data, case):
+    """A Gr(2,4) snapshot with one well-typed but invalid value."""
+    if case == "index":             # unsorted, and past the ambient size
+        data["dictionary"][0]["terms"][0][0][0] = [9, 1]
+    elif case == "multiplicity":    # would quietly reverse the arrow 3 -> 0
+        data["arrows"] = [a for a in data["arrows"] if a[:2] != [3, 0]] + [[0, 3, -2]]
+    elif case == "repeated":        # would be summed into a double arrow
+        data["arrows"].append(data["arrows"][0])
+    else:                           # the same pair the other way round
+        u, w, m = data["arrows"][0]
+        data["arrows"].append([w, u, m])
+    return data
+
+
+@pytest.mark.parametrize("case", ["index", "multiplicity", "repeated", "reversed"])
+def test_seed_file_with_bad_values_is_usage_error(runner, tmp_path, case):
+    gr = GrassmannianSeed(2, 4)
+    data = seed_to_dict(gr.seed)
+    assert [3, 0, 1] in data["arrows"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_value(data, case)))
+    assert _seed_file_exits(runner, path, gr.vertex_at(2, 2)) == [2, 2]
+    result = runner.invoke(main, ["export", "--seed-file", str(path)])
+    assert "cannot read seed file" in result.output
+
+
 def _json_paths(node, path=()):
     """Every position in a JSON tree, as a key path from the root."""
     yield path
@@ -348,6 +375,17 @@ def test_run_usage_errors(runner):
         result = runner.invoke(main, ["run", *args])
         assert result.exit_code == 2, args
         assert isinstance(result.exception, SystemExit), args
+
+
+def test_run_reports_why_restriction_failed(runner, monkeypatch):
+    def skip_first_freeze(flag):
+        program = general_flag_program(flag)
+        return MutationProgram(flag, program.mutations, program.freezes[1:])
+
+    monkeypatch.setattr(cli, "general_flag_program", skip_first_freeze)
+    result = runner.invoke(main, ["run", "--flag", "8,2,5"])
+    assert result.exit_code == 1
+    assert "did not restrict to the flag seed: illegal restriction: " in result.output
 
 
 def test_unwritable_output_is_usage_error(runner, tmp_path):

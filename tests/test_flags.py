@@ -255,5 +255,5 @@ def test_embedded_indices_have_full_size():
     flag = FlagType((2, 3, 5), 7)
     emb = embedded_flag_seed(FlagSeed(flag))
     for poly in emb.dictionary.values():
-        for idx in poly.variables():
-            assert len(idx) == 5
+        for mono in poly.terms:
+            assert all(len(idx) == 5 for idx in mono)

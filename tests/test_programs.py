@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from clusterflag.flags import FlagError, FlagType, GrassmannianSeed
+import clusterflag.programs as programs
+from clusterflag.flags import FlagError, FlagType, GrassmannianSeed, embedded_flag_seed
+from clusterflag.plucker import PluckerPoly
 from clusterflag.programs import (
     MutationProgram,
     ProgramError,
@@ -20,7 +22,7 @@ from clusterflag.programs import (
     standard_form_tableau,
     verify_theorem,
 )
-from clusterflag.quiver import seeds_equal
+from clusterflag.quiver import Seed, seeds_equal
 from clusterflag.tableaux import Tableau, fill_up
 
 from support import all_flag_types
@@ -258,6 +260,96 @@ def test_verify_rank_one_flag():
     assert report.passed
     assert report.counts["mutations"] == 0
     assert report.counts["deleted"] == 0
+
+
+# -- certificate mutants -------------------------------------------------------------
+#
+# Each mutant breaks one ingredient of the certificate, and the report must
+# fail exactly the checks that depend on it.  A mutant that passed would
+# show a vacuous check; a failure reported under another check would point
+# at the wrong cause.
+
+COUNT = "mutation count matches closed form"
+EXACT = "program executed with exact exchanges"
+CONTAIN = "endpoint tableaux contain the padded flag tableaux"
+DELETE = "deletion leaves a legal restricted seed"
+VALUES = "kept variables equal the lifted flag coordinates at 3 points"
+
+
+def failed_checks(flag):
+    """{name: detail} of the checks ``verify_theorem`` fails, in order."""
+    report = verify_theorem(flag, trials=3)
+    return {c.name: c.detail for c in report.checks if not c.passed}
+
+
+def edit_programs(monkeypatch, edit):
+    """Make ``verify_theorem`` run ``edit(program)`` instead of the program."""
+    original = programs.general_flag_program
+    monkeypatch.setattr(programs, "general_flag_program", lambda flag: edit(original(flag)))
+
+
+def test_mutant_drop_last_mutation(monkeypatch):
+    edit_programs(monkeypatch, lambda p: MutationProgram(p.flag, p.mutations[:-1], p.freezes))
+    failed = failed_checks(FlagType((2, 5), 8))
+    assert list(failed) == [COUNT, CONTAIN, DELETE]
+    assert failed[DELETE] == "not attempted: 22 of 23 flag vertices matched"
+
+
+def test_mutant_swap_steps_across_pages(monkeypatch):
+    flag = FlagType((2, 4), 6)
+    first, second = general_flag_program(flag).mutations[1:3]
+    assert first.page != second.page
+    # adjacent grid vertices, so the two mutations do not commute; swapping
+    # steps 4 and 5 of (2,5; 8), whose vertices share no arrow, would give
+    # the same endpoint and is no mutant at all
+    gr = GrassmannianSeed(*flag.target_grassmannian)
+    u, w = gr.vertex_at(first.row, first.col), gr.vertex_at(second.row, second.col)
+    assert {(u, w), (w, u)} & set(gr.seed.quiver.arrows)
+
+    def swap(p):
+        steps = list(p.mutations)
+        steps[1], steps[2] = steps[2], steps[1]
+        return MutationProgram(p.flag, steps, p.freezes)
+
+    edit_programs(monkeypatch, swap)
+    failed = failed_checks(flag)
+    assert list(failed) == [CONTAIN, DELETE]
+    assert failed[DELETE].startswith("not attempted: ")
+
+
+def test_mutant_skip_first_freeze(monkeypatch):
+    edit_programs(monkeypatch, lambda p: MutationProgram(p.flag, p.mutations, p.freezes[1:]))
+    failed = failed_checks(FlagType((2, 5), 8))
+    assert list(failed) == [DELETE]
+    assert failed[DELETE].startswith("illegal restriction: ")
+
+
+def test_mutant_flip_grid_arrow(monkeypatch):
+    def flipped(k, n):
+        gr = GrassmannianSeed(k, n)
+        u, w = gr.vertex_at(2, 2), gr.vertex_at(2, 3)
+        quiver = gr.seed.quiver.copy()
+        assert not quiver.is_frozen(u) and not quiver.is_frozen(w)
+        quiver.arrows[(w, u)] = quiver.arrows.pop((u, w))
+        gr.seed = Seed(quiver, gr.seed.variables, gr.seed.dictionary, gr.seed.weight_rank)
+        return gr
+
+    monkeypatch.setattr(programs, "GrassmannianSeed", flipped)
+    failed = failed_checks(FlagType((2, 4), 6))
+    assert list(failed) == [EXACT]
+    assert "not weight-balanced" in failed[EXACT]
+
+
+def test_mutant_flag_lift_coefficient(monkeypatch):
+    def bumped(flag_seed):
+        emb = embedded_flag_seed(flag_seed)
+        vid, poly = next((v, p) for v, p in emb.dictionary.items() if len(p.terms) > 1)
+        mono = next(iter(poly.terms))
+        dictionary = {**emb.dictionary, vid: poly + PluckerPoly({mono: 1})}
+        return Seed(emb.quiver, emb.variables, dictionary, emb.weight_rank)
+
+    monkeypatch.setattr(programs, "embedded_flag_seed", bumped)
+    assert list(failed_checks(FlagType((2, 4), 6))) == [VALUES]
 
 
 @pytest.mark.slow
