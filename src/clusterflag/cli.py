@@ -134,6 +134,8 @@ def seed_from_dict(data: dict) -> Seed:
         if m < 1:
             raise ValueError("arrow %d -> %d has multiplicity %d, below 1" % (u, w, m))
         quiver.add_arrow(u, w, m)
+        if quiver.is_frozen(u) and quiver.is_frozen(w):
+            raise ValueError("arrow %d -> %d joins two frozen vertices" % (u, w))
     return Seed(quiver, variables, dictionary, weight_rank)
 
 

@@ -7,8 +7,6 @@ the ones the mutation machinery needs:
 
 * ``union``: row-wise multiset merge (the monoid product),
 * ``quotient``: row-wise multiset difference (partial inverse),
-* ``reduce``: strip prefix columns {1,...,p}, which act trivially on the
-  unipotent patch, giving class representatives,
 * ``dominance_compare``: the order used to pick the leading exchange term,
 * ``tableau_mutation``: the combinatorial shadow of a cluster mutation.
 
@@ -152,36 +150,6 @@ def quotient(t: Tableau, s: Tableau) -> Tableau:
         raise TableauError("quotient: result is not semistandard (%s)" % exc) from None
 
 
-def is_factor(s: Tableau, t: Tableau) -> bool:
-    try:
-        quotient(t, s)
-    except TableauError:
-        return False
-    return True
-
-
-def trivial_column(p: int) -> Tableau:
-    """The one-column tableau 1,2,...,p (acts as 1 on the unipotent patch)."""
-    return one_column(range(1, p + 1))
-
-
-def reduce(t: Tableau) -> Tableau:
-    """Strip prefix-column factors {1..p} until none remains.
-
-    Tallest columns are tried first; the result is the canonical class
-    representative.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for p in range(t.num_rows, 0, -1):
-            triv = trivial_column(p)
-            while is_factor(triv, t):
-                t = quotient(t, triv)
-                changed = True
-    return t
-
-
 # -- dominance order -----------------------------------------------------
 
 
@@ -267,47 +235,21 @@ def initial_tableau(i1: int, d1: int, i2: int, d2: int, n: int) -> Tableau:
 # -- mutation -------------------------------------------------------------
 
 
-def _pad_to_matching_shape(a: Tableau, b: Tableau) -> tuple[Tableau, Tableau]:
-    """Union trivial prefix columns into a and b until their column-height
-    multisets agree, so that dominance comparison applies."""
-    from collections import Counter
-
-    ca = Counter(len(col) for col in a.columns())
-    cb = Counter(len(col) for col in b.columns())
-    pads_a = []
-    pads_b = []
-    for p in set(ca) | set(cb):
-        diff = ca[p] - cb[p]
-        if diff > 0:
-            pads_b.extend([trivial_column(p)] * diff)
-        elif diff < 0:
-            pads_a.extend([trivial_column(p)] * (-diff))
-    return union(a, *pads_a), union(b, *pads_b)
-
-
 def tableau_mutation(t_r: Tableau, incoming: Sequence[Tableau], outgoing: Sequence[Tableau]) -> Tableau:
     """New tableau after mutating at a vertex carrying ``t_r``.
 
-    The unions of the incoming and outgoing neighbor tableaux are made
-    shape-comparable by trivial padding; the dominance-larger union is the
-    leading term of the exchange, and dividing by ``t_r`` (then reducing)
-    yields the new tableau.
+    Every tableau is the exact leading tableau of its variable, so the
+    unions of the incoming and outgoing neighbor tableaux have the same
+    shape when the exchange is weight-balanced.  The dominance-larger union
+    is the leading term of the exchange, and dividing it by ``t_r`` yields
+    the new tableau.
     """
     u_in = union(*incoming)
     u_out = union(*outgoing)
-    a, b = _pad_to_matching_shape(u_in, u_out)
-    cmp = dominance_compare(a, b)
+    cmp = dominance_compare(u_in, u_out)
     if cmp == "incomparable":
         raise TableauError(
-            "exchange unions are dominance-incomparable: %s vs %s" % (a, b)
+            "exchange unions are dominance-incomparable: %s vs %s" % (u_in, u_out)
         )
-    top = b if cmp == "less" else a
-    if not is_factor(t_r, top):
-        # the mutated tableau may be a class representative; pad with the
-        # trivial columns needed to divide
-        padded = union(top, *(trivial_column(len(c)) for c in t_r.columns()))
-        if not is_factor(t_r, padded):
-            raise TableauError("mutation: %s does not divide leading union %s" % (t_r, top))
-        top = padded
-    return reduce(quotient(top, t_r))
-
+    top = u_out if cmp == "less" else u_in
+    return quotient(top, t_r)

@@ -205,13 +205,15 @@ def _bad_value(data, case):
         data["arrows"] = [a for a in data["arrows"] if a[:2] != [3, 0]] + [[0, 3, -2]]
     elif case == "repeated":        # would be summed into a double arrow
         data["arrows"].append(data["arrows"][0])
+    elif case == "frozen":          # r1c1 -> r1c2 would be dropped
+        data["arrows"].append([0, 1, 5])
     else:                           # the same pair the other way round
         u, w, m = data["arrows"][0]
         data["arrows"].append([w, u, m])
     return data
 
 
-@pytest.mark.parametrize("case", ["index", "multiplicity", "repeated", "reversed"])
+@pytest.mark.parametrize("case", ["index", "multiplicity", "repeated", "frozen", "reversed"])
 def test_seed_file_with_bad_values_is_usage_error(runner, tmp_path, case):
     gr = GrassmannianSeed(2, 4)
     data = seed_to_dict(gr.seed)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from clusterflag.plucker import (
     laplace_initial_minor,
     phi_star,
 )
+from clusterflag.programs import general_flag_program
 from clusterflag.quiver import seeds_equal
 from clusterflag.tableaux import fill_up, initial_tableau, interval_index_set, one_column
 
@@ -229,6 +231,44 @@ def test_grassmannian_seed_balance_sweep():
             assert gr.seed.is_balanced() == []
             frozen = [v for v in gr.seed.quiver.vertices.values() if v.frozen]
             assert len(frozen) == gr.rows + gr.cols            # row 1, col 1, unit
+
+
+# -- tableau columns against weights --------------------------------------------------
+
+
+def assert_columns_match_weights(seed, dims):
+    """Each tableau is the exact leading tableau of its variable: it has
+    weight[j] columns of height dims[j] and no other columns."""
+    for vid, st in seed.variables.items():
+        heights = dict(Counter(len(col) for col in st.tableau.columns()))
+        assert heights == {d: w for d, w in zip(dims, st.weight) if w}, (
+            seed.quiver.vertices[vid].name, st.tableau, st.weight,
+        )
+
+
+def test_grid_program_keeps_columns_matching_weights():
+    for flag in all_flag_types(7, 6):
+        gr = GrassmannianSeed(*flag.target_grassmannian)
+        seed = gr.seed
+        assert seed.weight_rank == 1
+        assert_columns_match_weights(seed, (gr.k,))
+        for step in general_flag_program(flag).mutations:
+            seed = seed.mutate(gr.vertex_at(step.row, step.col))
+            assert_columns_match_weights(seed, (gr.k,))
+
+
+def test_flag_seed_walks_keep_columns_matching_weights():
+    rng = random.Random(808)
+    walked = 0
+    for flag in all_flag_types(6, 5):
+        seed = FlagSeed(flag).seed
+        assert_columns_match_weights(seed, flag.dims)
+        mutable = seed.mutable_ids()
+        for _ in range(20 if mutable else 0):
+            seed = seed.mutate(rng.choice(mutable))
+            assert_columns_match_weights(seed, flag.dims)
+            walked += 1
+    assert walked >= 900
 
 
 # -- the embedded flag seed ------------------------------------------------------------

@@ -8,10 +8,9 @@ sympy to ``expand`` and ``div`` them.
 import random
 
 import pytest
+import sympy
 
 from clusterflag.quiver import MAX_EXPONENT, LaurentError, LaurentExpr
-
-sympy = pytest.importorskip("sympy")
 
 NVARS = 3
 XS = sympy.symbols("x0:%d" % NVARS)
