@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 
 import click
 
@@ -126,6 +127,13 @@ def seed_from_dict(data: dict) -> Seed:
         variables[vid] = VariableState(laurent, tableau, weight)
     if len({v.name for v in vertices}) != len(vertices):
         raise ValueError("vertex names must be distinct")
+    counts = {vid: Counter(map(len, st.tableau.columns())) for vid, st in variables.items()}
+    heights = sorted(set().union(*counts.values()))
+    if len(heights) != weight_rank:
+        raise ValueError("tableaux use %d column heights, not weight_rank %d" % (len(heights), weight_rank))
+    for vid, st in variables.items():
+        if tuple(counts[vid][h] for h in heights) != st.weight:
+            raise ValueError("vertex %d: tableau columns by height do not match its weight" % vid)
     arrows = [_ints(arrow, "arrow entry") for arrow in _typed(data["arrows"], list, "arrows")]
     if len({frozenset(arrow[:2]) for arrow in arrows}) != len(arrows):
         raise ValueError("two arrows join the same pair of vertices")

@@ -1,10 +1,15 @@
-"""Exact arithmetic in Plucker coordinates and the numeric evaluation oracle.
+r"""Exact arithmetic in Plucker coordinates and the numeric evaluation oracle.
 
 Variables are Plucker coordinates P_I indexed by strictly increasing tuples.
 Polynomials are sparse integer combinations of monomials (multisets of index
 tuples).  Identity testing is randomized: evaluate both sides on random
 matrices over F_p (p a large prime) with P_I read off as the minor on the
 top |I| rows and the columns I.
+
+A point is row-reduced once per row count m: the top m rows A become the
+reduced row echelon form R = G^-1 A with pivot columns J, and every
+coordinate of size m follows as P_I(A) = P_J(A) * P_I(R), where P_J(A) =
+det G and P_I(R) is +- a minor of R of size |I \ J|.
 """
 
 from __future__ import annotations
@@ -307,24 +312,28 @@ def is_prime(n: int) -> bool:
 
 
 class EvaluationPoint:
-    """A matrix over F_p at which Plucker coordinates are evaluated.
+    r"""A matrix over F_p at which Plucker coordinates are evaluated.
 
-    ``plucker(I)`` is the minor on the top |I| rows and columns I; the
-    matrix must have at least |I| rows and max(I) columns.  Each minor is
+    ``plucker(I)`` is the minor on the top |I| rows and columns I, for I
+    strictly increasing; the matrix must have at least |I| rows and max(I)
+    columns.  The top m rows are row-reduced once, on the first coordinate
+    of size m, and kept in ``_echelons``: the signed product of the pivots,
+    which is P_J(A), the row of each pivot column j in J, and the reduced
+    rows R.  Then P_I(A) = P_J(A) * P_I(R),
+    and P_I(R) is the minor of R on the rows of J \ I and the columns
+    I \ J, with sign (-1)^(rows of I & J + their positions in I).  When
+    the rows are dependent, the rows of R past the last pivot are zero and
+    lie in every such minor, so every P_I(A) is 0.  Each coordinate is
     computed once per point and kept in ``_pluckers``.
     """
 
-    __slots__ = ("matrix", "prime", "_pluckers")
+    __slots__ = ("matrix", "prime", "_pluckers", "_echelons")
 
     def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME):
         self.matrix = tuple(tuple(x % prime for x in row) for row in matrix)
         self.prime = prime
         self._pluckers: dict[tuple[int, ...], int] = {}
-
-    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> int:
-        """Determinant of the submatrix (rows and cols are 1-based)."""
-        sub = [[self.matrix[r - 1][c - 1] for c in cols] for r in rows]
-        return det_mod(sub, self.prime)
+        self._echelons: dict[int, tuple[int, dict[int, int], list[list[int]]]] = {}
 
     def plucker(self, index: Sequence[int]) -> int:
         index = tuple(index)
@@ -333,8 +342,50 @@ class EvaluationPoint:
             m = len(index)
             if m > len(self.matrix):
                 raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
-            v = self._pluckers[index] = self.minor(range(1, m + 1), index)
+            if any(b <= a for a, b in zip((0,) + index, index)) or m and index[-1] > len(self.matrix[0]):
+                raise PluckerError("index %s is not strictly increasing within the columns" % (index,))
+            scale, pivot_row, reduced = self._echelons.get(m) or self._echelon(m)
+            sign = 0
+            rows = set(range(m))
+            cols = []
+            for pos, c in enumerate(index):
+                r = pivot_row.get(c)
+                if r is None:
+                    cols.append(c - 1)
+                else:
+                    rows.discard(r)
+                    sign += r + pos
+            v = scale * det_mod([[reduced[r][c] for c in cols] for r in sorted(rows)], self.prime)
+            v = self._pluckers[index] = (-v if sign & 1 else v) % self.prime
         return v
+
+    def _echelon(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
+        """Reduce the top m rows by Gauss-Jordan elimination; memoized."""
+        p = self.prime
+        rows = [list(row) for row in self.matrix[:m]]
+        scale = 1
+        pivot_row: dict[int, int] = {}
+        for c in range(len(rows[0]) if rows else 0):
+            r = len(pivot_row)
+            if r == m:
+                break
+            pick = next((i for i in range(r, m) if rows[i][c]), None)
+            if pick is None:
+                continue
+            if pick != r:
+                rows[r], rows[pick] = rows[pick], rows[r]
+                scale = -scale
+            pivot = rows[r][c]
+            scale = scale * pivot % p
+            inv = pow(pivot, -1, p)
+            top = rows[r] = [x * inv % p for x in rows[r]]
+            for i in range(m):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+            pivot_row[c + 1] = r
+        self._echelons[m] = echelon = (scale, pivot_row, rows)
+        return echelon
 
 
 def det_mod(matrix: list[list[int]], p: int) -> int:
@@ -355,10 +406,11 @@ def det_mod(matrix: list[list[int]], p: int) -> int:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        inv = pow(m[col][col], p - 2, p)
         det = (det * m[col][col]) % p
-        for r in range(col + 1, size):
-            if m[r][col]:
+        below = [r for r in range(col + 1, size) if m[r][col]]
+        if below:
+            inv = pow(m[col][col], -1, p)
+            for r in below:
                 factor = (m[r][col] * inv) % p
                 m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
     return det % p

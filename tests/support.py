@@ -10,7 +10,7 @@ import random
 
 from clusterflag.tableaux import Tableau, one_column, union
 from clusterflag.flags import FlagType
-from clusterflag.plucker import EvaluationPoint
+from clusterflag.plucker import EvaluationPoint, det_mod
 
 
 def random_column(rng: random.Random, n: int, max_height: int) -> Tableau:
@@ -166,8 +166,9 @@ def trial_division_is_prime(n: int) -> bool:
 #
 # The flag seed's lifted coordinates restrict, on this patch, to plain minors
 # of the matrix; these helpers are the tests' oracle for that statement.  The
-# minors go through ``EvaluationPoint.minor`` (``det_mod``), which
-# test_det_mod_against_naive_expansion checks against cofactor expansion.
+# minors are a plain ``det_mod`` of the submatrix, independent of the row
+# reduction behind ``EvaluationPoint.plucker``; test_det_mod_against_naive_expansion
+# checks ``det_mod`` against cofactor expansion.
 
 
 def unipotent_pattern(dims, n: int) -> list[list[bool]]:
@@ -208,4 +209,5 @@ def pattern_minor(point: EvaluationPoint, row_set) -> int:
     the function the lifted seed variables restrict to on the patch."""
     m = len(row_set)
     n = len(point.matrix[0])
-    return point.minor(row_set, range(n - m + 1, n + 1))
+    sub = [[point.matrix[r - 1][c - 1] for c in range(n - m + 1, n + 1)] for r in row_set]
+    return det_mod(sub, point.prime)

@@ -207,13 +207,23 @@ def _bad_value(data, case):
         data["arrows"].append(data["arrows"][0])
     elif case == "frozen":          # r1c1 -> r1c2 would be dropped
         data["arrows"].append([0, 1, 5])
-    else:                           # the same pair the other way round
+    elif case == "reversed":        # the same pair the other way round
         u, w, m = data["arrows"][0]
         data["arrows"].append([w, u, m])
+    else:                           # a tableau that disagrees with the weights
+        name, rows = {
+            "height": ("unit", [[1]]),              # a second column height
+            "columns": ("r2c2", [[1, 2], [3, 4]]),  # two columns, weight [1]
+            "empty": ("r2c2", []),                  # no column, weight [1]
+        }[case]
+        next(v for v in data["vertices"] if v["name"] == name)["tableau"] = rows
     return data
 
 
-@pytest.mark.parametrize("case", ["index", "multiplicity", "repeated", "frozen", "reversed"])
+@pytest.mark.parametrize(
+    "case",
+    ["index", "multiplicity", "repeated", "frozen", "reversed", "height", "columns", "empty"],
+)
 def test_seed_file_with_bad_values_is_usage_error(runner, tmp_path, case):
     gr = GrassmannianSeed(2, 4)
     data = seed_to_dict(gr.seed)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from clusterflag.plucker import (
     DEFAULT_PRIME,
@@ -286,6 +287,35 @@ def test_plucker_of_prefix_is_one_on_unipotent_points():
         assert pt.plucker(tuple(range(1, d + 1))) == 1
 
 
+def _oracle_matrices(prime: int):
+    rng = random.Random(prime % 1000)
+
+    def entry():
+        return 0 if rng.random() < 0.3 else rng.randrange(1, prime)
+
+    dense = [[entry() for _ in range(7)] for _ in range(4)]
+    zero_first_column = [[0] + row[1:] for row in dense]
+    multiple_row = dense[:2] + [[3 * x for x in dense[0]]] + dense[3:]
+    repeated_column = [row[:5] + [row[1], row[5]] for row in dense]
+    short_and_wide = [[entry() for _ in range(7)] for _ in range(2)]
+    return [dense, zero_first_column, multiple_row, repeated_column, short_and_wide]
+
+
+@pytest.mark.parametrize("prime", [7, DEFAULT_PRIME])
+def test_plucker_against_sympy_determinant(prime):
+    """Every P_I with |I| <= rows, against sympy's determinant mod p: pivots
+    past column 1, dependent rows, a repeated column, |I| below the row
+    count, and a second lookup answered from the memo."""
+    for matrix in _oracle_matrices(prime):
+        pt = EvaluationPoint(matrix, prime)
+        n = len(matrix[0])
+        for _ in range(2):
+            for m in range(len(matrix) + 1):
+                for index in itertools.combinations(range(1, n + 1), m):
+                    sub = sympy.Matrix(m, m, [matrix[r][c - 1] for r in range(m) for c in index])
+                    assert pt.plucker(index) == sub.det() % prime, (matrix, index)
+
+
 def test_unipotent_pattern_shape():
     free = unipotent_pattern((2, 4), 5)
     expected = [
@@ -309,6 +339,9 @@ def test_evaluation_point_bounds():
     pt = EvaluationPoint([[1, 2, 3], [0, 1, 4]], 7)
     with pytest.raises(PluckerError):
         pt.plucker((1, 2, 3))       # more rows than the matrix has
+    for index in ((2, 1), (1, 1), (0, 1), (1, 4)):
+        with pytest.raises(PluckerError):
+            pt.plucker(index)       # not strictly increasing within columns 1..3
     with pytest.raises(PluckerError):
         det_mod([[1, 2]], 7)
 
