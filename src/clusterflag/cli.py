@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
 
 import click
 
@@ -27,7 +26,9 @@ from .programs import (
     sh_program,
     verify_theorem,
 )
-from .quiver import LaurentError, LaurentExpr, Quiver, QuiverError, Seed, VariableState, Vertex
+from .quiver import (
+    LaurentError, LaurentExpr, Quiver, QuiverError, Seed, VariableState, Vertex, tableau_weight,
+)
 
 
 # -- serialization ------------------------------------------------------------
@@ -44,7 +45,7 @@ def seed_to_dict(seed: Seed) -> dict:
                 "name": v.name,
                 "frozen": v.frozen,
                 "tableau": [list(r) for r in st.tableau.rows],
-                "weight": list(st.weight),
+                "weight": list(tableau_weight(st.tableau, seed.heights)),
                 "laurent": sorted(
                     [list(exps), coeff] for exps, coeff in st.laurent.exponent_items()
                 ),
@@ -64,7 +65,7 @@ def seed_to_dict(seed: Seed) -> dict:
         )
     return {
         "schema": "clusterflag-seed/1",
-        "weight_rank": seed.weight_rank,
+        "weight_rank": len(seed.heights),
         "nvars": seed.nvars,
         "vertices": vertices,
         "arrows": sorted([u, w, m] for (u, w), m in seed.quiver.arrows.items()),
@@ -91,9 +92,19 @@ def _index(value) -> tuple[int, ...]:
     return idx
 
 
+def _terms(pairs, key, what: str) -> dict:
+    """A nonzero polynomial's terms, given as [monomial, coefficient] pairs
+    with each monomial read by ``key``; no monomial may repeat."""
+    terms = {key(mono): _typed(coeff, int, "coefficient") for mono, coeff in _typed(pairs, list, what)}
+    if not terms or len(terms) != len(pairs) or 0 in terms.values():
+        raise ValueError("%s must be nonzero, with distinct monomials" % what)
+    return terms
+
+
 def seed_from_dict(data: dict) -> Seed:
     """The seed a ``seed_to_dict`` snapshot describes; raises ValueError,
-    KeyError or TypeError on a malformed one."""
+    KeyError or TypeError on a malformed one, or on one whose ``weight_rank``
+    or weights are not those its tableaux give."""
     if type(data) is not dict or data.get("schema") != "clusterflag-seed/1":
         raise ValueError("unrecognized seed schema")
     nvars = _typed(data["nvars"], int, "nvars")
@@ -102,37 +113,34 @@ def seed_from_dict(data: dict) -> Seed:
     if sorted(_typed(e["position"], int, "position") for e in entries) != list(range(nvars)):
         raise ValueError("dictionary positions must be 0..%d" % (nvars - 1))
     dictionary = {
-        e["position"]: pk.PluckerPoly(
-            {tuple(_index(idx) for idx in _typed(mono, list, "monomial")):
-             _typed(coeff, int, "coefficient") for mono, coeff in _typed(e["terms"], list, "terms")}
-        )
+        e["position"]: pk.PluckerPoly(_terms(
+            e["terms"],
+            lambda mono: tuple(sorted(_index(idx) for idx in _typed(mono, list, "monomial"))),
+            "dictionary terms",
+        ))
         for e in entries
     }
     vertices = []
     variables = {}
+    weights = {}
     for v in _typed(data["vertices"], list, "vertices"):
         vid = _typed(v["id"], int, "vertex id")
         if vid in variables:
             raise ValueError("duplicate vertex id %d" % vid)
         vertices.append(Vertex(vid, _typed(v["name"], str, "name"), _typed(v["frozen"], bool, "frozen")))
         laurent = LaurentExpr(
-            nvars,
-            {_ints(exps, "exponent"): _typed(coeff, int, "coefficient")
-             for exps, coeff in _typed(v["laurent"], list, "laurent")},
+            nvars, _terms(v["laurent"], lambda exps: _ints(exps, "exponent"), "laurent terms")
         )
         tableau = tb.Tableau(_ints(r, "tableau entry") for r in _typed(v["tableau"], list, "tableau"))
-        weight = _ints(v["weight"], "weight")
-        if len(weight) != weight_rank:
-            raise ValueError("vertex %d has a weight of length %d, not %d" % (vid, len(weight), weight_rank))
-        variables[vid] = VariableState(laurent, tableau, weight)
+        variables[vid] = VariableState(laurent, tableau)
+        weights[vid] = _ints(v["weight"], "weight")
     if len({v.name for v in vertices}) != len(vertices):
         raise ValueError("vertex names must be distinct")
-    counts = {vid: Counter(map(len, st.tableau.columns())) for vid, st in variables.items()}
-    heights = sorted(set().union(*counts.values()))
+    heights = sorted({len(col) for st in variables.values() for col in st.tableau.columns()})
     if len(heights) != weight_rank:
         raise ValueError("tableaux use %d column heights, not weight_rank %d" % (len(heights), weight_rank))
     for vid, st in variables.items():
-        if tuple(counts[vid][h] for h in heights) != st.weight:
+        if tableau_weight(st.tableau, heights) != weights[vid]:
             raise ValueError("vertex %d: tableau columns by height do not match its weight" % vid)
     arrows = [_ints(arrow, "arrow entry") for arrow in _typed(data["arrows"], list, "arrows")]
     if len({frozenset(arrow[:2]) for arrow in arrows}) != len(arrows):
@@ -144,7 +152,7 @@ def seed_from_dict(data: dict) -> Seed:
         quiver.add_arrow(u, w, m)
         if quiver.is_frozen(u) and quiver.is_frozen(w):
             raise ValueError("arrow %d -> %d joins two frozen vertices" % (u, w))
-    return Seed(quiver, variables, dictionary, weight_rank)
+    return Seed(quiver, variables, dictionary, heights)
 
 
 def _tableau_brief(t: tb.Tableau) -> str:

@@ -259,13 +259,6 @@ def lift_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[PluckerPol
     return poly, tab
 
 
-def weight_of_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[int, ...]:
-    """Grading vector: coordinate j is 1 exactly when d_j lies in the set
-    and d_j + 1 does not."""
-    s = set(index_set)
-    return tuple(1 if (d in s and (d + 1) not in s) else 0 for d in flag.dims)
-
-
 def arrangement_vertices(arr: Arrangement):
     """Deterministic vertex layout: faces sorted by label, then one extra
     frozen vertex per flag level.  Returns (vertices, face_vertex, unit_vertex)."""
@@ -368,20 +361,14 @@ class FlagSeed:
         vertices, self.face_vertex, self.unit_vertex = arrangement_vertices(arr)
         quiver = build_flag_quiver(arr, vertices, self.face_vertex, self.unit_vertex)
 
-        entries = {}
-        for face in arr.faces:
-            entries[self.face_vertex[face.index_set]] = (
-                *lift_index_set(face.index_set, flag),
-                weight_of_index_set(face.index_set, flag),
-            )
-        for j, d in enumerate(flag.dims):
+        entries = {
+            self.face_vertex[face.index_set]: lift_index_set(face.index_set, flag)
+            for face in arr.faces
+        }
+        for d in flag.dims:
             prefix = range(1, d + 1)
-            entries[self.unit_vertex[d]] = (
-                PluckerPoly.variable(prefix),
-                tb.one_column(prefix),
-                tuple(1 if t == j else 0 for t in range(flag.k)),
-            )
-        self.seed = Seed.initial(quiver, entries, flag.k)
+            entries[self.unit_vertex[d]] = (PluckerPoly.variable(prefix), tb.one_column(prefix))
+        self.seed = Seed.initial(quiver, entries, flag.dims)
 
 
 class GrassmannianSeed:
@@ -404,12 +391,12 @@ class GrassmannianSeed:
                 vid = len(vertices)
                 idx = tuple(range(1, c)) + tuple(range(n - k + c - r + 1, n - r + 2))
                 vertices.append(Vertex(vid, "r%dc%d" % (r, c), r == 1 or c == 1))
-                entries[vid] = (PluckerPoly.variable(idx), tb.one_column(idx), (1,))
+                entries[vid] = (PluckerPoly.variable(idx), tb.one_column(idx))
                 self.grid[(r, c)] = vid
         self.extra_id = len(vertices)
         vertices.append(Vertex(self.extra_id, "unit", True))
         unit = range(1, k + 1)
-        entries[self.extra_id] = (PluckerPoly.variable(unit), tb.one_column(unit), (1,))
+        entries[self.extra_id] = (PluckerPoly.variable(unit), tb.one_column(unit))
 
         quiver = Quiver(vertices)
         for r in range(1, self.rows + 1):
@@ -422,7 +409,7 @@ class GrassmannianSeed:
                 if r > 1 and c > 1:
                     quiver.add_arrow(v, self.grid[(r - 1, c - 1)])
         quiver.add_arrow(self.grid[(self.rows, self.cols)], self.extra_id)
-        self.seed = Seed.initial(quiver, entries, 1)
+        self.seed = Seed.initial(quiver, entries, (k,))
 
     def vertex_at(self, r: int, c: int) -> int:
         try:
@@ -444,17 +431,15 @@ class GrassmannianSeed:
 
 def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:
     """The flag seed pushed into its target Grassmannian: polynomials get
-    phi-star applied and tableaux are padded to full height.  Laurent data,
-    weights and the quiver are unchanged."""
+    phi-star applied and tableaux are padded to height d_k, so the seed is
+    graded by degree.  Laurent data and the quiver are unchanged."""
     flag = flag_seed.flag
     seed = flag_seed.seed
     dictionary = {
         vid: phi_star(poly, flag.dims, flag.n) for vid, poly in seed.dictionary.items()
     }
     variables = {
-        vid: VariableState(
-            st.laurent, tb.fill_up(st.tableau, flag.dims, flag.n), st.weight
-        )
+        vid: VariableState(st.laurent, tb.fill_up(st.tableau, flag.dims, flag.n))
         for vid, st in seed.variables.items()
     }
-    return Seed(seed.quiver, variables, dictionary, seed.weight_rank)
+    return Seed(seed.quiver, variables, dictionary, (flag.dims[-1],))

@@ -131,7 +131,8 @@ class RunResult:
 
     endpoint: Seed              # after mutations and freezes, before deletion
     restricted: Seed | None
-    embedded: Seed
+    flag_seed: Seed             # the flag initial seed, graded by the flag dimensions
+    embedded: Seed              # the flag seed padded into the grid, graded by degree
     mapping: dict[int, int]     # flag vertex -> grid vertex (the kept vertices)
     match_problems: list[str]
     restrict_problem: str       # why ``restricted`` is None; "" when it is not
@@ -180,7 +181,8 @@ def run_program(gr: GrassmannianSeed, program: MutationProgram) -> RunResult:
             freeze_labels.append(gr.label_of(vid))
             seed = seed.freeze(vid)
 
-    embedded = embedded_flag_seed(FlagSeed(program.flag))
+    flag_seed = FlagSeed(program.flag)
+    embedded = embedded_flag_seed(flag_seed)
     mapping, problems = match_embedded_vertices(seed, embedded)
     kept = set(mapping.values())
 
@@ -198,6 +200,7 @@ def run_program(gr: GrassmannianSeed, program: MutationProgram) -> RunResult:
     return RunResult(
         endpoint=seed,
         restricted=restricted,
+        flag_seed=flag_seed.seed,
         embedded=embedded,
         mapping=mapping,
         match_problems=problems,
@@ -376,9 +379,9 @@ def _certify(report: Report) -> None:
     # the flag seed's own variables placed on the restricted quiver
     grading = Seed(
         restricted.quiver,
-        {g: result.embedded.variables[f] for f, g in result.mapping.items()},
-        result.embedded.dictionary,
-        flag.k,
+        {g: result.flag_seed.variables[f] for f, g in result.mapping.items()},
+        result.flag_seed.dictionary,
+        result.flag_seed.heights,
     ).is_balanced()
     report.add("restricted seed balanced for the flag grading", not grading, "; ".join(grading[:3]))
 

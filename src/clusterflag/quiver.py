@@ -1,18 +1,19 @@
 """Quivers, exact Laurent arithmetic, and seeds with synchronized tracks.
 
 A seed couples a quiver with one variable per vertex, and each variable is
-tracked three ways at once:
+tracked two ways at once:
 
 * ``laurent``: the exact Laurent expansion in the initial cluster (the
   positions of the seed the program started from),
-* ``tableau``: the combinatorial label (leading standard monomial),
-* ``weight``: an integer grading vector.
+* ``tableau``: the exact leading tableau (leading standard monomial).
 
+The grading is read off the tableau track: ``tableau_weight`` counts a
+tableau's columns of each height the seed grades by (``Seed.heights``).
 ``Seed.initial`` builds the seed a program starts from, vertex ``i``
 carrying the ``i``-th generator of the initial cluster.  Mutation updates
-all three tracks and fails loudly if the exchange is not an exact Laurent
-division or the grading is not balanced, so silent drift between the
-tracks is impossible.
+both tracks and fails loudly if the exchange is not weight-balanced or not
+an exact Laurent division, so silent drift between the tracks is
+impossible.
 
 ``Vertex``, ``VariableState``, ``Quiver`` and ``Seed`` values are never
 changed in place once built: ``mutate``, ``freeze`` (each of one vertex)
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import struct
 from typing import Iterable, Mapping, Sequence
 
 from . import tableaux as tb
@@ -150,13 +152,16 @@ class LaurentExpr:
         return not self.terms
 
     def exponent_items(self) -> list[tuple[tuple[int, ...], int]]:
-        """(exponent tuple, coefficient) for every term."""
+        """(exponent tuple, coefficient) for every term.  ``key ^ off`` holds
+        e in each field, or e + 2**15 where e < 0; setting such a field's top
+        bit too makes it e as a signed 16-bit field, so one unpack decodes a key."""
+        off = _offset(self.nvars)
+        size = 2 * self.nvars
+        unpack = struct.Struct("<%dh" % self.nvars).unpack
         items = []
         for key, coeff in self.terms.items():
-            exps = [0] * self.nvars
-            for pos, e in _nonzero_exponents(key, self.nvars):
-                exps[pos] = e
-            items.append((tuple(exps), coeff))
+            x = key ^ off
+            items.append((unpack((x | (x & off) << 1).to_bytes(size, "little")), coeff))
         return items
 
     def _same_ring(self, other: "LaurentExpr") -> None:
@@ -451,13 +456,25 @@ def quivers_agree(q1: Quiver, q2: Quiver, mapping: Mapping[int, int]) -> list[st
 # -- seeds --------------------------------------------------------------------
 
 
-class VariableState:
-    __slots__ = ("laurent", "tableau", "weight")
+def tableau_weight(tableau: tb.Tableau, heights: Sequence[int]) -> tuple[int, ...]:
+    """The grading of a variable, read off its tableau: entry j counts the
+    columns of height ``heights[j]``.  Row i is as long as the number of
+    columns of height at least i, so those counts are differences of row
+    lengths."""
+    rows = tableau.rows
+    depth = len(rows)
+    return tuple([
+        len(rows[h - 1]) - (len(rows[h]) if h < depth else 0) if h <= depth else 0
+        for h in heights
+    ])
 
-    def __init__(self, laurent: LaurentExpr, tableau: tb.Tableau, weight: tuple[int, ...]):
+
+class VariableState:
+    __slots__ = ("laurent", "tableau")
+
+    def __init__(self, laurent: LaurentExpr, tableau: tb.Tableau):
         self.laurent = laurent
         self.tableau = tableau
-        self.weight = weight
 
 
 class Seed:
@@ -466,8 +483,9 @@ class Seed:
     ``dictionary`` maps initial cluster positions to the polynomials the
     program started from; Laurent expansions of later variables are always
     taken with respect to these positions, also after freezing or deleting
-    vertices.  ``variables`` and ``dictionary`` are stored as given, not
-    copied, so the caller must not change them afterwards.
+    vertices.  ``heights`` are the column heights the grading counts (see
+    ``tableau_weight``).  ``variables`` and ``dictionary`` are stored as
+    given, not copied, so the caller must not change them afterwards.
     """
 
     def __init__(
@@ -475,26 +493,26 @@ class Seed:
         quiver: Quiver,
         variables: Mapping[int, VariableState],
         dictionary: Mapping[int, PluckerPoly],
-        weight_rank: int,
+        heights: Sequence[int],
     ):
         self.quiver = quiver
         self.variables = variables
         self.dictionary = dictionary
-        self.weight_rank = weight_rank
+        self.heights = tuple(heights)
         if set(self.variables) != set(quiver.vertices):
             raise QuiverError("variable per vertex required")
 
     @classmethod
-    def initial(cls, quiver: Quiver, entries: Mapping[int, tuple], weight_rank: int) -> "Seed":
+    def initial(cls, quiver: Quiver, entries: Mapping[int, tuple], heights: Sequence[int]) -> "Seed":
         """The seed a program starts from: ``entries[vid]`` is the
-        (polynomial, tableau, weight) of vertex ``vid``, whose variable is
-        the ``vid``-th generator of the initial cluster."""
+        (polynomial, tableau) of vertex ``vid``, whose variable is the
+        ``vid``-th generator of the initial cluster."""
         variables = {
-            vid: VariableState(LaurentExpr.generator(len(entries), vid), tab, weight)
-            for vid, (_, tab, weight) in entries.items()
+            vid: VariableState(LaurentExpr.generator(len(entries), vid), tab)
+            for vid, (_, tab) in entries.items()
         }
-        dictionary = {vid: poly for vid, (poly, _, _) in entries.items()}
-        return cls(quiver, variables, dictionary, weight_rank)
+        dictionary = {vid: poly for vid, (poly, _) in entries.items()}
+        return cls(quiver, variables, dictionary, heights)
 
     @property
     def nvars(self) -> int:
@@ -510,7 +528,7 @@ class Seed:
         return [vid for vid, v in self.quiver.vertices.items() if not v.frozen]
 
     def mutate(self, vid: int) -> "Seed":
-        """Mutate at a mutable vertex, updating all three variable tracks."""
+        """Mutate at a mutable vertex, updating both variable tracks."""
         if self.quiver.is_frozen(vid):
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
         state = self.variables[vid]
@@ -534,17 +552,16 @@ class Seed:
         new_state = VariableState(
             (prod_in + prod_out).exact_div(state.laurent),
             tb.tableau_mutation(state.tableau, [st.tableau for st in ins], [st.tableau for st in outs]),
-            tuple(a - b for a, b in zip(w_in, state.weight)),
         )
         return Seed(
             self.quiver.mutate(vid),
             {**self.variables, vid: new_state},
             self.dictionary,
-            self.weight_rank,
+            self.heights,
         )
 
     def freeze(self, vid: int) -> "Seed":
-        return Seed(self.quiver.freeze(vid), self.variables, self.dictionary, self.weight_rank)
+        return Seed(self.quiver.freeze(vid), self.variables, self.dictionary, self.heights)
 
     def restrict(self, keep: Iterable[int]) -> "Seed":
         keep_set = set(keep)
@@ -552,18 +569,20 @@ class Seed:
             self.quiver.restrict(keep_set),
             {vid: self.variables[vid] for vid in keep_set},
             self.dictionary,
-            self.weight_rank,
+            self.heights,
         )
 
     def exchange_weights(self, exchange: tuple[list, list]) -> tuple[list[int], list[int]]:
         """Sums of the variables' weights over the (ins, outs) pair of
         ``Quiver.exchange``, each arrow counted with its multiplicity; a
         vertex is balanced when the two agree."""
+        heights, variables = self.heights, self.variables
         sums = []
         for side in exchange:
-            total = [0] * self.weight_rank
+            total = [0] * len(heights)
             for u, m in side:
-                total = [a + m * b for a, b in zip(total, self.variables[u].weight)]
+                for j, w in enumerate(tableau_weight(variables[u].tableau, heights)):
+                    total[j] += m * w
             sums.append(total)
         return sums[0], sums[1]
 
@@ -589,22 +608,3 @@ class Seed:
                 raise ArithmeticError("initial variable %d vanishes at point" % pos)
             values[pos] = v
         return values
-
-
-def seeds_equal(s1: Seed, s2: Seed, mapping: Mapping[int, int]) -> list[str]:
-    """Compare two seeds under a vertex bijection: quiver shape, frozen
-    status, tableaux, and (when the grading ranks agree) weights.  Returns
-    mismatch descriptions, empty when the seeds agree."""
-    problems = quivers_agree(s1.quiver, s2.quiver, mapping)
-    if problems:
-        return problems
-    for vid, st in s1.variables.items():
-        other = s2.variables[mapping[vid]]
-        name = s1.quiver.vertices[vid].name
-        if st.tableau != other.tableau:
-            problems.append("tableau differs at %s" % name)
-        if s1.weight_rank == s2.weight_rank and st.weight != other.weight:
-            problems.append("weight differs at %s" % name)
-    return problems
-
-

@@ -7,10 +7,12 @@ the implementation rather than restate it.
 
 import itertools
 import random
+from collections import Counter
 
 from clusterflag.tableaux import Tableau, one_column, union
 from clusterflag.flags import FlagType
 from clusterflag.plucker import EvaluationPoint, det_mod
+from clusterflag.quiver import quivers_agree
 
 
 def random_column(rng: random.Random, n: int, max_height: int) -> Tableau:
@@ -149,6 +151,56 @@ def matrix_mutation_oracle(quiver, k: int) -> dict[tuple[int, int], int]:
             if entry > 0 and not (frozen[i] and frozen[j]):
                 out[i, j] = entry
     return out
+
+
+def seeds_equal(s1, s2, mapping) -> list[str]:
+    """Compare two seeds under a vertex bijection: quiver shape, frozen
+    status, grading heights and tableaux (equal tableaux under equal heights
+    carry equal weights).  Returns mismatch descriptions, empty when the
+    seeds agree."""
+    problems = quivers_agree(s1.quiver, s2.quiver, mapping)
+    if problems:
+        return problems
+    if s1.heights != s2.heights:
+        problems.append("graded by heights %s vs %s" % (s1.heights, s2.heights))
+    for vid, st in s1.variables.items():
+        if st.tableau != s2.variables[mapping[vid]].tableau:
+            problems.append("tableau differs at %s" % s1.quiver.vertices[vid].name)
+    return problems
+
+
+# -- the grading ------------------------------------------------------------------
+
+
+def weight_of_index_set(index_set, flag) -> tuple[int, ...]:
+    """Closed-form grading of the flag seed variable on a face label:
+    coordinate j is 1 exactly when d_j lies in the set and d_j + 1 does not."""
+    s = set(index_set)
+    return tuple(1 if (d in s and (d + 1) not in s) else 0 for d in flag.dims)
+
+
+def column_weight(tableau: Tableau, heights) -> tuple[int, ...]:
+    """Columns of the tableau counted by height, read column by column;
+    a column of any other height fails the assertion."""
+    counts = Counter(len(col) for col in tableau.columns())
+    assert set(counts) <= set(heights), (tableau, heights)
+    return tuple(counts[h] for h in heights)
+
+
+def laurent_grading_problems(state, initial_weights, heights) -> list:
+    """Terms of a variable's Laurent expansion whose weighted degree, the sum
+    of e_i * w_i over the initial variables i with weights w_i, differs from
+    its tableau's column weight.  The two tracks are computed independently,
+    so agreement links them."""
+    expect = column_weight(state.tableau, heights)
+    problems = []
+    for exps, _ in state.laurent.exponent_items():
+        degree = tuple(
+            sum(e * w[j] for e, w in zip(exps, initial_weights)) for j in range(len(heights))
+        )
+        if degree != expect:
+            problems.append((exps, degree, expect))
+    return problems
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -23,7 +23,6 @@ from clusterflag.programs import (
     region_parameters,
     verify_theorem,
 )
-from clusterflag.quiver import seeds_equal
 from clusterflag.tableaux import dominance_compare, quotient, union
 
 from support import (
@@ -34,6 +33,7 @@ from support import (
     random_quiver,
     random_tableau,
     random_unipotent_point,
+    seeds_equal,
     two_row_tableaux,
 )
 
@@ -178,7 +178,7 @@ def test_criterion_5a_mutation_involution():
         vid = rng.choice([v for v, vx in q.vertices.items() if not vx.frozen])
         assert q.mutate(vid).mutate(vid) == q
         pairs += 1
-    # full three-track involutions on honest seeds
+    # full two-track involutions on honest seeds
     for k, n in [(2, 6), (3, 6), (3, 7)]:
         gr = GrassmannianSeed(k, n)
         seed = gr.seed

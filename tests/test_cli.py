@@ -1,5 +1,6 @@
 """Command line front end: construction, presets, verification, translation."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import clusterflag.cli as cli
 from clusterflag.cli import main, seed_from_dict, seed_to_dict, seed_to_dot
 from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed
 from clusterflag.programs import MutationProgram, general_flag_program
-from clusterflag.quiver import seeds_equal
 from clusterflag.tableaux import one_column
+
+from support import seeds_equal
 
 
 @pytest.fixture()
@@ -38,6 +40,26 @@ def test_seed_json_round_trip():
         for vid in seed.quiver.vertices:
             assert back.variables[vid].laurent == seed.variables[vid].laurent
         assert back.dictionary == seed.dictionary
+
+
+# sha256 of the output of seed, mutate and run commands; the flag seeds are
+# graded by several column heights (weight_rank >= 2), which the benchmark
+# goldens never see.  The JSON snapshot format is pinned byte for byte.
+_OUTPUT_DIGESTS = {
+    "seed --flag 6,2,4": "9cc7e1232bbf4ea24a93bd98abd057e9c665fae799ae991c607c7e6b0aca7047",
+    "seed --flag 7,1,3,5": "0aa4c293c19a2ee3c49e8f941c7e8d36a159c2b33482074141deec993fa36e18",
+    "seed --gr 3,7": "613cece3ab7a2d15ba57925a1351898b4fcd58c8a01ba7bc8c98565feaa8c6dd",
+    "mutate --flag 6,2,4 --at F{4}": "708103359bbf867554b123b0e666e7639b0623945630cb10600d0a6b6c5e7ed7",
+    "mutate --flag 6,2,4 --at F{4},1,3,5,F{4}": "98e3ba8f20a19b5a60e61331a022ee595fefbe794c610214ae6ee851e672281e",
+    "run --flag 7,2,4 --export json": "e3a01559ac8f14606d594632a1b25ff36e2e827437107eced1f4fb6a997a4090",
+}
+
+
+@pytest.mark.parametrize("command", list(_OUTPUT_DIGESTS))
+def test_seed_json_output_is_pinned(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == _OUTPUT_DIGESTS[command]
 
 
 def test_seed_from_dict_rejects_unknown_schema():
@@ -210,6 +232,16 @@ def _bad_value(data, case):
     elif case == "reversed":        # the same pair the other way round
         u, w, m = data["arrows"][0]
         data["arrows"].append([w, u, m])
+    elif case == "repeated-exponent":   # would load as 5 x, the last copy
+        unit = next(v for v in data["vertices"] if v["name"] == "unit")
+        unit["laurent"].append([unit["laurent"][0][0], 5])
+    elif case == "repeated-monomial":   # one monomial, its factors in either order
+        data["dictionary"][0]["terms"] += [[[[1, 2], [3, 4]], 1], [[[3, 4], [1, 2]], 1]]
+    elif case == "zero-variable":       # no terms: the variable 0
+        next(v for v in data["vertices"] if v["name"] == "r2c2")["laurent"] = []
+    elif case == "zero-coefficient":
+        r2c2 = next(v for v in data["vertices"] if v["name"] == "r2c2")
+        r2c2["laurent"].append([[0] * data["nvars"], 0])
     else:                           # a tableau that disagrees with the weights
         name, rows = {
             "height": ("unit", [[1]]),              # a second column height
@@ -222,7 +254,10 @@ def _bad_value(data, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["index", "multiplicity", "repeated", "frozen", "reversed", "height", "columns", "empty"],
+    [
+        "index", "multiplicity", "repeated", "frozen", "reversed", "height", "columns", "empty",
+        "repeated-exponent", "repeated-monomial", "zero-variable", "zero-coefficient",
+    ],
 )
 def test_seed_file_with_bad_values_is_usage_error(runner, tmp_path, case):
     gr = GrassmannianSeed(2, 4)

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -17,7 +16,6 @@ from clusterflag.flags import (
     initial_index_sets,
     lift_index_set,
     sigma_draw,
-    weight_of_index_set,
 )
 from clusterflag.plucker import (
     DEFAULT_PRIME,
@@ -26,10 +24,18 @@ from clusterflag.plucker import (
     phi_star,
 )
 from clusterflag.programs import general_flag_program
-from clusterflag.quiver import seeds_equal
+from clusterflag.quiver import tableau_weight
 from clusterflag.tableaux import fill_up, initial_tableau, interval_index_set, one_column
 
-from support import all_flag_types, pattern_minor, random_unipotent_point
+from support import (
+    all_flag_types,
+    column_weight,
+    laurent_grading_problems,
+    pattern_minor,
+    random_unipotent_point,
+    seeds_equal,
+    weight_of_index_set,
+)
 
 
 # -- flag types ---------------------------------------------------------------
@@ -126,6 +132,7 @@ def test_lift_index_set():
 
 
 def test_weight_of_index_set():
+    """Hand-worked values of the closed-form oracle in ``support``."""
     flag = FlagType((2, 4), 6)
     assert weight_of_index_set((2,), flag) == (1, 0)
     assert weight_of_index_set((1, 2, 4), flag) == (1, 1)
@@ -152,8 +159,28 @@ def test_unit_vertices_carry_prefix_columns():
         vid = fs.unit_vertex[d]
         st = fs.seed.variables[vid]
         assert st.tableau == one_column(range(1, d + 1))
-        assert st.weight == tuple(1 if t == j else 0 for t in range(2))
+        assert tableau_weight(st.tableau, fs.seed.heights) == ((1, 0) if j == 0 else (0, 1))
         assert fs.seed.quiver.vertices[vid].frozen
+
+
+def test_flag_seed_weights_match_closed_form():
+    """The weight read off each tableau equals the closed form of its face
+    label, and each unit vertex E_d has weight 1 at level d only."""
+    checked = 0
+    for flag in all_flag_types(7, 6):
+        fs = FlagSeed(flag)
+        assert fs.seed.heights == flag.dims
+        expect = {
+            fs.face_vertex[f.index_set]: weight_of_index_set(f.index_set, flag)
+            for f in fs.arrangement.faces
+        }
+        for j, d in enumerate(flag.dims):
+            expect[fs.unit_vertex[d]] = tuple(int(t == j) for t in range(flag.k))
+        assert expect.keys() == fs.seed.variables.keys()
+        for vid, st in fs.seed.variables.items():
+            assert tableau_weight(st.tableau, fs.seed.heights) == expect[vid], (flag, vid)
+            checked += 1
+    assert checked > 1000
 
 
 def test_flag_seed_dictionary_matches_unipotent_minors():
@@ -233,42 +260,51 @@ def test_grassmannian_seed_balance_sweep():
             assert len(frozen) == gr.rows + gr.cols            # row 1, col 1, unit
 
 
-# -- tableau columns against weights --------------------------------------------------
+# -- the Laurent track graded by the tableau track ----------------------------------
+#
+# Each initial variable i carries a weight w_i, so every Laurent monomial has
+# a weighted degree sum e_i * w_i.  A mutated variable is homogeneous, and its
+# degree is the weight its tableau gives: every term of its expansion must
+# have that degree.
 
 
-def assert_columns_match_weights(seed, dims):
-    """Each tableau is the exact leading tableau of its variable: it has
-    weight[j] columns of height dims[j] and no other columns."""
-    for vid, st in seed.variables.items():
-        heights = dict(Counter(len(col) for col in st.tableau.columns()))
-        assert heights == {d: w for d, w in zip(dims, st.weight) if w}, (
-            seed.quiver.vertices[vid].name, st.tableau, st.weight,
-        )
-
-
-def test_grid_program_keeps_columns_matching_weights():
+def test_grid_program_laurent_terms_have_tableau_weight():
+    mutated = 0
     for flag in all_flag_types(7, 6):
         gr = GrassmannianSeed(*flag.target_grassmannian)
+        heights = (gr.k,)
         seed = gr.seed
-        assert seed.weight_rank == 1
-        assert_columns_match_weights(seed, (gr.k,))
+        initial = [(1,)] * seed.nvars       # every grid variable is one Plucker coordinate
         for step in general_flag_program(flag).mutations:
-            seed = seed.mutate(gr.vertex_at(step.row, step.col))
-            assert_columns_match_weights(seed, (gr.k,))
+            vid = gr.vertex_at(step.row, step.col)
+            seed = seed.mutate(vid)
+            st = seed.variables[vid]
+            assert laurent_grading_problems(st, initial, heights) == [], (flag, step)
+            assert tableau_weight(st.tableau, seed.heights) == column_weight(st.tableau, heights)
+            mutated += 1
+    assert mutated == 472
 
 
-def test_flag_seed_walks_keep_columns_matching_weights():
+def test_flag_seed_walks_laurent_terms_have_tableau_weight():
     rng = random.Random(808)
     walked = 0
     for flag in all_flag_types(6, 5):
-        seed = FlagSeed(flag).seed
-        assert_columns_match_weights(seed, flag.dims)
+        fs = FlagSeed(flag)
+        seed = fs.seed
+        initial = [None] * seed.nvars
+        for face in fs.arrangement.faces:
+            initial[fs.face_vertex[face.index_set]] = weight_of_index_set(face.index_set, flag)
+        for j, d in enumerate(flag.dims):
+            initial[fs.unit_vertex[d]] = tuple(int(t == j) for t in range(flag.k))
         mutable = seed.mutable_ids()
         for _ in range(20 if mutable else 0):
-            seed = seed.mutate(rng.choice(mutable))
-            assert_columns_match_weights(seed, flag.dims)
+            vid = rng.choice(mutable)
+            seed = seed.mutate(vid)
+            st = seed.variables[vid]
+            assert laurent_grading_problems(st, initial, flag.dims) == [], (flag, vid)
+            assert tableau_weight(st.tableau, seed.heights) == column_weight(st.tableau, flag.dims)
             walked += 1
-    assert walked >= 900
+    assert walked == 960
 
 
 # -- the embedded flag seed ------------------------------------------------------------
@@ -283,7 +319,10 @@ def test_embedded_flag_seed():
         plain = fs.seed.variables[vid]
         assert st.tableau == fill_up(plain.tableau, flag.dims, flag.n)
         assert st.tableau.num_rows == 4
-        assert st.weight == plain.weight
+        # degree-graded: the weight is the column count, the sum of the flag weight
+        assert emb.heights == (4,)
+        degree = sum(column_weight(plain.tableau, flag.dims))
+        assert tableau_weight(st.tableau, emb.heights) == (degree,)
         assert st.laurent == plain.laurent
         assert emb.dictionary[vid] == phi_star(
             fs.seed.dictionary[vid], flag.dims, flag.n

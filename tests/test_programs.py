@@ -22,10 +22,10 @@ from clusterflag.programs import (
     standard_form_tableau,
     verify_theorem,
 )
-from clusterflag.quiver import Seed, seeds_equal
+from clusterflag.quiver import Seed
 from clusterflag.tableaux import Tableau, fill_up
 
-from support import all_flag_types
+from support import all_flag_types, seeds_equal
 
 
 # -- schedule shapes -----------------------------------------------------------
@@ -331,7 +331,7 @@ def test_mutant_flip_grid_arrow(monkeypatch):
         quiver = gr.seed.quiver.copy()
         assert not quiver.is_frozen(u) and not quiver.is_frozen(w)
         quiver.arrows[(w, u)] = quiver.arrows.pop((u, w))
-        gr.seed = Seed(quiver, gr.seed.variables, gr.seed.dictionary, gr.seed.weight_rank)
+        gr.seed = Seed(quiver, gr.seed.variables, gr.seed.dictionary, gr.seed.heights)
         return gr
 
     monkeypatch.setattr(programs, "GrassmannianSeed", flipped)
@@ -346,7 +346,7 @@ def test_mutant_flag_lift_coefficient(monkeypatch):
         vid, poly = next((v, p) for v, p in emb.dictionary.items() if len(p.terms) > 1)
         mono = next(iter(poly.terms))
         dictionary = {**emb.dictionary, vid: poly + PluckerPoly({mono: 1})}
-        return Seed(emb.quiver, emb.variables, dictionary, emb.weight_rank)
+        return Seed(emb.quiver, emb.variables, dictionary, emb.heights)
 
     monkeypatch.setattr(programs, "embedded_flag_seed", bumped)
     assert list(failed_checks(FlagType((2, 4), 6))) == [VALUES]

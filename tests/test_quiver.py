@@ -1,4 +1,4 @@
-"""Laurent arithmetic, quiver mutation, and the three-track seed."""
+"""Laurent arithmetic, quiver mutation, and the two-track seed."""
 
 import functools
 import random
@@ -6,6 +6,7 @@ import random
 import pytest
 
 from clusterflag.quiver import (
+    MAX_EXPONENT,
     LaurentError,
     LaurentExpr,
     Quiver,
@@ -14,14 +15,14 @@ from clusterflag.quiver import (
     VariableState,
     Vertex,
     quivers_agree,
-    seeds_equal,
+    tableau_weight,
 )
 from clusterflag.cli import seed_to_dict
 from clusterflag.flags import GrassmannianSeed
 from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, random_matrix_point
-from clusterflag.tableaux import one_column
+from clusterflag.tableaux import from_columns, one_column
 
-from support import matrix_mutation_oracle, random_quiver
+from support import matrix_mutation_oracle, random_quiver, seeds_equal
 
 
 def rand_laurent(rng: random.Random, nvars: int, nterms: int = 3) -> LaurentExpr:
@@ -43,6 +44,17 @@ def test_laurent_basics():
     two_xy = LaurentExpr(2, {(1, 1): 2})
     assert x * y + y * x == two_xy
     assert LaurentExpr.constant(2, 1) * x == x
+
+
+def test_exponent_items_return_the_constructor_terms():
+    rng = random.Random(6)
+    for nvars in (0, 1, 2, 5, 40):
+        terms = {}
+        for _ in range(30):
+            values = (-MAX_EXPONENT, -1, 0, 1, MAX_EXPONENT, rng.randint(-MAX_EXPONENT, MAX_EXPONENT))
+            exps = tuple(rng.choice(values) for _ in range(nvars))
+            terms[exps] = rng.randint(-9, 9) or 1
+        assert dict(LaurentExpr(nvars, terms).exponent_items()) == terms
 
 
 def test_laurent_ring_identities():
@@ -212,9 +224,11 @@ def test_quivers_agree_under_relabeling():
 # -- seeds ----------------------------------------------------------------------
 
 
-def toy_seed(last_weight=(1,)):
+def toy_seed(last_columns=1):
     """The square exchange by hand: mutable vertex 0 with arrows from two
-    frozen vertices and arrows to two more."""
+    frozen vertices and arrows to two more.  Vertex 4 carries its column
+    ``last_columns`` times, which is its weight under the grading by
+    height 2."""
     q = make_quiver(
         5, [(1, 0, 1), (2, 0, 1), (0, 3, 1), (0, 4, 1)], frozen=(1, 2, 3, 4)
     )
@@ -222,13 +236,12 @@ def toy_seed(last_weight=(1,)):
     variables = {
         i: VariableState(
             LaurentExpr.generator(5, i),
-            one_column(cols[i]),
-            last_weight if i == 4 else (1,),
+            from_columns([cols[i]] * (last_columns if i == 4 else 1)),
         )
         for i in range(5)
     }
     dictionary = {i: PluckerPoly.variable(tuple(cols[i])) for i in range(5)}
-    return Seed(q, variables, dictionary, 1)
+    return Seed(q, variables, dictionary, (2,))
 
 
 def test_seed_mutate_toy():
@@ -238,7 +251,7 @@ def test_seed_mutate_toy():
         5, {(-1, 1, 1, 0, 0): 1, (-1, 0, 0, 1, 1): 1}
     )
     assert m.variables[0].tableau == one_column([2, 4])
-    assert m.variables[0].weight == (1,)
+    assert tableau_weight(m.variables[0].tableau, m.heights) == (1,)
     # reversed arrows; frozen-frozen composites are dropped
     assert m.quiver.arrows == {(0, 1): 1, (0, 2): 1, (3, 0): 1, (4, 0): 1}
     back = m.mutate(0)
@@ -247,8 +260,9 @@ def test_seed_mutate_toy():
 
 
 def test_seed_mutate_rejects_unbalanced():
-    s = toy_seed(last_weight=(2,))
-    with pytest.raises(QuiverError, match="weight-balanced"):
+    s = toy_seed(last_columns=2)
+    assert tableau_weight(s.variables[4].tableau, s.heights) == (2,)
+    with pytest.raises(QuiverError, match=r"not weight-balanced: \[2\] vs \[3\]"):
         s.mutate(0)
 
 
@@ -287,7 +301,7 @@ def test_derived_seeds_leave_source_unchanged():
 def test_seed_requires_variable_per_vertex():
     s = toy_seed()
     with pytest.raises(QuiverError):
-        Seed(s.quiver, {0: s.variables[0]}, s.dictionary, 1)
+        Seed(s.quiver, {0: s.variables[0]}, s.dictionary, s.heights)
 
 
 def test_grassmannian_square_exchange_values():
@@ -316,8 +330,8 @@ def test_grassmannian_square_exchange_values():
 
 
 def test_seed_involution_walks():
-    """Random mutation walks on small grids: mutating back restores all
-    three tracks exactly."""
+    """Random mutation walks on small grids: mutating back restores both
+    tracks exactly."""
     rng = random.Random(23)
     for k, n in [(2, 5), (2, 6), (3, 6)]:
         gr = GrassmannianSeed(k, n)
