@@ -136,12 +136,6 @@ def seed_from_dict(data: dict) -> Seed:
         weights[vid] = _ints(v["weight"], "weight")
     if len({v.name for v in vertices}) != len(vertices):
         raise ValueError("vertex names must be distinct")
-    heights = sorted({len(col) for st in variables.values() for col in st.tableau.columns()})
-    if len(heights) != weight_rank:
-        raise ValueError("tableaux use %d column heights, not weight_rank %d" % (len(heights), weight_rank))
-    for vid, st in variables.items():
-        if tableau_weight(st.tableau, heights) != weights[vid]:
-            raise ValueError("vertex %d: tableau columns by height do not match its weight" % vid)
     arrows = [_ints(arrow, "arrow entry") for arrow in _typed(data["arrows"], list, "arrows")]
     if len({frozenset(arrow[:2]) for arrow in arrows}) != len(arrows):
         raise ValueError("two arrows join the same pair of vertices")
@@ -152,7 +146,13 @@ def seed_from_dict(data: dict) -> Seed:
         quiver.add_arrow(u, w, m)
         if quiver.is_frozen(u) and quiver.is_frozen(w):
             raise ValueError("arrow %d -> %d joins two frozen vertices" % (u, w))
-    return Seed(quiver, variables, dictionary, heights)
+    seed = Seed(quiver, variables, dictionary)
+    if len(seed.heights) != weight_rank:
+        raise ValueError("tableaux use %d column heights, not weight_rank %d" % (len(seed.heights), weight_rank))
+    for vid, st in variables.items():
+        if tableau_weight(st.tableau, seed.heights) != weights[vid]:
+            raise ValueError("vertex %d: tableau columns by height do not match its weight" % vid)
+    return seed
 
 
 def _tableau_brief(t: tb.Tableau) -> str:

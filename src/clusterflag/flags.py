@@ -368,7 +368,7 @@ class FlagSeed:
         for d in flag.dims:
             prefix = range(1, d + 1)
             entries[self.unit_vertex[d]] = (PluckerPoly.variable(prefix), tb.one_column(prefix))
-        self.seed = Seed.initial(quiver, entries, flag.dims)
+        self.seed = Seed.initial(quiver, entries)
 
 
 class GrassmannianSeed:
@@ -409,7 +409,7 @@ class GrassmannianSeed:
                 if r > 1 and c > 1:
                     quiver.add_arrow(v, self.grid[(r - 1, c - 1)])
         quiver.add_arrow(self.grid[(self.rows, self.cols)], self.extra_id)
-        self.seed = Seed.initial(quiver, entries, (k,))
+        self.seed = Seed.initial(quiver, entries)
 
     def vertex_at(self, r: int, c: int) -> int:
         try:
@@ -442,4 +442,4 @@ def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:
         vid: VariableState(st.laurent, tb.fill_up(st.tableau, flag.dims, flag.n))
         for vid, st in seed.variables.items()
     }
-    return Seed(seed.quiver, variables, dictionary, (flag.dims[-1],))
+    return Seed(seed.quiver, variables, dictionary)

@@ -381,7 +381,6 @@ def _certify(report: Report) -> None:
         restricted.quiver,
         {g: result.flag_seed.variables[f] for f, g in result.mapping.items()},
         result.flag_seed.dictionary,
-        result.flag_seed.heights,
     ).is_balanced()
     report.add("restricted seed balanced for the flag grading", not grading, "; ".join(grading[:3]))
 

@@ -7,12 +7,13 @@ tracked two ways at once:
   positions of the seed the program started from),
 * ``tableau``: the exact leading tableau (leading standard monomial).
 
-The grading is read off the tableau track: ``tableau_weight`` counts a
-tableau's columns of each height the seed grades by (``Seed.heights``).
-``Seed.initial`` builds the seed a program starts from, vertex ``i``
-carrying the ``i``-th generator of the initial cluster.  Mutation updates
-both tracks and fails loudly if the exchange is not weight-balanced or not
-an exact Laurent division, so silent drift between the tracks is
+The grading is read off the tableau track: a seed is graded by the column
+heights of its own tableaux (``Seed.heights``), and ``tableau_weight``
+counts a tableau's columns of each.  ``Seed.initial`` builds the seed a
+program starts from, vertex ``i`` carrying the ``i``-th generator of the
+initial cluster.  Mutation updates the tableau track first, whose shape
+test is the exchange's one weight-balance check, then fails loudly if the
+Laurent division is not exact, so silent drift between the tracks is
 impossible.
 
 ``Vertex``, ``VariableState``, ``Quiver`` and ``Seed`` values are never
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import heapq
 import struct
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from . import tableaux as tb
@@ -80,19 +82,21 @@ def _envelope(keys: Iterable[int], guard: int) -> tuple[int, int]:
     return low, high
 
 
-def _nonzero_exponents(key: int, nvars: int) -> tuple[tuple[int, int], ...]:
-    """(position, exponent) for each nonzero exponent of a key."""
-    x = key ^ _offset(nvars)                # zero exactly in the zero exponents
-    out = []
-    pos = 0
-    while x:
-        skip = ((x & -x).bit_length() - 1) // _FIELD_BITS
-        x >>= skip * _FIELD_BITS
-        pos += skip
-        out.append((pos, ((x & _FIELD_MASK) ^ _BIAS) - _BIAS))
-        x >>= _FIELD_BITS
-        pos += 1
-    return tuple(out)
+@functools.cache
+def _decoder(nvars: int):
+    """The function taking a key in ``nvars`` variables to its exponent
+    tuple.  ``key ^ off`` holds e in each field, or e + 2**15 where e < 0;
+    setting such a field's top bit too makes it e as a signed 16-bit field,
+    so one unpack decodes a key."""
+    off = _offset(nvars)
+    size = 2 * nvars
+    unpack = struct.Struct("<%dh" % nvars).unpack
+
+    def decode(key: int) -> tuple[int, ...]:
+        x = key ^ off
+        return unpack((x | (x & off) << 1).to_bytes(size, "little"))
+
+    return decode
 
 
 class LaurentExpr:
@@ -152,17 +156,9 @@ class LaurentExpr:
         return not self.terms
 
     def exponent_items(self) -> list[tuple[tuple[int, ...], int]]:
-        """(exponent tuple, coefficient) for every term.  ``key ^ off`` holds
-        e in each field, or e + 2**15 where e < 0; setting such a field's top
-        bit too makes it e as a signed 16-bit field, so one unpack decodes a key."""
-        off = _offset(self.nvars)
-        size = 2 * self.nvars
-        unpack = struct.Struct("<%dh" % self.nvars).unpack
-        items = []
-        for key, coeff in self.terms.items():
-            x = key ^ off
-            items.append((unpack((x | (x & off) << 1).to_bytes(size, "little")), coeff))
-        return items
+        """(exponent tuple, coefficient) for every term."""
+        decode = _decoder(self.nvars)
+        return [(decode(key), coeff) for key, coeff in self.terms.items()]
 
     def _same_ring(self, other: "LaurentExpr") -> None:
         if other.nvars != self.nvars:
@@ -235,10 +231,8 @@ class LaurentExpr:
         den_lo, den_hi = _envelope(other.terms, guard)
         lo_key = num_lo - den_lo + off
         hi_key = num_hi - den_hi + off
-        bound = max(
-            [abs(e) for key in (lo_key, hi_key) for _, e in _nonzero_exponents(key, n)],
-            default=0,
-        )
+        decode = _decoder(n)
+        bound = max(map(abs, decode(lo_key) + decode(hi_key)), default=0)
         if bound > MAX_EXPONENT:
             raise LaurentError("quotient exponents may pass +-%d" % MAX_EXPONENT)
         hi_key |= guard                     # for the box check below
@@ -284,8 +278,8 @@ class LaurentExpr:
         """Evaluate at nonzero residues ``values`` modulo ``prime``."""
         if self._sparse is None:
             self._sparse = [
-                (coeff, _nonzero_exponents(key, self.nvars))
-                for key, coeff in self.terms.items()
+                (coeff, tuple(compress(enumerate(exps), exps)))
+                for exps, coeff in self.exponent_items()
             ]
         total = 0
         powers: dict[tuple[int, int], int] = {}
@@ -416,15 +410,6 @@ class Quiver:
         }
         return q
 
-    def __eq__(self, other):
-        if not isinstance(other, Quiver):
-            return NotImplemented
-        return (
-            set(self.vertices) == set(other.vertices)
-            and all(self.vertices[v].frozen == other.vertices[v].frozen for v in self.vertices)
-            and self.arrows == other.arrows
-        )
-
 
 def quivers_agree(q1: Quiver, q2: Quiver, mapping: Mapping[int, int]) -> list[str]:
     """Compare two quivers under a vertex bijection; returns mismatch
@@ -483,9 +468,8 @@ class Seed:
     ``dictionary`` maps initial cluster positions to the polynomials the
     program started from; Laurent expansions of later variables are always
     taken with respect to these positions, also after freezing or deleting
-    vertices.  ``heights`` are the column heights the grading counts (see
-    ``tableau_weight``).  ``variables`` and ``dictionary`` are stored as
-    given, not copied, so the caller must not change them afterwards.
+    vertices.  ``variables`` and ``dictionary`` are stored as given, not
+    copied, so the caller must not change them afterwards.
     """
 
     def __init__(
@@ -493,17 +477,15 @@ class Seed:
         quiver: Quiver,
         variables: Mapping[int, VariableState],
         dictionary: Mapping[int, PluckerPoly],
-        heights: Sequence[int],
     ):
         self.quiver = quiver
         self.variables = variables
         self.dictionary = dictionary
-        self.heights = tuple(heights)
         if set(self.variables) != set(quiver.vertices):
             raise QuiverError("variable per vertex required")
 
     @classmethod
-    def initial(cls, quiver: Quiver, entries: Mapping[int, tuple], heights: Sequence[int]) -> "Seed":
+    def initial(cls, quiver: Quiver, entries: Mapping[int, tuple]) -> "Seed":
         """The seed a program starts from: ``entries[vid]`` is the
         (polynomial, tableau) of vertex ``vid``, whose variable is the
         ``vid``-th generator of the initial cluster."""
@@ -512,7 +494,15 @@ class Seed:
             for vid, (_, tab) in entries.items()
         }
         dictionary = {vid: poly for vid, (poly, _) in entries.items()}
-        return cls(quiver, variables, dictionary, heights)
+        return cls(quiver, variables, dictionary)
+
+    @functools.cached_property
+    def heights(self) -> tuple[int, ...]:
+        """The column heights of the seed's tableaux, ascending: the heights
+        its grading counts (see ``tableau_weight``)."""
+        return tuple(sorted({
+            len(col) for st in self.variables.values() for col in st.tableau.columns()
+        }))
 
     @property
     def nvars(self) -> int:
@@ -528,40 +518,38 @@ class Seed:
         return [vid for vid, v in self.quiver.vertices.items() if not v.frozen]
 
     def mutate(self, vid: int) -> "Seed":
-        """Mutate at a mutable vertex, updating both variable tracks."""
+        """Mutate at a mutable vertex, updating both variable tracks.  The
+        tableau update runs first: its shape test is the balance check, so
+        an unbalanced exchange does no Laurent work."""
         if self.quiver.is_frozen(vid):
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
         state = self.variables[vid]
-        exchange = self.quiver.exchange(vid)
-        w_in, w_out = self.exchange_weights(exchange)
-        if w_in != w_out:
+        # neighbor states, each repeated by its arrow multiplicity
+        ins, outs = (
+            [self.variables[u] for u, m in side for _ in range(m)]
+            for side in self.quiver.exchange(vid)
+        )
+        try:
+            tableau = tb.tableau_mutation(
+                state.tableau, [st.tableau for st in ins], [st.tableau for st in outs]
+            )
+        except tb.UnbalancedExchange as exc:
+            w_in, w_out = (list(tableau_weight(u, self.heights)) for u in exc.unions)
             raise QuiverError(
                 "exchange at %s is not weight-balanced: %s vs %s"
                 % (self.quiver.vertices[vid].name, w_in, w_out)
-            )
+            ) from None
 
-        # neighbor states, each repeated by its arrow multiplicity
-        ins, outs = (
-            [self.variables[u] for u, m in side for _ in range(m)] for side in exchange
-        )
         prod_in = prod_out = LaurentExpr.constant(state.laurent.nvars, 1)
         for st in ins:
             prod_in = prod_in * st.laurent
         for st in outs:
             prod_out = prod_out * st.laurent
-        new_state = VariableState(
-            (prod_in + prod_out).exact_div(state.laurent),
-            tb.tableau_mutation(state.tableau, [st.tableau for st in ins], [st.tableau for st in outs]),
-        )
-        return Seed(
-            self.quiver.mutate(vid),
-            {**self.variables, vid: new_state},
-            self.dictionary,
-            self.heights,
-        )
+        new_state = VariableState((prod_in + prod_out).exact_div(state.laurent), tableau)
+        return Seed(self.quiver.mutate(vid), {**self.variables, vid: new_state}, self.dictionary)
 
     def freeze(self, vid: int) -> "Seed":
-        return Seed(self.quiver.freeze(vid), self.variables, self.dictionary, self.heights)
+        return Seed(self.quiver.freeze(vid), self.variables, self.dictionary)
 
     def restrict(self, keep: Iterable[int]) -> "Seed":
         keep_set = set(keep)
@@ -569,32 +557,26 @@ class Seed:
             self.quiver.restrict(keep_set),
             {vid: self.variables[vid] for vid in keep_set},
             self.dictionary,
-            self.heights,
         )
 
-    def exchange_weights(self, exchange: tuple[list, list]) -> tuple[list[int], list[int]]:
-        """Sums of the variables' weights over the (ins, outs) pair of
-        ``Quiver.exchange``, each arrow counted with its multiplicity; a
-        vertex is balanced when the two agree."""
-        heights, variables = self.heights, self.variables
-        sums = []
-        for side in exchange:
-            total = [0] * len(heights)
-            for u, m in side:
-                for j, w in enumerate(tableau_weight(variables[u].tableau, heights)):
-                    total[j] += m * w
-            sums.append(total)
-        return sums[0], sums[1]
-
     def is_balanced(self) -> list[str]:
-        """Weight balance at every mutable vertex; returns violations."""
+        """Weight balance at every mutable vertex: the weights of its in- and
+        out-neighbors, each arrow counted with its multiplicity, must sum
+        to the same vector.  Returns the violations."""
+        heights, variables = self.heights, self.variables
         problems = []
         for vid in self.mutable_ids():
-            w_in, w_out = self.exchange_weights(self.quiver.exchange(vid))
-            if w_in != w_out:
+            sums = []
+            for side in self.quiver.exchange(vid):
+                total = [0] * len(heights)
+                for u, m in side:
+                    for j, w in enumerate(tableau_weight(variables[u].tableau, heights)):
+                        total[j] += m * w
+                sums.append(total)
+            if sums[0] != sums[1]:
                 problems.append(
                     "vertex %s: incoming weight %s != outgoing weight %s"
-                    % (self.quiver.vertices[vid].name, w_in, w_out)
+                    % (self.quiver.vertices[vid].name, sums[0], sums[1])
                 )
         return problems
 

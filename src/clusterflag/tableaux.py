@@ -24,6 +24,15 @@ class TableauError(ValueError):
     pass
 
 
+class UnbalancedExchange(TableauError):
+    """The unions of an exchange's in- and out-tableaux differ in shape, so
+    the exchange is not weight-balanced."""
+
+    def __init__(self, u_in: Tableau, u_out: Tableau):
+        super().__init__("exchange unions differ in shape: %s vs %s" % (u_in.shape, u_out.shape))
+        self.unions = (u_in, u_out)
+
+
 class Tableau:
     """Immutable semistandard Young tableau stored as a tuple of rows."""
 
@@ -240,12 +249,14 @@ def tableau_mutation(t_r: Tableau, incoming: Sequence[Tableau], outgoing: Sequen
 
     Every tableau is the exact leading tableau of its variable, so the
     unions of the incoming and outgoing neighbor tableaux have the same
-    shape when the exchange is weight-balanced.  The dominance-larger union
-    is the leading term of the exchange, and dividing it by ``t_r`` yields
-    the new tableau.
+    shape exactly when the exchange is weight-balanced; ``UnbalancedExchange``
+    is raised when they do not.  The dominance-larger union is the leading
+    term of the exchange, and dividing it by ``t_r`` yields the new tableau.
     """
     u_in = union(*incoming)
     u_out = union(*outgoing)
+    if u_in.shape != u_out.shape:
+        raise UnbalancedExchange(u_in, u_out)
     cmp = dominance_compare(u_in, u_out)
     if cmp == "incomparable":
         raise TableauError(

@@ -153,16 +153,19 @@ def matrix_mutation_oracle(quiver, k: int) -> dict[tuple[int, int], int]:
     return out
 
 
+def quiver_differences(q1, q2) -> list[str]:
+    """``quivers_agree`` under the identity map of vertex ids: empty exactly
+    when the quivers have the same vertices, frozen status and arrows."""
+    return quivers_agree(q1, q2, {v: v for v in q1.vertices})
+
+
 def seeds_equal(s1, s2, mapping) -> list[str]:
     """Compare two seeds under a vertex bijection: quiver shape, frozen
-    status, grading heights and tableaux (equal tableaux under equal heights
-    carry equal weights).  Returns mismatch descriptions, empty when the
-    seeds agree."""
+    status and tableaux (equal tableaux give equal grading heights and equal
+    weights).  Returns mismatch descriptions, empty when the seeds agree."""
     problems = quivers_agree(s1.quiver, s2.quiver, mapping)
     if problems:
         return problems
-    if s1.heights != s2.heights:
-        problems.append("graded by heights %s vs %s" % (s1.heights, s2.heights))
     for vid, st in s1.variables.items():
         if st.tableau != s2.variables[mapping[vid]].tableau:
             problems.append("tableau differs at %s" % s1.quiver.vertices[vid].name)

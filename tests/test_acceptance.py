@@ -30,6 +30,7 @@ from support import (
     brute_dominance,
     check_semistandard,
     pattern_minor,
+    quiver_differences,
     random_quiver,
     random_tableau,
     random_unipotent_point,
@@ -176,7 +177,7 @@ def test_criterion_5a_mutation_involution():
     for _ in range(1000):
         q = random_quiver(rng)
         vid = rng.choice([v for v, vx in q.vertices.items() if not vx.frozen])
-        assert q.mutate(vid).mutate(vid) == q
+        assert quiver_differences(q.mutate(vid).mutate(vid), q) == []
         pairs += 1
     # full two-track involutions on honest seeds
     for k, n in [(2, 6), (3, 6), (3, 7)]:

@@ -1,6 +1,5 @@
 """Staircase arrangements, flag and Grassmannian initial seeds, embedding."""
 
-import itertools
 import random
 
 import pytest
@@ -23,15 +22,16 @@ from clusterflag.plucker import (
     laplace_initial_minor,
     phi_star,
 )
-from clusterflag.programs import general_flag_program
+from clusterflag.programs import general_flag_program, run_program
 from clusterflag.quiver import tableau_weight
-from clusterflag.tableaux import fill_up, initial_tableau, interval_index_set, one_column
+from clusterflag.tableaux import fill_up, initial_tableau, one_column
 
 from support import (
     all_flag_types,
     column_weight,
     laurent_grading_problems,
     pattern_minor,
+    quiver_differences,
     random_unipotent_point,
     seeds_equal,
     weight_of_index_set,
@@ -307,6 +307,28 @@ def test_flag_seed_walks_laurent_terms_have_tableau_weight():
     assert walked == 960
 
 
+def test_seed_heights_are_its_column_heights():
+    """A seed is graded by the column heights of its own tableaux: every
+    tableau's columns are counted (``column_weight`` asserts that), and every
+    height counts a column somewhere.  Checked on the grid, flag, embedded,
+    endpoint and restricted seeds of every flag type with n <= 6."""
+
+    def check(seed, expect):
+        assert seed.heights == expect
+        weights = [column_weight(st.tableau, seed.heights) for st in seed.variables.values()]
+        assert all(map(sum, zip(*weights))), (expect, weights)
+
+    for flag in all_flag_types(6, 5):
+        gr = GrassmannianSeed(*flag.target_grassmannian)
+        result = run_program(gr, general_flag_program(flag))
+        k = (flag.dims[-1],)
+        check(gr.seed, k)
+        check(result.flag_seed, flag.dims)
+        check(result.embedded, k)
+        check(result.endpoint, k)
+        check(result.restricted, k)
+
+
 # -- the embedded flag seed ------------------------------------------------------------
 
 
@@ -314,7 +336,7 @@ def test_embedded_flag_seed():
     flag = FlagType((2, 4), 6)
     fs = FlagSeed(flag)
     emb = embedded_flag_seed(fs)
-    assert emb.quiver == fs.seed.quiver
+    assert quiver_differences(emb.quiver, fs.seed.quiver) == []
     for vid, st in emb.variables.items():
         plain = fs.seed.variables[vid]
         assert st.tableau == fill_up(plain.tableau, flag.dims, flag.n)

@@ -24,7 +24,7 @@ from clusterflag.plucker import (
     random_matrix_point,
     sh_coordinate,
 )
-from clusterflag.tableaux import initial_tableau, interval_index_set
+from clusterflag.tableaux import initial_tableau
 
 from support import (
     pattern_minor,

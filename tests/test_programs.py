@@ -1,10 +1,10 @@
 """Mutation schedules, their execution, and the endpoint verification."""
 
 import itertools
-import random
 
 import pytest
 
+import clusterflag.flags as flags_module
 import clusterflag.programs as programs
 from clusterflag.flags import FlagError, FlagType, GrassmannianSeed, embedded_flag_seed
 from clusterflag.plucker import PluckerPoly
@@ -273,6 +273,7 @@ COUNT = "mutation count matches closed form"
 EXACT = "program executed with exact exchanges"
 CONTAIN = "endpoint tableaux contain the padded flag tableaux"
 DELETE = "deletion leaves a legal restricted seed"
+QUIVER = "restricted quiver equals the flag quiver"
 VALUES = "kept variables equal the lifted flag coordinates at 3 points"
 
 
@@ -331,13 +332,13 @@ def test_mutant_flip_grid_arrow(monkeypatch):
         quiver = gr.seed.quiver.copy()
         assert not quiver.is_frozen(u) and not quiver.is_frozen(w)
         quiver.arrows[(w, u)] = quiver.arrows.pop((u, w))
-        gr.seed = Seed(quiver, gr.seed.variables, gr.seed.dictionary, gr.seed.heights)
+        gr.seed = Seed(quiver, gr.seed.variables, gr.seed.dictionary)
         return gr
 
     monkeypatch.setattr(programs, "GrassmannianSeed", flipped)
     failed = failed_checks(FlagType((2, 4), 6))
     assert list(failed) == [EXACT]
-    assert "not weight-balanced" in failed[EXACT]
+    assert failed[EXACT].startswith("exchange at r2c2 is not weight-balanced: ")
 
 
 def test_mutant_flag_lift_coefficient(monkeypatch):
@@ -346,10 +347,31 @@ def test_mutant_flag_lift_coefficient(monkeypatch):
         vid, poly = next((v, p) for v, p in emb.dictionary.items() if len(p.terms) > 1)
         mono = next(iter(poly.terms))
         dictionary = {**emb.dictionary, vid: poly + PluckerPoly({mono: 1})}
-        return Seed(emb.quiver, emb.variables, dictionary, emb.heights)
+        return Seed(emb.quiver, emb.variables, dictionary)
 
     monkeypatch.setattr(programs, "embedded_flag_seed", bumped)
     assert list(failed_checks(FlagType((2, 4), 6))) == [VALUES]
+
+
+def test_mutant_extra_flag_arrow(monkeypatch):
+    original = flags_module.build_flag_quiver
+
+    def extra_arrow(*args):
+        quiver = original(*args)
+        mutable = [v for v in sorted(quiver.vertices) if not quiver.is_frozen(v)]
+        u, w = next(
+            (u, w)
+            for i, u in enumerate(mutable)
+            for w in mutable[i + 1:]
+            if (u, w) not in quiver.arrows and (w, u) not in quiver.arrows
+        )
+        quiver.add_arrow(u, w)
+        return quiver
+
+    monkeypatch.setattr(flags_module, "build_flag_quiver", extra_arrow)
+    failed = failed_checks(FlagType((2, 5), 8))
+    assert list(failed) == [QUIVER]
+    assert failed[QUIVER] == "arrow F{5} -> F{4,5}: multiplicity 1 vs 0"
 
 
 @pytest.mark.slow

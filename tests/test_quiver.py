@@ -22,7 +22,7 @@ from clusterflag.flags import GrassmannianSeed
 from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, random_matrix_point
 from clusterflag.tableaux import from_columns, one_column
 
-from support import matrix_mutation_oracle, random_quiver, seeds_equal
+from support import matrix_mutation_oracle, quiver_differences, random_quiver, seeds_equal
 
 
 def rand_laurent(rng: random.Random, nvars: int, nterms: int = 3) -> LaurentExpr:
@@ -154,7 +154,7 @@ def test_mutation_path_example():
     q = make_quiver(3, [(0, 1, 1), (1, 2, 1)])
     m = q.mutate(1)
     assert m.arrows == {(1, 0): 1, (2, 1): 1, (0, 2): 1}
-    assert m.mutate(1) == q
+    assert quiver_differences(m.mutate(1), q) == []
 
 
 def test_mutation_involution_bulk():
@@ -164,7 +164,7 @@ def test_mutation_involution_bulk():
         q = random_quiver(rng)
         mutable = [vid for vid, v in q.vertices.items() if not v.frozen]
         vid = rng.choice(mutable)
-        assert q.mutate(vid).mutate(vid) == q
+        assert quiver_differences(q.mutate(vid).mutate(vid), q) == []
         count += 1
 
 
@@ -186,7 +186,7 @@ def test_mutation_multiplicity_example():
     q = make_quiver(3, [(0, 1, 2), (1, 2, 3)])
     m = q.mutate(1)
     assert m.arrows[(0, 2)] == 6
-    assert m.mutate(1) == q
+    assert quiver_differences(m.mutate(1), q) == []
 
 
 def test_freeze_drops_frozen_frozen_arrows():
@@ -241,7 +241,7 @@ def toy_seed(last_columns=1):
         for i in range(5)
     }
     dictionary = {i: PluckerPoly.variable(tuple(cols[i])) for i in range(5)}
-    return Seed(q, variables, dictionary, (2,))
+    return Seed(q, variables, dictionary)
 
 
 def test_seed_mutate_toy():
@@ -259,11 +259,31 @@ def test_seed_mutate_toy():
     assert back.variables[0].laurent == s.variables[0].laurent
 
 
-def test_seed_mutate_rejects_unbalanced():
+def test_seed_mutate_rejects_unbalanced(monkeypatch):
     s = toy_seed(last_columns=2)
     assert tableau_weight(s.variables[4].tableau, s.heights) == (2,)
-    with pytest.raises(QuiverError, match=r"not weight-balanced: \[2\] vs \[3\]"):
+
+    def no_laurent_work(*args):
+        raise AssertionError("Laurent product before the balance check")
+
+    # the balance check comes first, so no Laurent product is ever formed
+    monkeypatch.setattr(LaurentExpr, "__mul__", no_laurent_work)
+    with pytest.raises(QuiverError, match=r"exchange at v0 is not weight-balanced: \[2\] vs \[3\]"):
         s.mutate(0)
+
+
+def test_flipped_grid_arrow_unbalances_two_vertices():
+    """Gr(3,7) with the arrow r2c2 -> r2c3 reversed: the grading counts the
+    tableaux' only column height, 3, so both ends of the arrow are off."""
+    gr = GrassmannianSeed(3, 7)
+    u, w = gr.vertex_at(2, 2), gr.vertex_at(2, 3)
+    quiver = gr.seed.quiver.copy()
+    quiver.arrows[(w, u)] = quiver.arrows.pop((u, w))
+    seed = Seed(quiver, gr.seed.variables, gr.seed.dictionary)
+    assert seed.heights == (3,)
+    problems = seed.is_balanced()
+    assert len(problems) == 2
+    assert [p.split(":")[0] for p in problems] == ["vertex r2c2", "vertex r2c3"]
 
 
 def test_seed_mutate_rejects_frozen():
@@ -301,7 +321,7 @@ def test_derived_seeds_leave_source_unchanged():
 def test_seed_requires_variable_per_vertex():
     s = toy_seed()
     with pytest.raises(QuiverError):
-        Seed(s.quiver, {0: s.variables[0]}, s.dictionary, s.heights)
+        Seed(s.quiver, {0: s.variables[0]}, s.dictionary)
 
 
 def test_grassmannian_square_exchange_values():

@@ -9,6 +9,7 @@ from clusterflag.tableaux import (
     EMPTY,
     Tableau,
     TableauError,
+    UnbalancedExchange,
     dominance_compare,
     fill_up,
     from_columns,
@@ -214,13 +215,16 @@ def test_tableau_mutation_incomparable_error():
             [one_column([1, 4, 5])],
             [one_column([2, 3, 4])],
         )
-    # unions of different shapes cannot be compared
-    with pytest.raises(TableauError, match="equal shapes"):
+    # unions of different shapes: the exchange is not weight-balanced
+    with pytest.raises(UnbalancedExchange, match=r"differ in shape: \(2, 2\) vs \(3, 3\)") as info:
         tableau_mutation(
             one_column([2, 3]),
             [one_column([1, 3]), one_column([2, 4])],
             [one_column([1, 2]), one_column([3, 4]), one_column([1, 2])],
         )
+    assert info.value.unions == (
+        from_columns([[1, 3], [2, 4]]), from_columns([[1, 2], [3, 4], [1, 2]])
+    )
 
 
 def test_tableau_mutation_non_factor_error():
