@@ -563,22 +563,20 @@ class Seed:
         """Weight balance at every mutable vertex: the weights of its in- and
         out-neighbors, each arrow counted with its multiplicity, must sum
         to the same vector.  Returns the violations."""
-        heights, variables = self.heights, self.variables
-        problems = []
-        for vid in self.mutable_ids():
-            sums = []
-            for side in self.quiver.exchange(vid):
-                total = [0] * len(heights)
-                for u, m in side:
-                    for j, w in enumerate(tableau_weight(variables[u].tableau, heights)):
-                        total[j] += m * w
-                sums.append(total)
-            if sums[0] != sums[1]:
-                problems.append(
-                    "vertex %s: incoming weight %s != outgoing weight %s"
-                    % (self.quiver.vertices[vid].name, sums[0], sums[1])
-                )
-        return problems
+        heights, vertices = self.heights, self.quiver.vertices
+        weight = {vid: tableau_weight(st.tableau, heights) for vid, st in self.variables.items()}
+        # (incoming, outgoing) sums of each mutable vertex, in one pass over the arrows
+        sums = {vid: ([0] * len(heights), [0] * len(heights)) for vid in self.mutable_ids()}
+        for (u, w), m in self.quiver.arrows.items():
+            for vid, side, other in ((w, 0, u), (u, 1, w)):
+                if vid in sums:
+                    total = sums[vid][side]
+                    total[:] = [t + m * x for t, x in zip(total, weight[other])]
+        return [
+            "vertex %s: incoming weight %s != outgoing weight %s" % (vertices[vid].name, ins, outs)
+            for vid, (ins, outs) in sums.items()
+            if ins != outs
+        ]
 
     def initial_values(self, point: EvaluationPoint) -> list[int]:
         """Values of the initial cluster at a point (positions in dictionary

@@ -6,6 +6,8 @@ import random
 import pytest
 import sympy
 
+from clusterflag import plucker
+from clusterflag.flags import GrassmannianSeed
 from clusterflag.plucker import (
     DEFAULT_PRIME,
     EvaluationPoint,
@@ -316,6 +318,42 @@ def test_plucker_against_sympy_determinant(prime):
                     assert pt.plucker(index) == sub.det() % prime, (matrix, index)
 
 
+@pytest.mark.parametrize("prime", [2, 3, 7, DEFAULT_PRIME])
+def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
+    """A 6x10 integer matrix at the Gr(4,9) grid dictionary, its index sets
+    lifted by column 10, and every 6-subset, queried in shuffled order,
+    against sympy's integer determinant mod p; then every coordinate again,
+    from the memo.  At p = 2 and 3 interior minors vanish and elimination
+    takes over; at 2^61 - 1 condensation alone answers."""
+    rng = random.Random(12)
+    matrix = [[rng.randrange(-99, 100) for _ in range(10)] for _ in range(6)]
+    grid = [idx for poly in GrassmannianSeed(4, 9).seed.dictionary.values()
+            for mono in poly.terms for idx in mono]
+    indices = grid + [idx + (10,) for idx in grid] + list(itertools.combinations(range(1, 11), 6))
+    rng.shuffle(indices)
+    calls = []
+
+    def counted_det_mod(rows, p):
+        calls.append(len(rows))
+        return det_mod(rows, p)
+
+    monkeypatch.setattr(plucker, "det_mod", counted_det_mod)
+    pt = EvaluationPoint(matrix, prime)
+    expected = {}
+    for index in indices:
+        sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(len(index))])
+        expected[index] = sub.det() % prime
+        assert pt.plucker(index) == expected[index], index
+    fallbacks = len(calls)
+    for index in indices:
+        assert pt.plucker(index) == expected[index], index
+    assert len(calls) == fallbacks
+    if prime in (2, 3):
+        assert fallbacks > 0
+    if prime == DEFAULT_PRIME:
+        assert fallbacks == 0
+
+
 def test_unipotent_pattern_shape():
     free = unipotent_pattern((2, 4), 5)
     expected = [
@@ -344,6 +382,8 @@ def test_evaluation_point_bounds():
             pt.plucker(index)       # not strictly increasing within columns 1..3
     with pytest.raises(PluckerError):
         det_mod([[1, 2]], 7)
+    with pytest.raises(PluckerError):
+        EvaluationPoint([[1, 2, 3], [4, 5]], 7).plucker((2, 3))     # ragged rows
 
 
 # -- coordinate dictionaries --------------------------------------------------------------
