@@ -2,10 +2,11 @@
 
 The flag seed comes from a staircase arrangement of n L-shaped pseudolines on
 the [0,n] x [0,n] board: line i runs from (i,0) up to (i, sigma(i)) and then
-left to (0, sigma(i)).  Bounded regions away from the x-axis are the seed
-vertices; regions touching the y-axis are frozen.  Every region is labeled by
-the set of lines passing north-east of it, and that label decodes into an
-explicit quadratic (or monomial) lift in Plucker coordinates.
+left to (0, sigma(i)).  Every unit cell is labeled by the set of lines
+passing north-east of it, and a face is the class of cells with one label.
+Bounded faces away from the x-axis are the seed vertices; faces touching the
+y-axis are frozen.  A face's label decodes into an explicit quadratic (or
+monomial) lift in Plucker coordinates.
 
 The Grassmannian seed is the familiar grid of solid minors; for one-step
 flags both constructions agree vertex-for-vertex and arrow-for-arrow, which
@@ -109,7 +110,18 @@ class Face:
 
 
 class Arrangement:
-    """Faces of the staircase arrangement plus cell-level lookup tables."""
+    """Faces of the staircase arrangement plus cell-level lookup tables.
+
+    Unit cell (x, y) spans (x, x+1) x (y, y+1) and is labeled by the lines
+    passing north-east of it, {i > x : sigma(i) > y}; a face is a class of
+    cells with one label.  This is exact: two side-by-side cells have
+    different labels exactly when a line segment separates them (line x+1
+    rises past y, or the line of height y+1 turns left past x), and a label
+    class is connected, since labels shrink to the north-east, so the join
+    (max x, max y) of two cells labeled L is labeled L, and so is every cell
+    on a monotone path up to it.  Classes with the empty label or touching
+    the x-axis are discarded; those touching the y-axis are frozen.
+    """
 
     def __init__(self, flag: FlagType):
         self.flag = flag
@@ -121,53 +133,19 @@ class Arrangement:
             inv[s] = i
         self.sigma_inv = tuple(inv[1:])
 
-        # merge unit cells into faces; cell (x, y) spans (x,x+1) x (y,y+1)
-        parent = list(range(n * n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def join(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        def cid(x: int, y: int) -> int:
-            return x * n + y
-
+        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for x in range(n):
             for y in range(n):
-                if x + 1 < n and y >= sigma[x]:  # line x+1 stops below: open to the right
-                    join(cid(x, y), cid(x + 1, y))
-                if y + 1 < n and x >= inv[y + 1]:  # line of height y+1 stops left
-                    join(cid(x, y), cid(x, y + 1))
-
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for x in range(n):
-            for y in range(n):
-                groups.setdefault(find(cid(x, y)), []).append((x, y))
-
-        def label(x: int, y: int) -> tuple[int, ...]:
-            return tuple(i for i in range(1, n + 1) if i > x and sigma[i - 1] > y)
+                label = tuple(i for i in range(x + 1, n + 1) if sigma[i - 1] > y)
+                groups.setdefault(label, []).append((x, y))
 
         self.cell_face: dict[tuple[int, int], Face | None] = {}
         faces = []
-        for cells in groups.values():
-            labels = {label(x, y) for (x, y) in cells}
-            if len(labels) != 1:
-                raise FlagError("face with inconsistent line labels: %s" % labels)
-            index_set = labels.pop()
-            touches_x = any(y == 0 for (_, y) in cells)
-            touches_y = any(x == 0 for (x, _) in cells)
-            if not index_set or touches_x:
-                for c in cells:
-                    self.cell_face[c] = None
-                continue
-            face = Face(index_set, touches_y)
-            faces.append(face)
+        for index_set, cells in groups.items():
+            face = None
+            if index_set and all(y > 0 for (_, y) in cells):
+                face = Face(index_set, any(x == 0 for (x, _) in cells))
+                faces.append(face)
             for c in cells:
                 self.cell_face[c] = face
         faces.sort(key=lambda f: (len(f.index_set), f.index_set))
@@ -179,8 +157,6 @@ class Arrangement:
         frozen = sum(1 for f in faces if f.frozen)
         if frozen != n - 1:
             raise FlagError("frozen face count %d, expected %d" % (frozen, n - 1))
-        if len({f.index_set for f in faces}) != len(faces):
-            raise FlagError("face index sets are not distinct")
 
     def face_at(self, x: int, y: int) -> Face | None:
         return self.cell_face.get((x, y))

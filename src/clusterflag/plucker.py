@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .tableaux import initial_tableau, interval_index_set
+from .tableaux import TableauError, initial_tableau, interval_index_set, pad_index
 
 
 class PluckerError(ValueError):
@@ -63,28 +63,34 @@ class PluckerPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        tt = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    tt[tuple(sorted(mono))] = coeff
-        self.terms = tt
+        tt: dict[Monomial, int] = {}
+        for mono, coeff in (terms or {}).items():
+            key = tuple(sorted(mono))
+            tt[key] = tt.get(key, 0) + coeff
+        self.terms = {m: c for m, c in tt.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict[Monomial, int]) -> "PluckerPoly":
+        """Wrap a dict of sorted monomials to nonzero coefficients as is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def variable(cls, index: Sequence[int]) -> "PluckerPoly":
-        sign, idx = normalize_index(index)
-        if sign == 0:
-            return cls()
-        return cls({(idx,): sign})
+        return cls.monomial([index])
 
     @classmethod
     def monomial(cls, indices: Iterable[Sequence[int]], coeff: int = 1) -> "PluckerPoly":
-        out = cls({(): coeff})
+        """coeff * prod P_I, each I sorted with its sign (0 on a repeat)."""
+        mono = []
         for idx in indices:
-            out = out * cls.variable(idx)
-        return out
+            sign, idx = normalize_index(idx)
+            coeff *= sign
+            mono.append(idx)
+        return cls._of({tuple(sorted(mono)): coeff} if coeff else {})
 
     # -- ring operations ---------------------------------------------------
 
@@ -96,14 +102,10 @@ class PluckerPoly:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        out = PluckerPoly.__new__(PluckerPoly)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return PluckerPoly._of(terms)
 
     def __neg__(self) -> "PluckerPoly":
-        out = PluckerPoly.__new__(PluckerPoly)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        return out
+        return PluckerPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "PluckerPoly") -> "PluckerPoly":
         return self + (-other)
@@ -112,9 +114,7 @@ class PluckerPoly:
         if isinstance(other, int):
             if other == 0:
                 return PluckerPoly()
-            out = PluckerPoly.__new__(PluckerPoly)
-            object.__setattr__(out, "terms", {m: c * other for m, c in self.terms.items()})
-            return out
+            return PluckerPoly._of({m: c * other for m, c in self.terms.items()})
         terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -124,9 +124,7 @@ class PluckerPoly:
                     terms[mono] = new
                 else:
                     terms.pop(mono, None)
-        out = PluckerPoly.__new__(PluckerPoly)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return PluckerPoly._of(terms)
 
     __rmul__ = __mul__
 
@@ -143,10 +141,7 @@ class PluckerPoly:
     def map_variables(self, fn) -> "PluckerPoly":
         out = PluckerPoly()
         for mono, coeff in self.terms.items():
-            term = PluckerPoly({(): coeff})
-            for idx in mono:
-                term = term * PluckerPoly.variable(fn(idx))
-            out = out + term
+            out = out + PluckerPoly.monomial(map(fn, mono), coeff)
         return out
 
     def __repr__(self):
@@ -216,20 +211,12 @@ def plucker_relation(j_idx: Sequence[int], l_idx: Sequence[int], s: int) -> Pluc
 
 
 def phi_star(poly: PluckerPoly, dims: Sequence[int], n: int) -> PluckerPoly:
-    """Embed a flag polynomial into the big Grassmannian: every index set of
-    size d (a flag dimension) is extended by the fresh entries
-    n+1, ..., n + max(dims) - d."""
-    dk = max(dims)
-    sizes = set(dims)
-
-    def extend(idx: tuple[int, ...]) -> tuple[int, ...]:
-        if len(idx) not in sizes:
-            raise PluckerError("index size %d is not a flag dimension" % len(idx))
-        if idx and idx[-1] > n:
-            raise PluckerError("index %s exceeds ambient size %d" % (idx, n))
-        return idx + tuple(range(n + 1, n + 1 + dk - len(idx)))
-
-    return poly.map_variables(extend)
+    """Embed a flag polynomial into the big Grassmannian: every index set is
+    padded by ``pad_index``."""
+    try:
+        return poly.map_variables(lambda idx: pad_index(idx, dims, n))
+    except TableauError as exc:
+        raise PluckerError(str(exc)) from None
 
 
 # -- solid and two-interval minors ------------------------------------------
@@ -395,11 +382,12 @@ class EvaluationPoint:
             pivot = rows[r][c]
             scale = scale * pivot % p
             inv = pow(pivot, -1, p)
-            top = rows[r] = [x * inv % p for x in rows[r]]
+            # left of column c the pivot row is 0, so each update starts at c
+            top = rows[r][c:] = [x * inv % p for x in rows[r][c:]]
             for i in range(m):
                 f = rows[i][c]
                 if f and i != r:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+                    rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], top)]
             pivot_row[c + 1] = r
         self._echelons[m] = echelon = (scale, pivot_row, rows, {})
         return echelon

@@ -182,14 +182,6 @@ class LaurentExpr:
                 del terms[k]
         return LaurentExpr._packed(self.nvars, terms, max(self.bound, other.bound))
 
-    def __neg__(self) -> "LaurentExpr":
-        return LaurentExpr._packed(
-            self.nvars, {k: -v for k, v in self.terms.items()}, self.bound
-        )
-
-    def __sub__(self, other: "LaurentExpr") -> "LaurentExpr":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentExpr") -> "LaurentExpr":
         self._same_ring(other)
         bound = self.bound + other.bound

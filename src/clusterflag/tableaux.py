@@ -16,7 +16,7 @@ increasing, row lengths weakly decreasing.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 
@@ -132,8 +132,9 @@ def union(*tableaux: Tableau) -> Tableau:
     rows: list[list[int]] = [[] for _ in range(depth)]
     for t in tableaux:
         for i, row in enumerate(t.rows):
-            for x in row:
-                insort(rows[i], x)
+            rows[i] += row
+    for row in rows:
+        row.sort()
     return Tableau(rows)
 
 
@@ -190,24 +191,22 @@ def dominance_compare(s: Tableau, t: Tableau) -> str:
 # -- embeddings and seed tableaux -----------------------------------------
 
 
-def fill_up(t: Tableau, dims: Sequence[int], n: int) -> Tableau:
-    """Pad every column to height max(dims) with fresh large entries.
+def pad_index(idx: Sequence[int], dims: Sequence[int], n: int) -> tuple[int, ...]:
+    """Pad an increasing index set of size d, one of ``dims``, with the fresh
+    entries n+1, ..., n+max(dims)-d: the coordinate embedding of the flag
+    variety into the big Grassmannian (phi-star)."""
+    idx = tuple(idx)
+    if len(idx) not in dims:
+        raise TableauError("index size %d is not one of %s" % (len(idx), tuple(dims)))
+    if idx and idx[-1] > n:
+        raise TableauError("index %s exceeds ambient size %d" % (idx, n))
+    return idx + tuple(range(n + 1, n + 1 + max(dims) - len(idx)))
 
-    A column of height d picks up the entries n+1, ..., n+max(dims)-d.  Only
-    columns whose height is one of ``dims`` are allowed; this is the tableau
-    side of the coordinate embedding of the flag variety into the big
-    Grassmannian.
-    """
-    dk = max(dims)
-    cols = []
-    for col in t.columns():
-        d = len(col)
-        if d not in dims:
-            raise TableauError("column height %d is not one of %s" % (d, tuple(dims)))
-        if col[-1] > n:
-            raise TableauError("entry %d exceeds ambient size %d" % (col[-1], n))
-        cols.append(tuple(col) + tuple(range(n + 1, n + 1 + dk - d)))
-    return from_columns(cols)
+
+def fill_up(t: Tableau, dims: Sequence[int], n: int) -> Tableau:
+    """Pad every column to height max(dims) by ``pad_index``: the tableau
+    side of phi-star."""
+    return from_columns([pad_index(c, dims, n) for c in t.columns()])
 
 
 def interval_index_set(i: int, d: int, n: int) -> tuple[int, ...]:

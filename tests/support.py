@@ -10,7 +10,7 @@ import random
 from collections import Counter
 
 from clusterflag.tableaux import Tableau, one_column, union
-from clusterflag.flags import FlagType
+from clusterflag.flags import FlagType, sigma_draw
 from clusterflag.plucker import EvaluationPoint, det_mod
 from clusterflag.quiver import quivers_agree
 
@@ -107,6 +107,47 @@ def all_flag_types(n_max: int, k_max: int):
             for dims in itertools.combinations(range(1, n), k):
                 flags.append(FlagType(dims, n))
     return flags
+
+
+def arrangement_regions(flag) -> list[frozenset]:
+    """Regions of the staircase arrangement by flood fill over unit cells.
+
+    Cell (x, y) spans (x, x+1) x (y, y+1).  Line i runs up x = i to height
+    sigma(i), then left along y = sigma(i).  Two side-by-side cells share a
+    region when no segment separates them: the right neighbour when
+    y >= sigma(x+1), the upper neighbour when x >= sigma^-1(y+1).
+    """
+    n = flag.n
+    sigma = (0,) + sigma_draw(flag)
+    inv = [0] * (n + 1)
+    for i in range(1, n + 1):
+        inv[sigma[i]] = i
+
+    def neighbours(x, y):
+        if x + 1 < n and y >= sigma[x + 1]:
+            yield x + 1, y
+        if x > 0 and y >= sigma[x]:
+            yield x - 1, y
+        if y + 1 < n and x >= inv[y + 1]:
+            yield x, y + 1
+        if y > 0 and x >= inv[y]:
+            yield x, y - 1
+
+    seen: set = set()
+    regions = []
+    for start in itertools.product(range(n), repeat=2):
+        if start in seen:
+            continue
+        seen.add(start)
+        region, stack = [start], [start]
+        while stack:
+            for cell in neighbours(*stack.pop()):
+                if cell not in seen:
+                    seen.add(cell)
+                    region.append(cell)
+                    stack.append(cell)
+        regions.append(frozenset(region))
+    return regions
 
 
 def column_subsets(n: int, size: int):

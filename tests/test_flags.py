@@ -1,5 +1,6 @@
 """Staircase arrangements, flag and Grassmannian initial seeds, embedding."""
 
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from clusterflag.tableaux import fill_up, initial_tableau, one_column
 
 from support import (
     all_flag_types,
+    arrangement_regions,
     column_weight,
     laurent_grading_problems,
     pattern_minor,
@@ -92,6 +94,29 @@ def test_faces_match_closed_form_lists():
         assert got_mut == sorted(mutable)
         assert got_fro == sorted(frozen)
         assert len(arr.faces) == flag.dimension_count()
+
+
+def test_faces_are_flood_filled_regions():
+    """Faces are the regions off the x-axis other than the outer one (north-
+    east of every line, so it holds the top-right cell); frozen faces touch
+    the y-axis."""
+    for flag in all_flag_types(9, 8):
+        arr = Arrangement(flag)
+        n = flag.n
+        kept = {
+            region: any(x == 0 for x, _ in region)
+            for region in arrangement_regions(flag)
+            if (n - 1, n - 1) not in region and all(y for _, y in region)
+        }
+        cells: dict = {}
+        for cell, face in arr.cell_face.items():
+            cells.setdefault(face, []).append(cell)
+        dropped = cells.pop(None, [])
+        got = {frozenset(c): face.frozen for face, c in cells.items()}
+        assert got == kept
+        assert sorted(dropped) == sorted(
+            set(itertools.product(range(n), repeat=2)).difference(*kept)
+        )
 
 
 def test_face_lookup_by_cell():

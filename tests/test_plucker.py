@@ -26,7 +26,7 @@ from clusterflag.plucker import (
     random_matrix_point,
     sh_coordinate,
 )
-from clusterflag.tableaux import initial_tableau
+from clusterflag.tableaux import TableauError, fill_up, initial_tableau, one_column
 
 from support import (
     pattern_minor,
@@ -76,6 +76,24 @@ def test_poly_construction_and_arithmetic():
     assert (prod - prod).is_zero()
     assert PluckerPoly({(): 1}) * x == x
     assert x.coefficient([(1, 3)]) == 1
+
+
+def test_poly_constructor_sums_equal_monomials():
+    # monomials equal as multisets are one term: their coefficients add up
+    assert PluckerPoly({((1, 2), (3, 4)): 1, ((3, 4), (1, 2)): -1}).is_zero()
+    doubled = PluckerPoly({((1, 2), (3, 4)): 1, ((3, 4), (1, 2)): 1})
+    assert doubled.terms == {((1, 2), (3, 4)): 2}
+
+
+def test_monomial_is_the_product_of_its_variables():
+    rng = random.Random(17)
+    for _ in range(200):
+        indices = [rng.sample(range(1, 7), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+        coeff = rng.randint(-3, 3)
+        product = PluckerPoly({(): coeff})
+        for idx in indices:
+            product = product * P(idx)
+        assert M(indices, coeff) == product
 
 
 def test_format_poly():
@@ -176,6 +194,15 @@ def test_phi_star_examples():
         phi_star(P((1, 2, 3)), (2, 4), 6)
     with pytest.raises(PluckerError):
         phi_star(P((1, 7)), (2, 4), 6)
+
+
+def test_phi_star_and_fill_up_share_the_padding_errors():
+    for idx in [(1, 2, 3), (1, 7)]:
+        with pytest.raises(TableauError) as tab_err:
+            fill_up(one_column(idx), (2, 4), 6)
+        with pytest.raises(PluckerError) as poly_err:
+            phi_star(P(idx), (2, 4), 6)
+        assert str(poly_err.value) == str(tab_err.value)
 
 
 def test_phi_star_multiplicative():

@@ -12,6 +12,7 @@ from clusterflag.tableaux import (
     UnbalancedExchange,
     dominance_compare,
     fill_up,
+    pad_index,
     from_columns,
     initial_tableau,
     interval_index_set,
@@ -138,6 +139,16 @@ def test_fill_up_examples():
         fill_up(one_column([1, 2, 3]), (2, 4), 6)   # height 3 not a flag dim
     with pytest.raises(TableauError):
         fill_up(one_column([1, 7]), (2, 4), 6)      # entry beyond ambient
+
+
+def test_pad_index():
+    assert pad_index((1, 3), (2, 4), 6) == (1, 3, 7, 8)
+    assert pad_index([2, 3, 5], (1, 3, 5), 6) == (2, 3, 5, 7, 8)
+    assert pad_index((1, 2, 3, 4), (2, 4), 6) == (1, 2, 3, 4)
+    with pytest.raises(TableauError, match="size 3 is not one of"):
+        pad_index((1, 2, 3), (2, 4), 6)
+    with pytest.raises(TableauError, match="exceeds ambient size 6"):
+        pad_index((1, 7), (2, 4), 6)
 
 
 def test_fill_up_shape_and_commutation():
