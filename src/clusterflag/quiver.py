@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
 import struct
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -52,7 +53,16 @@ class LaurentError(ArithmeticError):
 # bit of every field stays clear.  Integer order of keys is then a monomial
 # order (lexicographic, last variable most significant), the product of two
 # monomials is ``k1 + k2 - offset``, and the top bits serve as guard bits for
-# the field-wise comparisons of ``exact_div``.
+# field-wise comparisons.
+#
+# Every nonzero expression also has an envelope: the keys of its field-wise
+# least and greatest exponents, the corners of the box around its Newton
+# polytope.  Newton polytopes add under products over the integers (a vertex
+# term of a product cannot cancel), so a product's envelope is the sum of its
+# factors' and an exact quotient's is their difference, both exact without
+# looking at a term.  A sum's is the field-wise hull of its summands' unless
+# a term cancelled; only then, and for expressions built from exponent
+# tuples, is it scanned off the keys, on first use.
 
 _FIELD_BITS = 16
 _BIAS = 1 << 14
@@ -109,13 +119,14 @@ class LaurentExpr:
     field.  Expressions are never changed once built; ``evaluate`` decodes
     the nonzero exponents on its first call and keeps them."""
 
-    __slots__ = ("nvars", "terms", "bound", "_sparse")
+    __slots__ = ("nvars", "terms", "bound", "_sparse", "_env")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = nvars
         self.terms = {}
         self.bound = 0
         self._sparse = None
+        self._env = None
         off = _offset(nvars)
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
@@ -130,12 +141,17 @@ class LaurentExpr:
             self.terms[off + sum(e << (_FIELD_BITS * i) for i, e in enumerate(exps))] = coeff
 
     @classmethod
-    def _packed(cls, nvars: int, terms: dict[int, int], bound: int) -> "LaurentExpr":
+    def _packed(
+        cls, nvars: int, terms: dict[int, int], bound: int, env: tuple[int, int] | None = None
+    ) -> "LaurentExpr":
+        """An expression over packed ``terms``; ``env`` is their exact
+        envelope, or None to scan it off the keys on first use."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.terms = terms
         out.bound = bound
         out._sparse = None
+        out._env = env
         return out
 
     @classmethod
@@ -144,16 +160,25 @@ class LaurentExpr:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentExpr":
-        return cls._packed(nvars, {_offset(nvars): c} if c else {}, 0)
+        off = _offset(nvars)
+        return cls._packed(nvars, {off: c}, 0, (off, off)) if c else cls.zero(nvars)
 
     @classmethod
     def generator(cls, nvars: int, pos: int) -> "LaurentExpr":
         if not 0 <= pos < nvars:
             raise LaurentError("no variable %d among %d" % (pos, nvars))
-        return cls._packed(nvars, {_offset(nvars) + (1 << (_FIELD_BITS * pos)): 1}, 1)
+        key = _offset(nvars) + (1 << (_FIELD_BITS * pos))
+        return cls._packed(nvars, {key: 1}, 1, (key, key))
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _env_keys(self) -> tuple[int, int]:
+        """The envelope of a nonzero expression (see above): keys of its
+        field-wise least and greatest exponents."""
+        if self._env is None:
+            self._env = _envelope(self.terms, _offset(self.nvars) << 1)
+        return self._env
 
     def exponent_items(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) for every term."""
@@ -174,13 +199,19 @@ class LaurentExpr:
     def __add__(self, other: "LaurentExpr") -> "LaurentExpr":
         self._same_ring(other)
         terms = dict(self.terms)
+        cancelled = False
         for k, v in other.terms.items():
             n = terms.get(k, 0) + v
             if n:
                 terms[k] = n
             else:
                 del terms[k]
-        return LaurentExpr._packed(self.nvars, terms, max(self.bound, other.bound))
+                cancelled = True
+        env = None
+        if terms and not cancelled:         # the hull of the summands' envelopes
+            corners = [k for e in (self, other) if e.terms for k in e._env_keys()]
+            env = _envelope(corners, _offset(self.nvars) << 1)
+        return LaurentExpr._packed(self.nvars, terms, max(self.bound, other.bound), env)
 
     def __mul__(self, other: "LaurentExpr") -> "LaurentExpr":
         self._same_ring(other)
@@ -199,18 +230,26 @@ class LaurentExpr:
                     terms[key] = n
                 else:
                     del terms[key]
-        return LaurentExpr._packed(self.nvars, terms, bound)
+        if not terms:
+            return LaurentExpr._packed(self.nvars, terms, bound)
+        (lo1, hi1), (lo2, hi2) = self._env_keys(), other._env_keys()
+        return LaurentExpr._packed(self.nvars, terms, bound, (lo1 + lo2 - off, hi1 + hi2 - off))
 
     def exact_div(self, other: "LaurentExpr") -> "LaurentExpr":
         """Exact division; raises LaurentError when the quotient is not a
         Laurent polynomial with integer coefficients.
 
         Newton polytopes add under products, so an exact quotient has, in
-        each variable, exponents in [min_num - min_den, max_num - max_den].
-        A quotient term outside that box proves the division inexact, and
-        the box bounds the number of steps.  The remainder's keys sit in a
-        heap of negated keys; a key whose coefficient cancelled is skipped
-        when it comes up."""
+        each variable, exponents in [min_num - min_den, max_num - max_den],
+        read off the two envelopes; that box is the quotient's envelope.  A
+        quotient term outside the box proves the division inexact, and the
+        box bounds the number of steps.  Remainder keys are taken largest
+        first from two sources: the numerator's keys, sorted once, and a
+        heap of the negated keys that quotient products add to the
+        remainder (Monagan-Pearce).  A product key lies below the key being
+        divided, since every divisor key but the lead lies below the lead,
+        so the merge is in descending order; a key reached twice, or whose
+        coefficient cancelled, is skipped."""
         self._same_ring(other)
         if other.is_zero():
             raise LaurentError("division by zero")
@@ -219,14 +258,15 @@ class LaurentExpr:
             return LaurentExpr.zero(n)
         off = _offset(n)
         guard = off << 1
-        num_lo, num_hi = _envelope(self.terms, guard)
-        den_lo, den_hi = _envelope(other.terms, guard)
+        num_lo, num_hi = self._env_keys()
+        den_lo, den_hi = other._env_keys()
         lo_key = num_lo - den_lo + off
         hi_key = num_hi - den_hi + off
         decode = _decoder(n)
         bound = max(map(abs, decode(lo_key) + decode(hi_key)), default=0)
         if bound > MAX_EXPONENT:
             raise LaurentError("quotient exponents may pass +-%d" % MAX_EXPONENT)
+        env = (lo_key, hi_key)
         hi_key |= guard                     # for the box check below
 
         den = other.terms
@@ -235,11 +275,19 @@ class LaurentExpr:
         lead_shift = lead - off
         rest = [(k, v) for k, v in den.items() if k != lead]
         rem = dict(self.terms)
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
+        stream = sorted(rem, reverse=True)
+        stream.append(-1)                   # below every key: ends the stream
+        i = 0
+        heap: list[int] = []
         quo: dict[int, int] = {}
-        while heap:
-            key = -heapq.heappop(heap)
+        while True:
+            key = stream[i]
+            if heap and -heap[0] > key:
+                key = -heapq.heappop(heap)
+            elif key < 0:
+                break
+            else:
+                i += 1
             c = rem.pop(key, 0)
             if not c:
                 continue
@@ -264,7 +312,7 @@ class LaurentExpr:
                     del rem[k]
                 else:
                     rem[k] = old - qc * v
-        return LaurentExpr._packed(n, quo, bound)
+        return LaurentExpr._packed(n, quo, bound, env)
 
     def evaluate(self, values: Sequence[int], prime: int) -> int:
         """Evaluate at nonzero residues ``values`` modulo ``prime``."""
@@ -532,11 +580,11 @@ class Seed:
                 % (self.quiver.vertices[vid].name, w_in, w_out)
             ) from None
 
-        prod_in = prod_out = LaurentExpr.constant(state.laurent.nvars, 1)
-        for st in ins:
-            prod_in = prod_in * st.laurent
-        for st in outs:
-            prod_out = prod_out * st.laurent
+        prod_in, prod_out = (
+            functools.reduce(operator.mul, [st.laurent for st in side])
+            if side else LaurentExpr.constant(state.laurent.nvars, 1)
+            for side in (ins, outs)
+        )
         new_state = VariableState((prod_in + prod_out).exact_div(state.laurent), tableau)
         return Seed(self.quiver.mutate(vid), {**self.variables, vid: new_state}, self.dictionary)
 

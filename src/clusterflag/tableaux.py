@@ -46,6 +46,14 @@ class Tableau:
         _validate_rows(norm)
         object.__setattr__(self, "rows", norm)
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau over ``rows`` known to be semistandard, with no trailing
+        empty row; nothing is checked."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
@@ -127,15 +135,23 @@ EMPTY = Tableau([])
 
 
 def union(*tableaux: Tableau) -> Tableau:
-    """Row-wise multiset union; commutative, associative, unit ``EMPTY``."""
+    """Row-wise multiset union; commutative, associative, unit ``EMPTY``.
+
+    A union of semistandard tableaux is semistandard, so it is built
+    unchecked.  In each summand, every entry of row i+1 has its own entry
+    directly above it, and that entry is smaller.  So merged row i+1 maps
+    one-to-one into merged row i, each entry to a smaller one: row lengths
+    still weakly decrease, and the j smallest entries of row i+1 map to j
+    distinct entries of row i, all less than the j-th smallest of row i+1.
+    After sorting, the j-th entry of row i is therefore less than the j-th
+    of row i+1.  No row is empty, since the deepest summand's last row is
+    not."""
     depth = max((t.num_rows for t in tableaux), default=0)
     rows: list[list[int]] = [[] for _ in range(depth)]
     for t in tableaux:
         for i, row in enumerate(t.rows):
             rows[i] += row
-    for row in rows:
-        row.sort()
-    return Tableau(rows)
+    return Tableau._of(tuple(tuple(sorted(row)) for row in rows))
 
 
 def quotient(t: Tableau, s: Tableau) -> Tableau:

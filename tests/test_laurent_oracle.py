@@ -56,6 +56,17 @@ def test_products_match_sympy():
         assert sympy.expand(as_sympy(f * g) - expect) == 0
 
 
+def sympy_quotient(h: LaurentExpr, g: LaurentExpr) -> sympy.Expr | None:
+    """h / g as a Laurent polynomial with integer coefficients, or None
+    when there is none."""
+    ph, sh = shifted(h)
+    pg, sg = shifted(g)
+    quo, rem = sympy.div(ph, pg, *XS, domain=sympy.QQ)
+    if rem != 0 or not all(c.is_integer for c in sympy.Poly(quo, *XS).coeffs()):
+        return None
+    return sympy.expand(quo * monomial(tuple(a - b for a, b in zip(sh, sg))))
+
+
 def test_exact_quotients_match_sympy():
     rng = random.Random(12)
     for _ in range(150):
@@ -64,12 +75,46 @@ def test_exact_quotients_match_sympy():
         h = f * g
         if h.is_zero():
             continue
-        ph, sh = shifted(h)
-        pg, sg = shifted(g)
-        quo, rem = sympy.div(ph, pg, *XS)
-        assert rem == 0
-        expect = sympy.expand(quo * monomial(tuple(a - b for a, b in zip(sh, sg))))
+        expect = sympy_quotient(h, g)
+        assert expect is not None
         assert sympy.expand(as_sympy(h.exact_div(g)) - expect) == 0
+
+
+def test_division_stream_edge_cases_match_sympy():
+    x = LaurentExpr.generator(NVARS, 0)
+    one = LaurentExpr.constant(NVARS, 1)
+    shift = LaurentExpr(NVARS, {(0, -1, 2): 1})
+    x2 = x * x
+    rng = random.Random(15)
+    # a single-term divisor: no quotient product adds a key
+    for _ in range(20):
+        f = random_laurent(rng, rng.randint(1, 5))
+        g = random_laurent(rng, 1)
+        expect = sympy_quotient(f * g, g)
+        assert sympy.expand(as_sympy((f * g).exact_div(g)) - expect) == 0
+    # x^4 + x^2 + 1 over x^2 + x + 1: the first quotient product cancels the
+    # numerator's x^2, the second adds it back
+    h = (x2 * x2 + x2 + one) * shift
+    g = x2 + x + one
+    expect = sympy_quotient(h, g)
+    assert sympy.expand(as_sympy(h.exact_div(g)) - expect) == 0
+    assert h.exact_div(g) == (x2 + LaurentExpr(NVARS, {(1, 0, 0): -1}) + one) * shift
+    # inexact: a remainder term leaves the quotient box, or a coefficient
+    # does not divide
+    for h, g in (
+        (x2 + one, x + one),
+        (x2 + x + x + one + one, x + one),
+        (x2 + x + one, x + x),
+    ):
+        assert sympy_quotient(h * shift, g) is None
+        with pytest.raises(LaurentError, match="inexact"):
+            (h * shift).exact_div(g)
+    # the quotient x^(MAX_EXPONENT + 1) exists but cannot be packed
+    top = LaurentExpr(NVARS, {(MAX_EXPONENT, 0, 0): 1, (MAX_EXPONENT - 1, 0, 0): 1})
+    low = LaurentExpr(NVARS, {(-1, 0, 0): 1, (-2, 0, 0): 1})
+    assert sympy_quotient(top, low) is not None
+    with pytest.raises(LaurentError, match="quotient exponents may pass"):
+        top.exact_div(low)
 
 
 def test_inexact_quotients_raise():
@@ -80,11 +125,7 @@ def test_inexact_quotients_raise():
         h = random_laurent(rng, 1) * g + random_laurent(rng, rng.randint(1, 2))
         if h.is_zero():
             continue
-        ph, _ = shifted(h)
-        pg, _ = shifted(g)
-        quo, rem = sympy.div(ph, pg, *XS, domain=sympy.QQ)
-        exact = rem == 0 and all(c.is_integer for c in sympy.Poly(quo, *XS).coeffs())
-        if exact:
+        if sympy_quotient(h, g) is not None:
             assert h.exact_div(g) * g == h
         else:
             raised += 1
@@ -121,3 +162,33 @@ def test_exponents_past_the_packing_limit_raise():
     pair = LaurentExpr(2, {(MAX_EXPONENT, 0): 1})
     with pytest.raises(LaurentError):
         pair * pair
+
+
+def envelope(expr: LaurentExpr) -> tuple[int, int]:
+    """Packed keys of the per-variable least and greatest exponents, taken
+    from the decoded terms."""
+    exps = [e for e, _ in expr.exponent_items()]
+    lo, hi = tuple(map(min, zip(*exps))), tuple(map(max, zip(*exps)))
+    return tuple(next(iter(LaurentExpr(NVARS, {e: 1}).terms)) for e in (lo, hi))
+
+
+def test_every_result_carries_its_envelope():
+    rng = random.Random(16)
+    results = [LaurentExpr.generator(NVARS, i) for i in range(NVARS)]
+    results += [LaurentExpr.constant(NVARS, c) for c in (1, -4)]
+    for _ in range(60):
+        f = random_laurent(rng, rng.randint(1, 5))
+        g = random_laurent(rng, rng.randint(1, 4))
+        results += [f, g, f + g, f * g, (f + g) * g, (f * g).exact_div(g)]
+        if not (f + g).is_zero():
+            results.append((f * (f + g) + g * (f + g)).exact_div(f + g))
+    # sums where an extreme term cancels: the envelope shrinks
+    for _ in range(60):
+        f = random_laurent(rng, rng.randint(2, 5))
+        exps, c = min(f.exponent_items())
+        g = LaurentExpr(NVARS, {exps: -c}) + random_laurent(rng, 1, 0, 1)
+        results += [f + g, (f + g) * f, (f * f + g * f).exact_div(f)]
+    results = [r for r in results if not r.is_zero()]
+    assert len(results) > 500
+    for r in results:
+        assert r._env_keys() == envelope(r)

@@ -10,6 +10,7 @@ from clusterflag.tableaux import (
     Tableau,
     TableauError,
     UnbalancedExchange,
+    _validate_rows,
     dominance_compare,
     fill_up,
     pad_index,
@@ -30,6 +31,21 @@ def cols_strategy(max_n=7, max_cols=4, max_h=4):
         st.integers(1, max_n), min_size=1, max_size=max_h, unique=True
     ).map(sorted)
     return st.lists(column, max_size=max_cols)
+
+
+@st.composite
+def tableaux(draw, max_rows=4, max_len=4):
+    """A semistandard tableau built entry by entry: each entry is at
+    least its left neighbour and above its upper neighbour."""
+    lengths = sorted(draw(st.lists(st.integers(1, max_len), max_size=max_rows)), reverse=True)
+    rows: list[list[int]] = []
+    for i, length in enumerate(lengths):
+        row: list[int] = []
+        for j in range(length):
+            least = max(row[-1] if row else 1, rows[i - 1][j] + 1 if i else 1)
+            row.append(least + draw(st.integers(0, 2)))
+        rows.append(row)
+    return Tableau(rows)
 
 
 # -- construction and canonical form ----------------------------------------
@@ -114,6 +130,18 @@ def test_union_quotient_property(cols_a, cols_b):
     assert check_semistandard(u.rows)
     assert quotient(u, a) == b
     assert quotient(u, b) == a
+
+
+@given(st.lists(tableaux(), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_union_is_semistandard_without_validation(ts):
+    # union builds its result unchecked; the merged rows must pass the
+    # validating constructor
+    u = union(*ts)
+    _validate_rows(u.rows)
+    depth = max((t.num_rows for t in ts), default=0)
+    rows = [sorted(x for t in ts if i < t.num_rows for x in t.rows[i]) for i in range(depth)]
+    assert u == Tableau(rows)
 
 
 # -- dominance -----------------------------------------------------------------
