@@ -27,7 +27,8 @@ from .programs import (
     verify_theorem,
 )
 from .quiver import (
-    LaurentError, LaurentExpr, Quiver, QuiverError, Seed, VariableState, Vertex, tableau_weight,
+    MAX_EXPONENT, LaurentError, LaurentExpr, Quiver, QuiverError, Seed, VariableState, Vertex,
+    tableau_weight,
 )
 
 
@@ -110,7 +111,8 @@ def seed_from_dict(data: dict) -> Seed:
     nvars = _typed(data["nvars"], int, "nvars")
     weight_rank = _typed(data["weight_rank"], int, "weight_rank")
     entries = _typed(data["dictionary"], list, "dictionary")
-    if sorted(_typed(e["position"], int, "position") for e in entries) != list(range(nvars)):
+    positions = sorted(_typed(e["position"], int, "position") for e in entries)
+    if nvars != len(positions) or positions != list(range(nvars)):  # no range of a huge nvars
         raise ValueError("dictionary positions must be 0..%d" % (nvars - 1))
     dictionary = {
         e["position"]: pk.PluckerPoly(_terms(
@@ -143,6 +145,12 @@ def seed_from_dict(data: dict) -> Seed:
     for u, w, m in arrows:
         if m < 1:
             raise ValueError("arrow %d -> %d has multiplicity %d, below 1" % (u, w, m))
+        if m > MAX_EXPONENT:
+            raise ValueError(
+                "arrow %d -> %d has multiplicity %d, above %d: an exchange through it"
+                " raises a non-constant neighbour's exponents past +-%d"
+                % (u, w, m, MAX_EXPONENT, MAX_EXPONENT)
+            )
         quiver.add_arrow(u, w, m)
         if quiver.is_frozen(u) and quiver.is_frozen(w):
             raise ValueError("arrow %d -> %d joins two frozen vertices" % (u, w))
@@ -241,7 +249,11 @@ def _build_seed(flag_opt: str | None, gr_opt: str | None, seed_file: str | None)
     if seed_file is not None:
         try:
             with open(seed_file) as fh:
-                return seed_from_dict(json.load(fh))
+                try:
+                    data = json.load(fh)
+                except RecursionError:
+                    raise ValueError("JSON nested too deeply to decode") from None
+            return seed_from_dict(data)
         except (OSError, ValueError, KeyError, TypeError, LaurentError) as exc:
             raise click.UsageError("cannot read seed file: %s" % exc) from None
     if flag_opt is not None:

@@ -4,9 +4,12 @@ The flag seed comes from a staircase arrangement of n L-shaped pseudolines on
 the [0,n] x [0,n] board: line i runs from (i,0) up to (i, sigma(i)) and then
 left to (0, sigma(i)).  Every unit cell is labeled by the set of lines
 passing north-east of it, and a face is the class of cells with one label.
-Bounded faces away from the x-axis are the seed vertices; faces touching the
-y-axis are frozen.  A face's label decodes into an explicit quadratic (or
-monomial) lift in Plucker coordinates.
+Bounded faces away from the x-axis are the seed vertices, and every cell
+maps straight to its face's vertex id; faces touching the y-axis are
+frozen.  Every arrow comes from one rule, applied along boundaries,
+crossings and the spots where levels separate: one arrow per run of equal
+consecutive (source, target) face pairs.  A face's label decodes into an
+explicit quadratic (or monomial) lift in Plucker coordinates.
 
 The Grassmannian seed is the familiar grid of solid minors; for one-step
 flags both constructions agree vertex-for-vertex and arrow-for-arrow, which
@@ -110,7 +113,7 @@ class Face:
 
 
 class Arrangement:
-    """Faces of the staircase arrangement plus cell-level lookup tables.
+    """Faces of the staircase arrangement plus a cell-level lookup table.
 
     Unit cell (x, y) spans (x, x+1) x (y, y+1) and is labeled by the lines
     passing north-east of it, {i > x : sigma(i) > y}; a face is a class of
@@ -121,6 +124,10 @@ class Arrangement:
     (max x, max y) of two cells labeled L is labeled L, and so is every cell
     on a monotone path up to it.  Classes with the empty label or touching
     the x-axis are discarded; those touching the y-axis are frozen.
+
+    ``faces`` is sorted by label size, then label, and a face's index in it
+    is its seed-vertex id; ``cell_face`` maps every cell to the id of its
+    face, or to None for a discarded cell.
     """
 
     def __init__(self, flag: FlagType):
@@ -139,26 +146,25 @@ class Arrangement:
                 label = tuple(i for i in range(x + 1, n + 1) if sigma[i - 1] > y)
                 groups.setdefault(label, []).append((x, y))
 
-        self.cell_face: dict[tuple[int, int], Face | None] = {}
-        faces = []
-        for index_set, cells in groups.items():
-            face = None
-            if index_set and all(y > 0 for (_, y) in cells):
-                face = Face(index_set, any(x == 0 for (x, _) in cells))
-                faces.append(face)
-            for c in cells:
-                self.cell_face[c] = face
-        faces.sort(key=lambda f: (len(f.index_set), f.index_set))
-        self.faces = faces
+        kept = sorted(
+            (label for label, cells in groups.items() if label and all(y for _, y in cells)),
+            key=lambda label: (len(label), label),
+        )
+        self.faces = [Face(label, any(x == 0 for x, _ in groups[label])) for label in kept]
+        vertex_id = {label: vid for vid, label in enumerate(kept)}
+        self.cell_face: dict[tuple[int, int], int | None] = {
+            c: vertex_id.get(label) for label, cells in groups.items() for c in cells
+        }
 
         expected = flag.dimension_count()
-        if len(faces) != expected:
-            raise FlagError("face count %d, expected %d" % (len(faces), expected))
-        frozen = sum(1 for f in faces if f.frozen)
+        if len(kept) != expected:
+            raise FlagError("face count %d, expected %d" % (len(kept), expected))
+        frozen = sum(1 for f in self.faces if f.frozen)
         if frozen != n - 1:
             raise FlagError("frozen face count %d, expected %d" % (frozen, n - 1))
 
-    def face_at(self, x: int, y: int) -> Face | None:
+    def face_at(self, x: int, y: int) -> int | None:
+        """The vertex id of the face holding cell (x, y), if it is kept."""
         return self.cell_face.get((x, y))
 
 
@@ -235,115 +241,67 @@ def lift_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[PluckerPol
     return poly, tab
 
 
-def arrangement_vertices(arr: Arrangement):
-    """Deterministic vertex layout: faces sorted by label, then one extra
-    frozen vertex per flag level.  Returns (vertices, face_vertex, unit_vertex)."""
-    vertices: list[Vertex] = []
-    face_vertex: dict[tuple[int, ...], int] = {}
-    unit_vertex: dict[int, int] = {}
-    vid = 0
-    for face in arr.faces:
-        name = "F{%s}" % ",".join(map(str, face.index_set))
-        vertices.append(Vertex(vid, name, face.frozen))
-        face_vertex[face.index_set] = vid
-        vid += 1
-    for d in arr.flag.dims:
-        vertices.append(Vertex(vid, "E%d" % d, True))
-        unit_vertex[d] = vid
-        vid += 1
-    return vertices, face_vertex, unit_vertex
+def build_flag_quiver(arr: Arrangement, vertices: list[Vertex], unit_vertex: dict) -> Quiver:
+    """Arrows of the arrangement quiver, each drawn by one rule: along a
+    walk of (source, target) vertex pairs, one arrow per run of equal
+    consecutive pairs; a pair missing a face, or inside one face, ends the
+    run and draws nothing.
 
-
-def build_flag_quiver(
-    arr: Arrangement, vertices: list[Vertex], face_vertex: dict, unit_vertex: dict
-) -> Quiver:
-    """Arrows of the arrangement quiver.
-
-    Neighboring faces get one arrow per shared boundary run: left to right
-    across vertical runs, top to bottom across horizontal runs.  Each
-    crossing of two lines adds an arrow from its south-east face to its
-    north-west face.  Finally each extra vertex (the coordinate P_{[1,d]})
-    receives an arrow from the face north-west of the spot where levels d
-    and d+1 separate, and emits one to the face south-east of it.  The
-    vertices and their lookups are those of ``arrangement_vertices``.
+    The walks are: each vertical boundary bottom to top, pairs left ->
+    right; each horizontal boundary left to right, pairs top -> bottom; each
+    crossing of two lines alone, its south-east -> north-west face; and for
+    each extra vertex E_d (the coordinate P_{[1,d]}, ``unit_vertex[d]``) the
+    spot where levels d and d+1 separate, alone, once north-west face -> E_d
+    and once E_d -> south-east face.
     """
-    quiver = Quiver(vertices)
-    n = arr.flag.n
-    sigma = arr.sigma
-    inv = arr.sigma_inv
-
-    def fid(face: Face | None) -> int | None:
-        return None if face is None else face_vertex[face.index_set]
-
-    # vertical boundaries: line x separates cell columns x-1 and x below its top
-    for x in range(1, n):
-        prev_pair = None
-        for y in range(n):
-            pair = None
-            if y < sigma[x - 1]:
-                left = fid(arr.face_at(x - 1, y))
-                right = fid(arr.face_at(x, y))
-                if left is not None and right is not None and left != right:
-                    pair = (left, right)
-            if pair is not None and pair != prev_pair:
-                quiver.add_arrow(pair[0], pair[1])
-            prev_pair = pair
-
-    # horizontal boundaries: the line of height y separates rows y-1 and y
-    # to the left of its corner
-    for y in range(1, n):
-        prev_pair = None
-        for x in range(n):
-            pair = None
-            if x < inv[y - 1]:
-                lower = fid(arr.face_at(x, y - 1))
-                upper = fid(arr.face_at(x, y))
-                if lower is not None and upper is not None and lower != upper:
-                    pair = (upper, lower)
-            if pair is not None and pair != prev_pair:
-                quiver.add_arrow(pair[0], pair[1])
-            prev_pair = pair
-
-    # crossings
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if sigma[j - 1] < sigma[i - 1]:
-                x, y = i, sigma[j - 1]
-                se = fid(arr.face_at(x, y - 1))
-                nw = fid(arr.face_at(x - 1, y))
-                if se is not None and nw is not None and se != nw:
-                    quiver.add_arrow(se, nw)
-
-    # extra vertices
-    for d in arr.flag.dims:
-        uid = unit_vertex[d]
+    n, sigma, inv, at = arr.flag.n, arr.sigma, arr.sigma_inv, arr.face_at
+    # line x separates cell columns x-1 and x below its top
+    walks = [[(at(x - 1, y), at(x, y)) for y in range(sigma[x - 1])] for x in range(1, n)]
+    # the line of height y separates rows y-1 and y to the left of its corner
+    walks += [[(at(x, y), at(x, y - 1)) for x in range(inv[y - 1])] for y in range(1, n)]
+    # line i crosses each later line whose corner is lower (line j + 1 turns at sigma[j])
+    walks += [
+        [(at(i, sigma[j] - 1), at(i - 1, sigma[j]))]
+        for i in range(1, n + 1) for j in range(i, n) if sigma[j] < sigma[i - 1]
+    ]
+    for d, uid in unit_vertex.items():
         h = sigma[d]  # height of the first line of the next block
-        src = fid(arr.face_at(d - 1, h))
-        dst = fid(arr.face_at(d, h - 1))
-        if src is not None:
-            quiver.add_arrow(src, uid)
-        if dst is not None:
-            quiver.add_arrow(uid, dst)
+        walks += [[(at(d - 1, h), uid)], [(uid, at(d, h - 1))]]
+
+    quiver = Quiver(vertices)
+    for walk in walks:
+        prev = None
+        for pair in walk:
+            if None in pair or pair[0] == pair[1]:
+                pair = None
+            elif pair != prev:
+                quiver.add_arrow(*pair)
+            prev = pair
     return quiver
 
 
 class FlagSeed:
-    """Initial seed of a partial flag variety, with face bookkeeping."""
+    """Initial seed of a partial flag variety, with face bookkeeping: vertex
+    i is the face ``arrangement.faces[i]``, followed by one frozen vertex
+    E_d per level d."""
 
     def __init__(self, flag: FlagType):
         self.flag = flag
         arr = Arrangement(flag)
         self.arrangement = arr
-        vertices, self.face_vertex, self.unit_vertex = arrangement_vertices(arr)
-        quiver = build_flag_quiver(arr, vertices, self.face_vertex, self.unit_vertex)
-
-        entries = {
-            self.face_vertex[face.index_set]: lift_index_set(face.index_set, flag)
-            for face in arr.faces
-        }
-        for d in flag.dims:
+        faces = arr.faces
+        self.face_vertex = {face.index_set: vid for vid, face in enumerate(faces)}
+        self.unit_vertex = {d: len(faces) + j for j, d in enumerate(flag.dims)}
+        vertices = [
+            Vertex(vid, "F{%s}" % ",".join(map(str, face.index_set)), face.frozen)
+            for vid, face in enumerate(faces)
+        ]
+        entries = {vid: lift_index_set(face.index_set, flag) for vid, face in enumerate(faces)}
+        for d, vid in self.unit_vertex.items():
+            vertices.append(Vertex(vid, "E%d" % d, True))
             prefix = range(1, d + 1)
-            entries[self.unit_vertex[d]] = (PluckerPoly.variable(prefix), tb.one_column(prefix))
+            entries[vid] = (PluckerPoly.variable(prefix), tb.one_column(prefix))
+        quiver = build_flag_quiver(arr, vertices, self.unit_vertex)
         self.seed = Seed.initial(quiver, entries)
 
 
@@ -365,7 +323,7 @@ class GrassmannianSeed:
         for r in range(1, self.rows + 1):
             for c in range(1, self.cols + 1):
                 vid = len(vertices)
-                idx = tuple(range(1, c)) + tuple(range(n - k + c - r + 1, n - r + 2))
+                idx = tb.interval_index_set(c, k, n - r + 1)
                 vertices.append(Vertex(vid, "r%dc%d" % (r, c), r == 1 or c == 1))
                 entries[vid] = (PluckerPoly.variable(idx), tb.one_column(idx))
                 self.grid[(r, c)] = vid

@@ -12,9 +12,10 @@ import clusterflag.cli as cli
 from clusterflag.cli import main, seed_from_dict, seed_to_dict, seed_to_dot
 from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed
 from clusterflag.programs import MutationProgram, general_flag_program
+from clusterflag.quiver import MAX_EXPONENT
 from clusterflag.tableaux import one_column
 
-from support import seeds_equal
+from support import all_flag_types, seeds_equal
 
 
 @pytest.fixture()
@@ -60,6 +61,18 @@ def test_seed_json_output_is_pinned(runner, command):
     result = runner.invoke(main, command.split())
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == _OUTPUT_DIGESTS[command]
+
+
+def test_every_flag_seed_through_n8_is_pinned():
+    """One sha256 over the JSON snapshots of the flag seeds of all 246
+    types with 3 <= n <= 8, in order: any change to a face's id, name,
+    arrows or lift changes it."""
+    flags = [flag for flag in all_flag_types(8, 7) if flag.n >= 3]
+    assert len(flags) == 246
+    digest = hashlib.sha256()
+    for flag in flags:
+        digest.update(json.dumps(seed_to_dict(FlagSeed(flag).seed)).encode())
+    assert digest.hexdigest() == "ead9949aba1bc5573ab6005da670bfa274835f79dd2df7e7357af9a79448cdaa"
 
 
 def test_seed_from_dict_rejects_unknown_schema():
@@ -268,6 +281,38 @@ def test_seed_file_with_bad_values_is_usage_error(runner, tmp_path, case):
     assert _seed_file_exits(runner, path, gr.vertex_at(2, 2)) == [2, 2]
     result = runner.invoke(main, ["export", "--seed-file", str(path)])
     assert "cannot read seed file" in result.output
+
+
+def _oversized_seed_file(case) -> str:
+    """A file too big to load: nested past the decoder's recursion limit,
+    or a Gr(2,4) snapshot with a huge ``nvars`` or arrow multiplicity."""
+    if case == "nesting":
+        return "[" * 200_000
+    data = seed_to_dict(GrassmannianSeed(2, 4).seed)
+    if case == "nvars":
+        data["nvars"] = 2**63
+    else:
+        data["arrows"] = [[u, w, case if [u, w] == [3, 0] else m] for u, w, m in data["arrows"]]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("case", ["nesting", "nvars", MAX_EXPONENT + 1, 10**30])
+def test_oversized_seed_file_is_usage_error(runner, tmp_path, case):
+    """Checked with ``export`` alone: ``mutate`` through a huge arrow would
+    expand its neighbour list to that many references before failing."""
+    path = tmp_path / "big.json"
+    path.write_text(_oversized_seed_file(case))
+    result = runner.invoke(main, ["export", "--seed-file", str(path)])
+    assert result.exit_code == 2, result.exception
+    assert "cannot read seed file" in result.output
+
+
+def test_seed_file_multiplicity_bound_is_inclusive(runner, tmp_path):
+    path = tmp_path / "bound.json"
+    path.write_text(_oversized_seed_file(MAX_EXPONENT))
+    result = runner.invoke(main, ["export", "--seed-file", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert [3, 0, MAX_EXPONENT] in json.loads(result.output)["arrows"]
 
 
 def _json_paths(node, path=()):

@@ -109,10 +109,11 @@ def test_faces_are_flood_filled_regions():
             if (n - 1, n - 1) not in region and all(y for _, y in region)
         }
         cells: dict = {}
-        for cell, face in arr.cell_face.items():
-            cells.setdefault(face, []).append(cell)
+        for cell, vid in arr.cell_face.items():
+            cells.setdefault(vid, []).append(cell)
         dropped = cells.pop(None, [])
-        got = {frozenset(c): face.frozen for face, c in cells.items()}
+        assert sorted(cells) == list(range(len(arr.faces)))
+        got = {frozenset(c): arr.faces[vid].frozen for vid, c in cells.items()}
         assert got == kept
         assert sorted(dropped) == sorted(
             set(itertools.product(range(n), repeat=2)).difference(*kept)
@@ -123,8 +124,8 @@ def test_face_lookup_by_cell():
     arr = Arrangement(FlagType((2,), 4))
     # bottom row of cells is always discarded
     assert all(arr.face_at(x, 0) is None for x in range(4))
-    face = arr.face_at(1, 1)
-    assert face is not None and face.index_set == (2, 4)
+    vid = arr.face_at(1, 1)
+    assert vid is not None and arr.faces[vid].index_set == (2, 4)
 
 
 # -- index set decomposition and lifts ----------------------------------------------
