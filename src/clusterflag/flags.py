@@ -290,7 +290,6 @@ class FlagSeed:
         arr = Arrangement(flag)
         self.arrangement = arr
         faces = arr.faces
-        self.face_vertex = {face.index_set: vid for vid, face in enumerate(faces)}
         self.unit_vertex = {d: len(faces) + j for j, d in enumerate(flag.dims)}
         vertices = [
             Vertex(vid, "F{%s}" % ",".join(map(str, face.index_set)), face.frozen)

@@ -11,16 +11,19 @@ reduced row echelon form R = G^-1 A with pivot columns J, and every
 coordinate of size m follows as P_I(A) = P_J(A) * P_I(R), where P_J(A) =
 det G and P_I(R) is +- a minor of R of size |I \ J|.
 
-Minors of size 3 and more are memoized per point and row count.  Those of
-size 3 are cofactor sums, and larger ones are condensed over F_p
-(Desnanot-Jacobi; Dodgson, Proc. R. Soc. 1866):
-M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
-- M(r[:-1], c[1:]) M(r[1:], c[:-1]).  The grid and most lifted flag
-coordinates are minors of R on runs of rows and columns that share their
-windows, so each costs a few products and one inverse; ``det_mod`` runs
-only when an interior minor is 0 mod p.  An isolated index set of size 10
-or more shares no windows and is 3-6 times slower than elimination; the
-certifier evaluates no such sets.
+Minors of R are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
+Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
+- M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` holds the index
+sets of a family of polynomials (for the certifier: the grid dictionary and
+the kept lifted flag coordinates) and compiles them once into a
+straight-line program: slot-indexed nodes, grouped by size, for the generic
+pivots J = {1, ..., m}.  A point runs it right after its reduction, with
+one batched inversion per size (Montgomery, Math. Comp. 1987).  Two
+fallbacks keep every value exact: a point with other pivots or dependent
+rows gets a program compiled for its own pivots, and a node whose interior
+minor is 0 mod p is computed by ``det_mod``.  A lookup outside the plan is a
+program of its own.  An isolated minor of size 10 shares no windows and is
+about 6 times slower than elimination; the certifier evaluates none.
 """
 
 from __future__ import annotations
@@ -316,28 +319,29 @@ class EvaluationPoint:
     strictly increasing; the matrix must have at least |I| rows and max(I)
     columns.  The top m rows are row-reduced once, on the first coordinate
     of size m, and kept in ``_echelons``: the signed product of the pivots,
-    which is P_J(A), the row of each pivot column j in J, and the reduced
-    rows R.  Then P_I(A) = P_J(A) * P_I(R),
+    which is P_J(A) (0 when the rows are dependent), the row of each pivot
+    column j in J, and the reduced rows R.  Then P_I(A) = P_J(A) * P_I(R),
     and P_I(R) is the minor of R on the rows of J \ I and the columns
-    I \ J, with sign (-1)^(rows of I & J + their positions in I).  When
-    the rows are dependent, the rows of R past the last pivot are zero and
-    lie in every such minor, so every P_I(A) is 0.  Each coordinate is
-    computed once per point and kept in ``_pluckers``.
+    I \ J, with sign (-1)^(rows of I & J + their positions in I).  Each
+    coordinate is computed once per point and kept in ``_pluckers``.
 
-    The minors of R are condensed and memoized per row count, with
-    ``det_mod`` only for a vanishing interior minor: fast on the certifier's
-    dictionaries, slower on isolated large index sets (module docstring).
+    With a ``plan``, the reduction of the top m rows evaluates all of the
+    plan's index sets of size m in one program run (``EvaluationPlan``);
+    any other index set is a program of its own.
     """
 
-    __slots__ = ("matrix", "prime", "_pluckers", "_echelons")
+    __slots__ = ("matrix", "prime", "plan", "_width", "_pluckers", "_echelons")
 
-    def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME):
+    def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME,
+                 plan: EvaluationPlan | None = None):
         self.matrix = tuple(tuple(x % prime for x in row) for row in matrix)
         if len({len(row) for row in self.matrix}) > 1:
             raise PluckerError("matrix rows differ in length")
         self.prime = prime
+        self.plan = plan
+        self._width = len(self.matrix[0]) if self.matrix else 0
         self._pluckers: dict[tuple[int, ...], int] = {}
-        self._echelons: dict[int, tuple[int, dict[int, int], list[list[int]], dict]] = {}
+        self._echelons: dict[int, tuple[int, dict[int, int], list[list[int]]]] = {}
 
     def plucker(self, index: Sequence[int]) -> int:
         index = tuple(index)
@@ -346,77 +350,134 @@ class EvaluationPoint:
             m = len(index)
             if m > len(self.matrix):
                 raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
-            if m and (sorted(set(index)) != list(index) or index[0] < 1 or index[-1] > len(self.matrix[0])):
-                raise PluckerError("index %s is not strictly increasing within the columns" % (index,))
-            scale, pivot_row, reduced, minors = self._echelons.get(m) or self._echelon(m)
-            sign = 0
-            rows = list(range(m))
-            cols = []
-            for pos, c in enumerate(index):
-                r = pivot_row.get(c)
-                if r is None:
-                    cols.append(c - 1)
-                else:
-                    rows.remove(r)
-                    sign += r + pos
-            v = scale * _minor(reduced, minors, tuple(rows), tuple(cols), self.prime)
-            v = self._pluckers[index] = (-v if sign & 1 else v) % self.prime
+            echelon = self._echelons.get(m) or self._echelon(m)
+            v = self._pluckers.get(index)
+            if v is None:
+                program = _compile([index], echelon[1], m, self._width)
+                v = self._pluckers[index] = _run(program, echelon, self.prime)[0]
         return v
 
-    def _echelon(self, m: int) -> tuple[int, dict[int, int], list[list[int]], dict]:
-        """Reduce the top m rows by Gauss-Jordan elimination; memoized."""
+    def _echelon(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
+        """Reduce the top m rows by Gauss-Jordan elimination, then evaluate
+        the plan's index sets of size m; memoized."""
         p = self.prime
         rows = [list(row) for row in self.matrix[:m]]
         scale = 1
         pivot_row: dict[int, int] = {}
-        for c in range(len(rows[0]) if rows else 0):
+        for c in range(self._width):
             r = len(pivot_row)
             if r == m:
                 break
-            pick = next((i for i in range(r, m) if rows[i][c]), None)
-            if pick is None:
-                continue
-            if pick != r:
+            if not rows[r][c]:
+                pick = next((i for i in range(r, m) if rows[i][c]), None)
+                if pick is None:
+                    continue
                 rows[r], rows[pick] = rows[pick], rows[r]
                 scale = -scale
             pivot = rows[r][c]
             scale = scale * pivot % p
             inv = pow(pivot, -1, p)
-            # left of column c the pivot row is 0, so each update starts at c
-            top = rows[r][c:] = [x * inv % p for x in rows[r][c:]]
-            for i in range(m):
-                f = rows[i][c]
+            # left of column c the pivot row is 0, and no minor reads a pivot
+            # column, so each update starts right of c
+            top = rows[r][c + 1:] = [x * inv % p for x in rows[r][c + 1:]]
+            for i, row in enumerate(rows):
+                f = row[c]
                 if f and i != r:
-                    rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], top)]
+                    row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], top)]
             pivot_row[c + 1] = r
-        self._echelons[m] = echelon = (scale, pivot_row, rows, {})
+        self._echelons[m] = echelon = (scale if len(pivot_row) == m else 0, pivot_row, rows)
+        if self.plan is not None and m in self.plan.indices:
+            program = self.plan.program(m, pivot_row, self._width)
+            self._pluckers.update(zip(self.plan.indices[m], _run(program, echelon, p)))
         return echelon
 
 
-def _minor(reduced: list[list[int]], minors: dict, rows: tuple, cols: tuple, p: int) -> int:
-    """The minor of ``reduced`` on ``rows`` x ``cols``: by cofactors up to
-    size 3, condensed beyond; those of size 3 and more are memoized."""
-    size = len(rows)
-    if size < 3:
+class EvaluationPlan:
+    """The index sets of some Plucker polynomials, grouped by size, with
+    their programs: one per row count, width and pivot columns, compiled
+    on first use.  Nearly every point has the generic pivots {1, ..., m}."""
+
+    __slots__ = ("indices", "_programs")
+
+    def __init__(self, polys: Iterable[PluckerPoly]):
+        self.indices: dict[int, list[tuple[int, ...]]] = {}
+        for idx in dict.fromkeys(idx for poly in polys for mono in poly.terms for idx in mono):
+            self.indices.setdefault(len(idx), []).append(idx)
+        self._programs: dict[tuple, tuple] = {}
+
+    def program(self, m: int, pivot_row: dict[int, int], width: int) -> tuple:
+        key = (m, width, *pivot_row.items())
+        if key not in self._programs:
+            self._programs[key] = _compile(self.indices[m], pivot_row, m, width)
+        return self._programs[key]
+
+
+def _compile(indices: Iterable[tuple[int, ...]], pivot_row: dict[int, int], m: int, width: int) -> tuple:
+    """The straight-line program of ``indices``, each of size m, at reduced
+    rows R (m x ``width``) whose pivot column j is in row pivot_row[j].
+    Slot r * width + c holds R[r][c], slot m * width holds 1, and every
+    further slot a minor of R of size 2 or more, condensed from five
+    smaller ones.  Returns the slot count, the nodes grouped by size (slot,
+    the slots it reads, rows, cols), and each index set's slot and sign."""
+    one = m * width
+    slots: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    levels: list[list[tuple]] = [[] for _ in range(m - 1)]
+
+    def slot(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        size = len(rows)
         if size < 2:
-            return reduced[rows[0]][cols[0]] if size else 1
-        a, b = reduced[rows[0]], reduced[rows[1]]
-        return (a[cols[0]] * b[cols[1]] - a[cols[1]] * b[cols[0]]) % p
-    v = minors.get((rows, cols))
-    if v is None:
-        if size == 3:
-            (a, b, c), (i, j, k) = (reduced[r] for r in rows), cols
-            v = (a[i] * (b[j] * c[k] - b[k] * c[j]) - a[j] * (b[i] * c[k] - b[k] * c[i])
-                 + a[k] * (b[i] * c[j] - b[j] * c[i])) % p
-        elif inner := _minor(reduced, minors, rows[1:-1], cols[1:-1], p):
+            return rows[0] * width + cols[0] if size else one
+        s = slots.get((rows, cols))
+        if s is None:
             top, bottom, left, right = rows[:-1], rows[1:], cols[:-1], cols[1:]
-            v = (_minor(reduced, minors, top, left, p) * _minor(reduced, minors, bottom, right, p)
-                 - _minor(reduced, minors, top, right, p) * _minor(reduced, minors, bottom, left, p)
-                 ) * pow(inner, -1, p) % p
-        else:
-            v = det_mod([[reduced[r][c] for c in cols] for r in rows], p)
-        minors[(rows, cols)] = v
-    return v
+            node = (slot(top, left), slot(bottom, right), slot(top, right), slot(bottom, left),
+                    slot(rows[1:-1], cols[1:-1]), rows, cols)
+            s = slots[rows, cols] = one + 1 + len(slots)
+            levels[size - 2].append((s, *node))
+        return s
+
+    outputs = []
+    for index in indices:
+        if m and (index[0] < 1 or index[-1] > width or any(b <= a for a, b in zip(index, index[1:]))):
+            raise PluckerError("index %s is not strictly increasing within the columns" % (index,))
+        hits = {pivot_row[c]: pos for pos, c in enumerate(index) if c in pivot_row}
+        rows = tuple(r for r in range(m) if r not in hits)
+        cols = tuple(c - 1 for c in index if c not in pivot_row)
+        outputs.append((slot(rows, cols), sum(map(sum, hits.items())) & 1))
+    return one + 1 + len(slots), [level for level in levels if level], outputs
+
+
+def _run(program: tuple, echelon: tuple[int, dict[int, int], list[list[int]]], p: int) -> list[int]:
+    """The values P_I(A) of a program's index sets, one minor size after
+    the other, with one batched inversion per size from 3 up."""
+    nslots, levels, outputs = program
+    scale, _, reduced = echelon
+    if not scale:
+        return [0] * len(outputs)
+    vals = [x for row in reduced for x in row]
+    vals += [1] + [0] * (nslots - len(vals) - 1)
+    for s, a, b, c, d, *_ in levels[0] if levels else ():     # size 2: interior 1
+        vals[s] = (vals[a] * vals[b] - vals[c] * vals[d]) % p
+    for level in levels[1:]:
+        inner = [vals[node[5]] for node in level]
+        invs = iter(batch_inverse([x for x in inner if x], p))
+        for (s, a, b, c, d, _, rows, cols), x in zip(level, inner):
+            vals[s] = ((vals[a] * vals[b] - vals[c] * vals[d]) * next(invs) % p if x
+                       else det_mod([[reduced[r][j] for j in cols] for r in rows], p))
+    return [(-scale if neg else scale) * vals[s] % p for s, neg in outputs]
+
+
+def batch_inverse(values: Sequence[int], p: int) -> list[int]:
+    """Inverses of nonzero residues mod a prime from one ``pow``
+    (Montgomery, Math. Comp. 1987); raises ValueError on a zero."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv, out = pow(acc, -1, p), [0] * len(values)
+    for i in reversed(range(len(values))):
+        out[i], inv = inv * prefix[i] % p, inv * values[i] % p
+    return out
 
 
 def det_mod(matrix: list[list[int]], p: int) -> int:
@@ -447,9 +508,11 @@ def det_mod(matrix: list[list[int]], p: int) -> int:
     return det % p
 
 
-def random_matrix_point(rows: int, cols: int, prime: int, rng: random.Random) -> EvaluationPoint:
+def random_matrix_point(
+    rows: int, cols: int, prime: int, rng: random.Random, plan: EvaluationPlan | None = None
+) -> EvaluationPoint:
     matrix = [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)]
-    return EvaluationPoint(matrix, prime)
+    return EvaluationPoint(matrix, prime, plan)
 
 
 # -- coordinates of the worked families ------------------------------------

@@ -29,7 +29,8 @@ import functools
 import heapq
 import operator
 import struct
-from itertools import compress
+from itertools import compress, repeat
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from . import tableaux as tb
@@ -314,27 +315,41 @@ class LaurentExpr:
                     rem[k] = old - qc * v
         return LaurentExpr._packed(n, quo, bound, env)
 
-    def evaluate(self, values: Sequence[int], prime: int) -> int:
-        """Evaluate at nonzero residues ``values`` modulo ``prime``."""
+    def evaluate(self, values: Sequence[int] | PowerTable, prime: int) -> int:
+        """Evaluate at nonzero residues ``values`` modulo ``prime``, or at
+        their ``PowerTable``, which calls at the same values share."""
         if self._sparse is None:
             self._sparse = [
                 (coeff, tuple(compress(enumerate(exps), exps)))
                 for exps, coeff in self.exponent_items()
             ]
+        power = (values if isinstance(values, PowerTable) else PowerTable(values, prime)).__getitem__
         total = 0
-        powers: dict[tuple[int, int], int] = {}
         for coeff, factors in self._sparse:
-            val = coeff % prime
-            for key in factors:
-                v = powers.get(key)
-                if v is None:
-                    v = powers[key] = pow(values[key[0]], key[1], prime)
-                val = val * v % prime
-            total = (total + val) % prime
-        return total
+            total += prod(map(power, factors), start=coeff) % prime
+        return total % prime
 
     def __repr__(self):
         return "LaurentExpr(%d terms in %d vars)" % (len(self.terms), self.nvars)
+
+
+class PowerTable(dict):
+    """(position, exponent) -> residue at fixed nonzero residues, for
+    ``LaurentExpr.evaluate``.  It starts with the values and adds each other
+    power on first read; one inverse per position serves every negative
+    exponent of that position, and positions never read negatively cost no
+    inverse."""
+
+    __slots__ = ("prime",)
+
+    def __init__(self, values: Sequence[int], prime: int):
+        super().__init__(zip(zip(range(len(values)), repeat(1)), values))
+        self.prime = prime
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        pos, e = key
+        v = self[key] = pow(self[pos, -1], -e, self.prime) if e < -1 else pow(self[pos, 1], e, self.prime)
+        return v
 
 
 # -- quivers ------------------------------------------------------------------

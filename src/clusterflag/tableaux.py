@@ -121,11 +121,16 @@ def _validate_rows(rows: tuple[tuple[int, ...], ...]) -> None:
 def from_columns(cols: Iterable[Sequence[int]]) -> Tableau:
     """Build the tableau whose column multiset is ``cols`` (the union of
     the corresponding one-column tableaux)."""
-    return union(*(Tableau([[x] for x in col]) for col in cols))
+    return union(*map(one_column, cols))
 
 
-def one_column(entries: Sequence[int]) -> Tableau:
-    return Tableau([[x] for x in entries])
+def one_column(entries: Iterable[int]) -> Tableau:
+    """The one-column tableau on ``entries``, checked in one pass for
+    strictly increasing positive ints; the constructor raises on the rest."""
+    col = tuple(entries)
+    if all(isinstance(x, int) and x > last for last, x in zip((0,) + col, col)):
+        return Tableau._of(tuple((x,) for x in col))
+    return Tableau([[x] for x in col])
 
 
 EMPTY = Tableau([])

@@ -197,8 +197,8 @@ def test_flag_seed_weights_match_closed_form():
         fs = FlagSeed(flag)
         assert fs.seed.heights == flag.dims
         expect = {
-            fs.face_vertex[f.index_set]: weight_of_index_set(f.index_set, flag)
-            for f in fs.arrangement.faces
+            vid: weight_of_index_set(f.index_set, flag)
+            for vid, f in enumerate(fs.arrangement.faces)
         }
         for j, d in enumerate(flag.dims):
             expect[fs.unit_vertex[d]] = tuple(int(t == j) for t in range(flag.k))
@@ -218,8 +218,7 @@ def test_flag_seed_dictionary_matches_unipotent_minors():
         fs = FlagSeed(flag)
         for _ in range(3):
             pt = random_unipotent_point(dims, n, DEFAULT_PRIME, rng)
-            for face in fs.arrangement.faces:
-                vid = fs.face_vertex[face.index_set]
+            for vid, face in enumerate(fs.arrangement.faces):
                 got = fs.seed.dictionary[vid].evaluate(pt)
                 assert got == pattern_minor(pt, face.index_set)
 
@@ -318,8 +317,8 @@ def test_flag_seed_walks_laurent_terms_have_tableau_weight():
         fs = FlagSeed(flag)
         seed = fs.seed
         initial = [None] * seed.nvars
-        for face in fs.arrangement.faces:
-            initial[fs.face_vertex[face.index_set]] = weight_of_index_set(face.index_set, flag)
+        for vid, face in enumerate(fs.arrangement.faces):
+            initial[vid] = weight_of_index_set(face.index_set, flag)
         for j, d in enumerate(flag.dims):
             initial[fs.unit_vertex[d]] = tuple(int(t == j) for t in range(flag.k))
         mutable = seed.mutable_ids()

@@ -7,12 +7,14 @@ import pytest
 import sympy
 
 from clusterflag import plucker
-from clusterflag.flags import GrassmannianSeed
+from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
 from clusterflag.plucker import (
     DEFAULT_PRIME,
+    EvaluationPlan,
     EvaluationPoint,
     PluckerError,
     PluckerPoly,
+    batch_inverse,
     det_mod,
     format_poly,
     index_label,
@@ -379,6 +381,83 @@ def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
         assert fallbacks > 0
     if prime == DEFAULT_PRIME:
         assert fallbacks == 0
+
+
+@pytest.mark.parametrize("dims, n", [((2, 4), 6), ((2, 5, 7), 8), ((1, 3), 8)])
+def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
+    """The plan of a flag type (the grid dictionary of its Grassmannian and
+    every lifted flag coordinate) at integer points, against sympy's
+    integer determinant mod p for p in {2, 3, 7, 2^61 - 1}.  The points
+    include a zero first column (other pivots), two equal rows (dependent
+    rows) and, at small p, vanishing interior minors; counters show that
+    each fallback ran and that the plan answered every lookup."""
+    flag = FlagType(dims, n)
+    k, ambient = flag.target_grassmannian
+    plan = EvaluationPlan([*GrassmannianSeed(k, ambient).seed.dictionary.values(),
+                           *embedded_flag_seed(FlagSeed(flag)).dictionary.values()])
+    rng = random.Random(len(dims) * 100 + n)
+    dense = [[[rng.randrange(-99, 100) for _ in range(ambient)] for _ in range(k)] for _ in range(6)]
+    zero_first_column = [[0] + row[1:] for row in dense[0]]
+    equal_rows = [dense[1][0]] + dense[1][:-1]
+    matrices = dense + [zero_first_column, equal_rows]
+    expected = [
+        {index: sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(k)]).det()
+         for index in plan.indices[k]}
+        for matrix in matrices
+    ]
+    generic = {j: j - 1 for j in range(1, k + 1)}
+    compile_program = plucker._compile
+    compiled, det_calls = [], []
+
+    def counted_compile(indices, pivot_row, m, width):
+        compiled.append((len(indices), pivot_row == generic, len(pivot_row) < m))
+        return compile_program(indices, pivot_row, m, width)
+
+    def counted_det_mod(rows, p):
+        det_calls.append(p)
+        return det_mod(rows, p)
+
+    monkeypatch.setattr(plucker, "_compile", counted_compile)
+    monkeypatch.setattr(plucker, "det_mod", counted_det_mod)
+    assert list(plan.indices) == [k]
+    for prime in (2, 3, 7, DEFAULT_PRIME):
+        for matrix, values in zip(matrices, expected):
+            pt = EvaluationPoint(matrix, prime, plan)
+            for index, det in values.items():
+                assert pt.plucker(index) == det % prime, (prime, matrix, index)
+        if prime < 7:
+            assert det_calls.count(prime) > 0, prime
+    assert DEFAULT_PRIME not in det_calls
+    # no lookup fell outside the plan, and each pivot pattern compiled once
+    assert all(size == len(plan.indices[k]) for size, _, _ in compiled)
+    assert sum(is_generic for _, is_generic, _ in compiled) == 1
+    assert any(not is_generic and not dependent for _, is_generic, dependent in compiled)
+    assert any(dependent for _, _, dependent in compiled)
+
+
+def test_plan_single_lookups_and_bounds():
+    """Index sets outside a plan are single lookups through the same
+    kernel; a plan index set outside the matrix is refused."""
+    matrix = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]]
+    plan = EvaluationPlan([P((1, 2, 4)) * P((2, 3)), P((3, 4, 5))])
+    assert plan.indices == {3: [(1, 2, 4), (3, 4, 5)], 2: [(2, 3)]}
+    pt = EvaluationPoint(matrix, 101, plan)
+    for m in (1, 2, 3):
+        for index in itertools.combinations(range(1, 6), m):
+            sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(m)])
+            assert pt.plucker(index) == sub.det() % 101, index
+    bad = EvaluationPoint(matrix, 101, EvaluationPlan([P((2, 6))]))
+    with pytest.raises(PluckerError):
+        bad.plucker((1, 2))
+
+
+def test_batch_inverse():
+    p = 1000003
+    values = [1, 2, p - 1, 12345, 2 * p + 7]
+    assert batch_inverse(values, p) == [pow(v, -1, p) for v in values]
+    assert batch_inverse([], p) == []
+    with pytest.raises(ValueError):
+        batch_inverse([3, p, 5], p)
 
 
 def test_unipotent_pattern_shape():

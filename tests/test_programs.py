@@ -7,7 +7,7 @@ import pytest
 import clusterflag.flags as flags_module
 import clusterflag.programs as programs
 from clusterflag.flags import FlagError, FlagType, GrassmannianSeed, embedded_flag_seed
-from clusterflag.plucker import PluckerPoly
+from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, is_prime
 from clusterflag.programs import (
     MutationProgram,
     ProgramError,
@@ -260,6 +260,28 @@ def test_verify_rank_one_flag():
     assert report.passed
     assert report.counts["mutations"] == 0
     assert report.counts["deleted"] == 0
+
+
+def test_prime_guard_tests_every_prime_but_the_default(monkeypatch):
+    """2^61 - 1 is known prime (``test_is_prime_against_trial_division``)
+    and skips Miller-Rabin; any other prime is tested, and a composite or
+    out-of-range one is refused."""
+    tested = []
+
+    def counted_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(programs, "is_prime", counted_is_prime)
+    flag = FlagType((2, 4), 6)
+    assert verify_theorem(flag, trials=1).passed
+    assert tested == []
+    other = (1 << 32) + 15      # the least prime above 2^32
+    assert verify_theorem(flag, trials=1, prime=other).passed
+    assert tested == [other]
+    for bad in (DEFAULT_PRIME * 3, other * 3, (1 << 89) - 1, (1 << 31) - 1, DEFAULT_PRIME + 2):
+        with pytest.raises(ProgramError):
+            verify_theorem(flag, trials=1, prime=bad)
 
 
 # -- certificate mutants -------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Laurent arithmetic, quiver mutation, and the two-track seed."""
 
 import functools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from clusterflag.quiver import (
     MAX_EXPONENT,
     LaurentError,
     LaurentExpr,
+    PowerTable,
     Quiver,
     QuiverError,
     Seed,
@@ -116,6 +119,31 @@ def test_laurent_evaluate():
     x, y = 7, 9
     expect = (3 * pow(x, 2, p) * pow(y, p - 2, p) - 1) % p
     assert f.evaluate([x, y], p) == expect
+
+
+def test_shared_power_table_against_fractions():
+    """Expressions evaluated at one shared ``PowerTable``, against exact
+    per-term ``Fraction`` arithmetic reduced mod p: exponents from -4 to 3,
+    so the table serves values, inverses, and powers of both that it adds
+    on first read."""
+    rng = random.Random(31)
+    p = 1000003
+    values = [rng.randrange(1, p) for _ in range(4)]
+    table = PowerTable(values, p)
+    for _ in range(40):
+        terms = {
+            tuple(rng.randint(-4, 3) for _ in values): rng.randint(-9, 9)
+            for _ in range(rng.randint(1, 6))
+        }
+        exact = sum(
+            Fraction(c) * math.prod(Fraction(v) ** e for v, e in zip(values, exps))
+            for exps, c in terms.items()
+        )
+        expect = exact.numerator * pow(exact.denominator, -1, p) % p
+        expr = LaurentExpr(len(values), terms)
+        assert expr.evaluate(table, p) == expect, terms
+        assert expr.evaluate(values, p) == expect, terms
+    assert {e for _, e in table} >= {-4, -3, -2, -1, 1, 2, 3}
 
 
 # -- quiver structure ----------------------------------------------------------

@@ -144,6 +144,29 @@ def test_union_is_semistandard_without_validation(ts):
     assert u == Tableau(rows)
 
 
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 12), max_size=6, unique=True).map(sorted),
+        st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.just(2.0), st.just("3")),
+                 max_size=5),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_one_column_agrees_with_validating_constructor(entries):
+    # one_column checks a column in one pass and builds it unchecked; on
+    # every column it must equal the constructor, and on every bad column
+    # raise the constructor's error with the same text
+    try:
+        expected = Tableau([[e] for e in entries])
+    except TableauError as exc:
+        with pytest.raises(type(exc)) as raised:
+            one_column(entries)
+        assert str(raised.value) == str(exc)
+        return
+    got = one_column(iter(entries))
+    assert got == expected and got.rows == expected.rows
+
+
 # -- dominance -----------------------------------------------------------------
 
 
