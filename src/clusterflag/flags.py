@@ -168,34 +168,6 @@ class Arrangement:
         return self.cell_face.get((x, y))
 
 
-def initial_index_sets(flag: FlagType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Closed-form list of the face labels: for each level pair
-    (d_j, d_{j+1}) and i in [1, d_j], the bare interval [i, d_j] and the
-    two-interval sets [i, d_j] u [i', d_{j+1}] with i' in [d_j + 2, d_{j+1}].
-
-    Returns (mutable, frozen); frozen are the sets with i = 1 together with
-    the bare intervals ending at d_1.
-    """
-    ext = flag.extended
-    mutable: list[tuple[int, ...]] = []
-    frozen: list[tuple[int, ...]] = []
-    for b in range(1, len(ext) - 1):
-        dj, dnext = ext[b], ext[b + 1]
-        for i in range(1, dj + 1):
-            bare = tuple(range(i, dj + 1))
-            if i == 1 or dj == ext[1]:
-                frozen.append(bare)
-            else:
-                mutable.append(bare)
-            for i2 in range(dj + 2, dnext + 1):
-                two = bare + tuple(range(i2, dnext + 1))
-                if i == 1:
-                    frozen.append(two)
-                else:
-                    mutable.append(two)
-    return mutable, frozen
-
-
 def decompose_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[int, int, int, int]:
     """Split a face label into its interval data (i1, d1, i2, d2); a single
     interval is reported with i2 = d2 = 0."""

@@ -57,29 +57,34 @@ def normalize_index(seq: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(items)
 
 
-Monomial = tuple[tuple[int, ...], ...]  # sorted tuple of index tuples
-
-
 class PluckerPoly:
-    """Sparse integer polynomial in Plucker coordinates."""
+    """Sparse integer polynomial in Plucker coordinates: ``terms`` maps each
+    monomial, a sorted tuple of increasing index tuples, to its nonzero
+    coefficient."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        tt: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            key = tuple(sorted(mono))
-            tt[key] = tt.get(key, 0) + coeff
-        self.terms = {m: c for m, c in tt.items() if c}
-
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def _of(cls, terms: dict[Monomial, int]) -> "PluckerPoly":
-        """Wrap a dict of sorted monomials to nonzero coefficients as is."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
+    def __init__(self, terms: Mapping[Sequence, int] | Iterable[tuple[Sequence, int]] = ()):
+        """The sum of coeff * prod P_I over ``terms``, a mapping or an
+        iterable of (monomial, coeff) pairs.  Each index I is sorted with its
+        sign, and a repeated index drops the term; then each monomial is
+        sorted, equal monomials are summed and zeros dropped."""
+        self.terms = acc = {}
+        for mono, coeff in terms.items() if hasattr(terms, "items") else terms:
+            key = []
+            for idx in mono:
+                sign, idx = normalize_index(idx)
+                coeff *= sign
+                key.append(idx)
+            if coeff:
+                key = tuple(sorted(key))
+                new = acc.get(key, 0) + coeff
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
 
     @classmethod
     def variable(cls, index: Sequence[int]) -> "PluckerPoly":
@@ -88,46 +93,25 @@ class PluckerPoly:
     @classmethod
     def monomial(cls, indices: Iterable[Sequence[int]], coeff: int = 1) -> "PluckerPoly":
         """coeff * prod P_I, each I sorted with its sign (0 on a repeat)."""
-        mono = []
-        for idx in indices:
-            sign, idx = normalize_index(idx)
-            coeff *= sign
-            mono.append(idx)
-        return cls._of({tuple(sorted(mono)): coeff} if coeff else {})
+        return cls([(indices, coeff)])
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "PluckerPoly") -> "PluckerPoly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-        return PluckerPoly._of(terms)
+        return PluckerPoly([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "PluckerPoly":
-        return PluckerPoly._of({m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "PluckerPoly") -> "PluckerPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return PluckerPoly()
-            return PluckerPoly._of({m: c * other for m, c in self.terms.items()})
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                new = terms.get(mono, 0) + c1 * c2
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
-        return PluckerPoly._of(terms)
+            return PluckerPoly((m, c * other) for m, c in self.terms.items())
+        return PluckerPoly(
+            (m1 + m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -140,12 +124,6 @@ class PluckerPoly:
     def coefficient(self, mono: Iterable[Sequence[int]]) -> int:
         key = tuple(sorted(tuple(i) for i in mono))
         return self.terms.get(key, 0)
-
-    def map_variables(self, fn) -> "PluckerPoly":
-        out = PluckerPoly()
-        for mono, coeff in self.terms.items():
-            out = out + PluckerPoly.monomial(map(fn, mono), coeff)
-        return out
 
     def __repr__(self):
         return "PluckerPoly(%s)" % format_poly(self)
@@ -185,39 +163,16 @@ def format_poly(poly: PluckerPoly) -> str:
     return "".join(chunks)
 
 
-# -- exchange relations ----------------------------------------------------
-
-
-def plucker_relation(j_idx: Sequence[int], l_idx: Sequence[int], s: int) -> PluckerPoly:
-    """The degree-two exchange relation swapping the first ``s`` entries of
-    ``j_idx`` with every ordered ``s``-subset of ``l_idx``:
-
-        P_J P_L - sum_{r_1<...<r_s} P_{J'} P_{L'}
-
-    which vanishes on flags (|J| <= |L|) and in particular on any single
-    Grassmannian when |J| = |L|.
-    """
-    J = tuple(j_idx)
-    L = tuple(l_idx)
-    if not (1 <= s <= len(J) <= len(L)):
-        raise PluckerError("need 1 <= s <= |J| <= |L|")
-    from itertools import combinations
-
-    rel = PluckerPoly.monomial([J, L])
-    for positions in combinations(range(len(L)), s):
-        j_new = tuple(L[r] for r in positions) + J[s:]
-        l_new = list(L)
-        for t, r in enumerate(positions):
-            l_new[r] = J[t]
-        rel = rel - PluckerPoly.monomial([j_new, tuple(l_new)])
-    return rel
+# -- the embedding phi-star --------------------------------------------------
 
 
 def phi_star(poly: PluckerPoly, dims: Sequence[int], n: int) -> PluckerPoly:
     """Embed a flag polynomial into the big Grassmannian: every index set is
     padded by ``pad_index``."""
     try:
-        return poly.map_variables(lambda idx: pad_index(idx, dims, n))
+        return PluckerPoly(
+            ([pad_index(idx, dims, n) for idx in mono], coeff) for mono, coeff in poly.terms.items()
+        )
     except TableauError as exc:
         raise PluckerError(str(exc)) from None
 
@@ -256,20 +211,18 @@ def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> Plucker
     base_sign = sum(range(i1, d1 + 1))
     head1 = tuple(range(1, i1))
     head2 = tuple(range(1, i2))
-    out = PluckerPoly()
+    terms = []
     for J in combinations(window, size):
-        rest = tuple(x for x in window if x not in J)
         sign = (-1) ** (base_sign + sum(J))
         first = head1 + J
-        second = head2 + rest
-        if d2 == n:
+        second = head2 + tuple(x for x in window if x not in J)
+        if d2 < n:
+            terms.append(([first, second], sign))
+        elif len(set(second)) == len(second):
             # second factor would be the full determinant: drop it, keeping
-            # only the term where it has no repeated index
-            if len(set(second)) != len(second):
-                continue
-            out = out + PluckerPoly.monomial([first], sign)
-        else:
-            out = out + PluckerPoly.monomial([first, second], sign)
+            # only the terms where it has no repeated index
+            terms.append(([first], sign))
+    out = PluckerPoly(terms)
     lead = initial_tableau(i1, d1, i2, d2, n)
     lead_coeff = out.coefficient(lead.columns())
     if lead_coeff == 0:

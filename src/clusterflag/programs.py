@@ -116,15 +116,6 @@ def sh_program(n: int) -> MutationProgram:
     return general_flag_program(FlagType((2, n - 2), n))
 
 
-def standard_form_tableau(flag: FlagType, j: int, j1: int, j2: int) -> tb.Tableau:
-    """Padded two-column tableau that page j1+j2+1 of region j places at
-    grid position (top + j1, c - j2 + 1)."""
-    ext = flag.extended
-    d_prev, dj = ext[j - 1], ext[j]
-    t = tb.initial_tableau(j2 + 1, d_prev, d_prev + j1 + 2, dj, flag.n)
-    return tb.fill_up(t, flag.dims, flag.n)
-
-
 @dataclass
 class RunResult:
     """A program run; the labels are grid labels (``GrassmannianSeed.label_of``)."""

@@ -25,8 +25,9 @@ class TableauError(ValueError):
 
 
 class UnbalancedExchange(TableauError):
-    """The unions of an exchange's in- and out-tableaux differ in shape, so
-    the exchange is not weight-balanced."""
+    """Tableaux compared for dominance differ in shape.  When they are the
+    unions of an exchange's in- and out-tableaux, the exchange is not
+    weight-balanced."""
 
     def __init__(self, u_in: Tableau, u_out: Tableau):
         super().__init__("exchange unions differ in shape: %s vs %s" % (u_in.shape, u_out.shape))
@@ -76,9 +77,6 @@ class Tableau:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.width)]
-
-    def max_entry(self) -> int:
-        return max((row[-1] for row in self.rows), default=0)
 
     # -- dunder ----------------------------------------------------------
 
@@ -187,12 +185,13 @@ def quotient(t: Tableau, s: Tableau) -> Tableau:
 def dominance_compare(s: Tableau, t: Tableau) -> str:
     """Compare same-shape tableaux; one of 'equal', 'less', 'greater',
     'incomparable'.  'less' means s <= t: for every i, the shape of the
-    entries <= i of s is dominated by that of t."""
+    entries <= i of s is dominated by that of t.  The restricted shapes
+    change only at entries of s or t, so only those i are tried.  Unequal
+    shapes raise ``UnbalancedExchange``."""
     if s.shape != t.shape:
-        raise TableauError("dominance_compare requires equal shapes")
+        raise UnbalancedExchange(s, t)
     le = ge = True
-    top = max(s.max_entry(), t.max_entry())
-    for i in range(1, top + 1):
+    for i in sorted({x for row in s.rows + t.rows for x in row}):
         # prefix sums of the shapes of the sub-tableaux of entries <= i
         a = b = 0
         for row_s, row_t in zip(s.rows, t.rows):
@@ -269,14 +268,13 @@ def tableau_mutation(t_r: Tableau, incoming: Sequence[Tableau], outgoing: Sequen
 
     Every tableau is the exact leading tableau of its variable, so the
     unions of the incoming and outgoing neighbor tableaux have the same
-    shape exactly when the exchange is weight-balanced; ``UnbalancedExchange``
-    is raised when they do not.  The dominance-larger union is the leading
-    term of the exchange, and dividing it by ``t_r`` yields the new tableau.
+    shape exactly when the exchange is weight-balanced; ``dominance_compare``
+    raises ``UnbalancedExchange`` when they do not.  The dominance-larger
+    union is the leading term of the exchange, and dividing it by ``t_r``
+    yields the new tableau.
     """
     u_in = union(*incoming)
     u_out = union(*outgoing)
-    if u_in.shape != u_out.shape:
-        raise UnbalancedExchange(u_in, u_out)
     cmp = dominance_compare(u_in, u_out)
     if cmp == "incomparable":
         raise TableauError(

@@ -11,7 +11,7 @@ from collections import Counter
 
 from clusterflag.tableaux import Tableau, one_column, union
 from clusterflag.flags import FlagType, sigma_draw
-from clusterflag.plucker import EvaluationPoint, det_mod
+from clusterflag.plucker import EvaluationPoint, PluckerError, PluckerPoly, det_mod
 from clusterflag.quiver import quivers_agree
 
 
@@ -66,7 +66,7 @@ def brute_restricted_shape(rows, i: int) -> tuple[int, ...]:
 
 def brute_dominance(s: Tableau, t: Tableau) -> str:
     """Reference comparison: prefix-sum dominance of every restriction."""
-    top = max(s.max_entry(), t.max_entry(), 1)
+    top = max([1, *(row[-1] for row in s.rows + t.rows)])
     leq = geq = True
     for i in range(1, top + 1):
         a = brute_restricted_shape(s.rows, i)
@@ -150,6 +150,42 @@ def arrangement_regions(flag) -> list[frozenset]:
     return regions
 
 
+def initial_index_sets(flag) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Closed-form list of the face labels: for each level pair
+    (d_j, d_{j+1}) and i in [1, d_j], the bare interval [i, d_j] and the
+    two-interval sets [i, d_j] u [i', d_{j+1}] with i' in [d_j + 2, d_{j+1}].
+
+    Returns (mutable, frozen); frozen are the sets with i = 1 together with
+    the bare intervals ending at d_1.
+    """
+    levels = list(flag.dims) + [flag.n]
+    mutable, frozen = [], []
+    for dj, dnext in zip(levels, levels[1:]):
+        for i in range(1, dj + 1):
+            bare = tuple(range(i, dj + 1))
+            (frozen if i == 1 or dj == levels[0] else mutable).append(bare)
+            for i2 in range(dj + 2, dnext + 1):
+                (frozen if i == 1 else mutable).append(bare + tuple(range(i2, dnext + 1)))
+    return mutable, frozen
+
+
+def standard_form_tableau(flag, j: int, j1: int, j2: int) -> Tableau:
+    """Padded two-column tableau that page j1+j2+1 of region j places at
+    grid position (top + j1, c - j2 + 1): the leading tableau of the rows
+    [j2+1, d_{j-1}] u [d_{j-1}+j1+2, d_j], its columns
+        [1, i2-1] u [n-d_j+i2, n]                   (height d_j)
+        [1, i1-1] u [n-d_j-d_{j-1}+i2+i1-1, n-d_j+i2-1]   (height d_{j-1})
+    with i1 = j2+1 and i2 = d_{j-1}+j1+2, each padded by n+1, n+2, ... to
+    height d_k."""
+    n, dk = flag.n, flag.dims[-1]
+    d1, d2 = flag.dims[j - 2], flag.dims[j - 1]
+    i1, i2 = j2 + 1, d1 + j1 + 2
+    col1 = [*range(1, i2), *range(n - d2 + i2, n + 1), *range(n + 1, n + 1 + dk - d2)]
+    col2 = [*range(1, i1), *range(n - d2 - d1 + i2 + i1 - 1, n - d2 + i2),
+            *range(n + 1, n + 1 + dk - d1)]
+    return Tableau(sorted(pair) for pair in zip(col1, col2))
+
+
 def column_subsets(n: int, size: int):
     return itertools.combinations(range(1, n + 1), size)
 
@@ -211,6 +247,38 @@ def seeds_equal(s1, s2, mapping) -> list[str]:
         if st.tableau != s2.variables[mapping[vid]].tableau:
             problems.append("tableau differs at %s" % s1.quiver.vertices[vid].name)
     return problems
+
+
+# -- Plucker polynomials -----------------------------------------------------------
+
+
+def inversion_sign(seq) -> int:
+    """(-1)^(number of inversions) of ``seq``, 0 when an entry repeats: the
+    sign that sorting an index puts on its Plucker coordinate."""
+    if len(set(seq)) != len(seq):
+        return 0
+    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
+
+
+def plucker_relation(j_idx, l_idx, s: int) -> PluckerPoly:
+    """The degree-two exchange relation swapping the first ``s`` entries of
+    ``j_idx`` with every ordered ``s``-subset of ``l_idx``:
+
+        P_J P_L - sum_{r_1<...<r_s} P_{J'} P_{L'}
+
+    which vanishes on flags (|J| <= |L|) and in particular on any single
+    Grassmannian when |J| = |L|.
+    """
+    J, L = tuple(j_idx), tuple(l_idx)
+    if not (1 <= s <= len(J) <= len(L)):
+        raise PluckerError("need 1 <= s <= |J| <= |L|")
+    terms = [([J, L], 1)]
+    for positions in itertools.combinations(range(len(L)), s):
+        l_new = list(L)
+        for t, r in enumerate(positions):
+            l_new[r] = J[t]
+        terms.append(([tuple(L[r] for r in positions) + J[s:], l_new], -1))
+    return PluckerPoly(terms)
 
 
 # -- the grading ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from clusterflag.plucker import (
     PluckerPoly,
     laplace_initial_minor,
     phi_star,
-    plucker_relation,
 )
 from clusterflag.programs import (
     expected_mutation_count,
@@ -30,6 +29,7 @@ from support import (
     brute_dominance,
     check_semistandard,
     pattern_minor,
+    plucker_relation,
     quiver_differences,
     random_quiver,
     random_tableau,

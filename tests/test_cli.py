@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -281,6 +284,24 @@ def test_seed_file_with_bad_values_is_usage_error(runner, tmp_path, case):
     assert _seed_file_exits(runner, path, gr.vertex_at(2, 2)) == [2, 2]
     result = runner.invoke(main, ["export", "--seed-file", str(path)])
     assert "cannot read seed file" in result.output
+
+
+def test_seed_file_with_huge_tableau_entry_mutates_promptly(tmp_path):
+    """A tableau entry of 10**30 costs the dominance comparison no more than
+    a small one.  The command runs in a subprocess, so that a regression
+    fails at the timeout instead of hanging the suite."""
+    data = seed_to_dict(GrassmannianSeed(2, 4).seed)
+    next(v for v in data["vertices"] if v["name"] == "unit")["tableau"] = [[1], [10**30]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "clusterflag.cli", "mutate", "--seed-file", str(path), "--at", "r2c2"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    r2c2 = next(v for v in json.loads(result.stdout)["vertices"] if v["name"] == "r2c2")
+    assert r2c2["tableau"] == [[2], [4]]
 
 
 def _oversized_seed_file(case) -> str:

@@ -13,7 +13,6 @@ from clusterflag.flags import (
     GrassmannianSeed,
     decompose_index_set,
     embedded_flag_seed,
-    initial_index_sets,
     lift_index_set,
     sigma_draw,
 )
@@ -31,6 +30,7 @@ from support import (
     all_flag_types,
     arrangement_regions,
     column_weight,
+    initial_index_sets,
     laurent_grading_problems,
     pattern_minor,
     quiver_differences,

@@ -1,12 +1,18 @@
-"""Every module-level import is read somewhere in its module.
+"""Every module-level import is read somewhere in its module, and every
+library definition is read by the library.
 
 No linter ships with the project, so this walks the syntax tree of each
 module under ``src/`` and ``tests/``: a name bound by a module-level
 ``import`` that no expression of the module loads is reported.
-``from __future__`` imports are exempt.
+``from __future__`` imports are exempt.  Under ``src/``, a module-level
+function or class that no ``src/`` module loads, outside its own body, is
+reported too, so that code only the tests need lives under ``tests/``.
+Click commands, which the command line reads through their decorator, are
+exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +46,48 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _loads(node) -> Counter:
+    """Names loaded under ``node``, as bare names or as attributes."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def _is_command(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes of ``sources`` (module name ->
+    source) that no module loads outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((_loads(tree) for tree in trees.values()), Counter())
+    return [
+        "%s line %d: %s" % (name, node.lineno, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not _is_command(node)
+        and total[node.name] == _loads(node)[node.name]
+    ]
+
+
+def test_reader_guard_sees_unread_definitions():
+    sources = {
+        "a": "def used():\n    pass\ndef loop():\n    return loop()\nclass K:\n    pass\n"
+             "def helper():\n    pass\n@main.command('x')\ndef cmd():\n    pass\n",
+        "b": "import a\nfrom a import used, K\nused(K)\na.helper()\n",
+    }
+    assert unread_definitions(sources) == ["a line 3: loop"]
+
+
+def test_library_definitions_are_read_by_the_library():
+    library = sorted((ROOT / "src").rglob("*.py"))
+    assert unread_definitions({str(p.relative_to(ROOT)): p.read_text() for p in library}) == []

@@ -24,14 +24,15 @@ from clusterflag.plucker import (
     mt_coordinate,
     normalize_index,
     phi_star,
-    plucker_relation,
     random_matrix_point,
     sh_coordinate,
 )
 from clusterflag.tableaux import TableauError, fill_up, initial_tableau, one_column
 
 from support import (
+    inversion_sign,
     pattern_minor,
+    plucker_relation,
     random_unipotent_point,
     trial_division_is_prime,
     unipotent_pattern,
@@ -85,6 +86,44 @@ def test_poly_constructor_sums_equal_monomials():
     assert PluckerPoly({((1, 2), (3, 4)): 1, ((3, 4), (1, 2)): -1}).is_zero()
     doubled = PluckerPoly({((1, 2), (3, 4)): 1, ((3, 4), (1, 2)): 1})
     assert doubled.terms == {((1, 2), (3, 4)): 2}
+
+
+def test_constructor_against_inversion_sign_oracle():
+    """Each index sorted with the sign of its inversions (a repeated entry
+    gives 0), each monomial sorted, equal monomials summed, zeros dropped;
+    the terms passed as pairs, as an iterator and as a mapping."""
+    fixed = [
+        [(((2, 1),), 3)],                                   # unsorted index
+        [(((1, 3, 1), (2, 4)), 5)],                         # repeated index
+        [(((1, 2), (3, 4)), 2), (((4, 3), (2, 1)), 1)],     # two orders summing
+        [(((1, 2), (3, 4)), 1), (((3, 4), (2, 1)), 1)],     # two orders cancelling
+    ]
+    assert PluckerPoly(fixed[0]) == M([(1, 2)], -3)
+    assert PluckerPoly(fixed[1]).is_zero()
+    assert PluckerPoly(fixed[2]).terms == {((1, 2), (3, 4)): 3}
+    assert PluckerPoly(dict(fixed[3])).is_zero()
+    rng = random.Random(23)
+
+    def index():
+        k = rng.randint(0, 4)
+        return tuple(rng.sample(range(1, 8), k) if rng.random() < 0.7 else rng.choices(range(1, 8), k=k))
+
+    randoms = [
+        [(tuple(index() for _ in range(rng.randint(0, 3))), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6))]
+        for _ in range(400)
+    ]
+    for pairs in fixed + randoms:
+        expected = {}
+        for mono, coeff in pairs:
+            for idx in mono:
+                coeff *= inversion_sign(idx)
+            key = tuple(sorted(tuple(sorted(idx)) for idx in mono))
+            expected[key] = expected.get(key, 0) + coeff
+        expected = {m: c for m, c in expected.items() if c}
+        assert PluckerPoly(pairs).terms == expected
+        assert PluckerPoly(iter(pairs)).terms == expected
+        if len(dict(pairs)) == len(pairs):
+            assert PluckerPoly(dict(pairs)).terms == expected
 
 
 def test_monomial_is_the_product_of_its_variables():

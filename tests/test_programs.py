@@ -19,13 +19,12 @@ from clusterflag.programs import (
     region_parameters,
     run_program,
     sh_program,
-    standard_form_tableau,
     verify_theorem,
 )
 from clusterflag.quiver import Seed
 from clusterflag.tableaux import Tableau, fill_up
 
-from support import all_flag_types, seeds_equal
+from support import all_flag_types, seeds_equal, standard_form_tableau
 
 
 # -- schedule shapes -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tableau monoid, dominance order, embeddings, and mutation rule."""
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from clusterflag.tableaux import (
     union,
 )
 
-from support import check_semistandard, random_tableau
+from support import brute_dominance, check_semistandard, random_tableau, two_row_tableaux
 
 
 def cols_strategy(max_n=7, max_cols=4, max_h=4):
@@ -180,6 +181,23 @@ def test_dominance_basics():
         dominance_compare(one_column([1]), one_column([1, 2]))
 
 
+def test_dominance_on_huge_entries_matches_relabelled_brute_force():
+    """Entries near 10**30 compare as their order-preserving relabelling
+    1, 2, ... does under the restriction-by-restriction oracle, and as fast:
+    only the entries present are tried."""
+    big = sorted(random.Random(41).sample(range(10**30, 10**30 + 10**6), 5))
+    by_shape = {}
+    for t in two_row_tableaux(5, 2):
+        by_shape.setdefault(t.shape, []).append(t)
+    checked = 0
+    for group in by_shape.values():
+        for s, t in itertools.product(group, repeat=2):
+            huge_s, huge_t = (Tableau([[big[x - 1] for x in row] for row in u.rows]) for u in (s, t))
+            assert dominance_compare(huge_s, huge_t) == brute_dominance(s, t), (s, t)
+            checked += 1
+    assert checked > 1000
+
+
 # -- fill_up --------------------------------------------------------------------
 
 
@@ -218,7 +236,7 @@ def test_fill_up_shape_and_commutation():
         if u != EMPTY:
             assert u.num_rows == max(dims)
             assert check_semistandard(u.rows)
-            assert u.max_entry() <= 8 + max(dims) - min(dims)
+            assert max(row[-1] for row in u.rows) <= 8 + max(dims) - min(dims)
 
 
 # -- initial tableaux -------------------------------------------------------------
