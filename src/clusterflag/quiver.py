@@ -47,14 +47,18 @@ class LaurentError(ArithmeticError):
 
 # -- Laurent expressions -----------------------------------------------------
 #
-# A monomial is one int: the exponent of variable ``i`` plus ``_BIAS`` fills
-# the 16-bit field at bit ``16 * i``.  Every stored exponent has
-# |e| <= MAX_EXPONENT, so the sum or the difference of two exponents, biased,
-# still lies in [0, 2**15): fields never carry into each other and the top
-# bit of every field stays clear.  Integer order of keys is then a monomial
-# order (lexicographic, last variable most significant), the product of two
-# monomials is ``k1 + k2 - offset``, and the top bits serve as guard bits for
-# field-wise comparisons.
+# A monomial is one int: with ``bits``-bit fields, the exponent of variable
+# ``i`` plus the bias 2**(bits - 2) fills the field at bit ``bits * i``.  An
+# expression packs with 8-bit fields while its ``bound`` is at most 31 and
+# with 16-bit fields up to MAX_EXPONENT; either way every stored exponent
+# has |e| <= 2**(bits - 3) - 1, so the sum or the difference of two
+# exponents, biased, still lies in [0, 2**(bits - 1)): fields never carry
+# into each other and the top bit of every field stays clear.  Integer order
+# of keys is then a monomial order (lexicographic, last variable most
+# significant), the product of two monomials is ``k1 + k2 - offset``, and
+# the top bits serve as guard bits for field-wise comparisons.  Operations
+# run at the widest width their operands or their result's bound need,
+# widening a narrow operand first (``_as``).
 #
 # Every nonzero expression also has an envelope: the keys of its field-wise
 # least and greatest exponents, the corners of the box around its Newton
@@ -65,49 +69,66 @@ class LaurentError(ArithmeticError):
 # a term cancelled; only then, and for expressions built from exponent
 # tuples, is it scanned off the keys, on first use.
 
-_FIELD_BITS = 16
-_BIAS = 1 << 14
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
 MAX_EXPONENT = (1 << 13) - 1
 
 
+def _width(bound: int) -> int:
+    """The field width in bits for exponents within +-``bound``."""
+    return 8 if bound < 32 else 16
+
+
 @functools.cache
-def _offset(nvars: int) -> int:
-    """The key of the constant monomial: every field at ``_BIAS``."""
-    return sum(_BIAS << (_FIELD_BITS * i) for i in range(nvars))
+def _offset(nvars: int, bits: int) -> int:
+    """The key of the constant monomial: every field at its bias."""
+    return sum(1 << (bits - 2) << (bits * i) for i in range(nvars))
 
 
-def _envelope(keys: Iterable[int], guard: int) -> tuple[int, int]:
+def _envelope(keys: Iterable[int], guard: int, bits: int) -> tuple[int, int]:
     """Keys of the field-wise least and greatest exponents over ``keys``
     (nonempty).  ``(k | guard) - low`` keeps a field's guard bit exactly
     where k's field is at least low's; the guard bits, moved to the bottom
     of their fields and multiplied by the field mask, select whole fields."""
+    mask = (1 << bits) - 1
     it = iter(keys)
     low = high = next(it)
     for k in it:
         kg = k | guard
-        k_ge = (((kg - low) & guard) >> (_FIELD_BITS - 1)) * _FIELD_MASK
+        k_ge = (((kg - low) & guard) >> (bits - 1)) * mask
         low = (low & k_ge) | (k & ~k_ge)
-        k_ge = (((kg - high) & guard) >> (_FIELD_BITS - 1)) * _FIELD_MASK
+        k_ge = (((kg - high) & guard) >> (bits - 1)) * mask
         high = (k & k_ge) | (high & ~k_ge)
     return low, high
 
 
 @functools.cache
-def _decoder(nvars: int):
+def _decoder(nvars: int, bits: int):
     """The function taking a key in ``nvars`` variables to its exponent
-    tuple.  ``key ^ off`` holds e in each field, or e + 2**15 where e < 0;
-    setting such a field's top bit too makes it e as a signed 16-bit field,
+    tuple.  ``key ^ off`` holds e in each field, or e + 2**(bits - 1) where
+    e < 0; setting such a field's top bit too makes it e as a signed field,
     so one unpack decodes a key."""
-    off = _offset(nvars)
-    size = 2 * nvars
-    unpack = struct.Struct("<%dh" % nvars).unpack
+    off = _offset(nvars, bits)
+    size = nvars * bits // 8
+    unpack = struct.Struct("<%d%s" % (nvars, "b" if bits == 8 else "h")).unpack
 
     def decode(key: int) -> tuple[int, ...]:
         x = key ^ off
         return unpack((x | (x & off) << 1).to_bytes(size, "little"))
 
     return decode
+
+
+@functools.cache
+def _widener(nvars: int):
+    """The function taking an 8-bit key to the 16-bit key of the same
+    monomial: each byte moves to the bottom of its 16-bit field, and one
+    addition moves every field from the narrow bias to the wide one."""
+    rebias = _offset(nvars, 16) - sum(1 << 6 << (16 * i) for i in range(nvars))
+    spread = struct.Struct("<%dH" % nvars).pack
+
+    def widen(key: int) -> int:
+        return int.from_bytes(spread(*key.to_bytes(nvars, "little")), "little") + rebias
+
+    return widen
 
 
 class LaurentExpr:
@@ -117,18 +138,16 @@ class LaurentExpr:
     constructor takes exponent tuples instead.  ``bound`` is an upper bound
     on |exponent| over all terms: a product whose factors' bounds add up
     past ``MAX_EXPONENT`` raises ``LaurentError`` rather than overflow a
-    field.  Expressions are never changed once built; ``evaluate`` decodes
-    the nonzero exponents on its first call and keeps them."""
+    field.  ``_bits`` is the field width of the keys, at least the one
+    ``bound`` needs.  Expressions are never changed once built;
+    ``evaluate`` decodes the nonzero exponents on its first call and keeps
+    them."""
 
-    __slots__ = ("nvars", "terms", "bound", "_sparse", "_env")
+    __slots__ = ("nvars", "terms", "bound", "_bits", "_sparse", "_env")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        self.nvars = nvars
-        self.terms = {}
-        self.bound = 0
-        self._sparse = None
-        self._env = None
-        off = _offset(nvars)
+        items = []
+        bound = 0
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
                 raise LaurentError(
@@ -136,54 +155,74 @@ class LaurentExpr:
                 )
             if not coeff:
                 continue
-            self.bound = max(self.bound, max(map(abs, exps), default=0))
-            if self.bound > MAX_EXPONENT:
+            bound = max(bound, max(map(abs, exps), default=0))
+            if bound > MAX_EXPONENT:
                 raise LaurentError("exponent beyond +-%d" % MAX_EXPONENT)
-            self.terms[off + sum(e << (_FIELD_BITS * i) for i, e in enumerate(exps))] = coeff
+            items.append((exps, coeff))
+        bits = _width(bound)
+        off = _offset(nvars, bits)
+        self.nvars = nvars
+        self.terms = {off + sum(e << (bits * i) for i, e in enumerate(exps)): c for exps, c in items}
+        self.bound = bound
+        self._bits = bits
+        self._sparse = None
+        self._env = None
 
     @classmethod
     def _packed(
-        cls, nvars: int, terms: dict[int, int], bound: int, env: tuple[int, int] | None = None
+        cls, nvars: int, terms: dict[int, int], bound: int, bits: int, env: tuple[int, int] | None = None
     ) -> "LaurentExpr":
-        """An expression over packed ``terms``; ``env`` is their exact
-        envelope, or None to scan it off the keys on first use."""
+        """An expression over ``terms`` packed with ``bits``-bit fields;
+        ``env`` is their exact envelope, or None to scan it off the keys on
+        first use."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.terms = terms
         out.bound = bound
+        out._bits = bits
         out._sparse = None
         out._env = env
         return out
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentExpr":
-        return cls._packed(nvars, {}, 0)
+        return cls._packed(nvars, {}, 0, 8)
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentExpr":
-        off = _offset(nvars)
-        return cls._packed(nvars, {off: c}, 0, (off, off)) if c else cls.zero(nvars)
+        off = _offset(nvars, 8)
+        return cls._packed(nvars, {off: c}, 0, 8, (off, off)) if c else cls.zero(nvars)
 
     @classmethod
     def generator(cls, nvars: int, pos: int) -> "LaurentExpr":
         if not 0 <= pos < nvars:
             raise LaurentError("no variable %d among %d" % (pos, nvars))
-        key = _offset(nvars) + (1 << (_FIELD_BITS * pos))
-        return cls._packed(nvars, {key: 1}, 1, (key, key))
+        key = _offset(nvars, 8) + (1 << (8 * pos))
+        return cls._packed(nvars, {key: 1}, 1, 8, (key, key))
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _as(self, bits: int) -> "LaurentExpr":
+        """This expression with ``bits``-bit fields, no narrower than its
+        own: itself, or its terms and envelope repacked wide."""
+        if bits == self._bits:
+            return self
+        widen = _widener(self.nvars)
+        env = self._env and (widen(self._env[0]), widen(self._env[1]))
+        terms = {widen(k): v for k, v in self.terms.items()}
+        return LaurentExpr._packed(self.nvars, terms, self.bound, bits, env)
 
     def _env_keys(self) -> tuple[int, int]:
         """The envelope of a nonzero expression (see above): keys of its
         field-wise least and greatest exponents."""
         if self._env is None:
-            self._env = _envelope(self.terms, _offset(self.nvars) << 1)
+            self._env = _envelope(self.terms, _offset(self.nvars, self._bits) << 1, self._bits)
         return self._env
 
     def exponent_items(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) for every term."""
-        decode = _decoder(self.nvars)
+        decode = _decoder(self.nvars, self._bits)
         return [(decode(key), coeff) for key, coeff in self.terms.items()]
 
     def _same_ring(self, other: "LaurentExpr") -> None:
@@ -191,17 +230,18 @@ class LaurentExpr:
             raise LaurentError("%d variables vs %d" % (self.nvars, other.nvars))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentExpr)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        if not isinstance(other, LaurentExpr) or self.nvars != other.nvars:
+            return False
+        bits = max(self._bits, other._bits)
+        return self._as(bits).terms == other._as(bits).terms
 
     def __add__(self, other: "LaurentExpr") -> "LaurentExpr":
         self._same_ring(other)
-        terms = dict(self.terms)
+        bits = max(self._bits, other._bits)
+        a, b = self._as(bits), other._as(bits)
+        terms = dict(a.terms)
         cancelled = False
-        for k, v in other.terms.items():
+        for k, v in b.terms.items():
             n = terms.get(k, 0) + v
             if n:
                 terms[k] = n
@@ -210,19 +250,21 @@ class LaurentExpr:
                 cancelled = True
         env = None
         if terms and not cancelled:         # the hull of the summands' envelopes
-            corners = [k for e in (self, other) if e.terms for k in e._env_keys()]
-            env = _envelope(corners, _offset(self.nvars) << 1)
-        return LaurentExpr._packed(self.nvars, terms, max(self.bound, other.bound), env)
+            corners = [k for e in (a, b) if e.terms for k in e._env_keys()]
+            env = _envelope(corners, _offset(self.nvars, bits) << 1, bits)
+        return LaurentExpr._packed(self.nvars, terms, max(self.bound, other.bound), bits, env)
 
     def __mul__(self, other: "LaurentExpr") -> "LaurentExpr":
         self._same_ring(other)
         bound = self.bound + other.bound
         if bound > MAX_EXPONENT:
             raise LaurentError("product exponents may pass +-%d" % MAX_EXPONENT)
-        off = _offset(self.nvars)
-        right = other.terms.items()
+        bits = max(self._bits, other._bits, _width(bound))
+        a, b = self._as(bits), other._as(bits)
+        off = _offset(self.nvars, bits)
+        right = b.terms.items()
         terms: dict[int, int] = {}
-        for k1, v1 in self.terms.items():
+        for k1, v1 in a.terms.items():
             k1 -= off
             for k2, v2 in right:
                 key = k1 + k2
@@ -232,9 +274,9 @@ class LaurentExpr:
                 else:
                     del terms[key]
         if not terms:
-            return LaurentExpr._packed(self.nvars, terms, bound)
-        (lo1, hi1), (lo2, hi2) = self._env_keys(), other._env_keys()
-        return LaurentExpr._packed(self.nvars, terms, bound, (lo1 + lo2 - off, hi1 + hi2 - off))
+            return LaurentExpr._packed(self.nvars, terms, bound, bits)
+        (lo1, hi1), (lo2, hi2) = a._env_keys(), b._env_keys()
+        return LaurentExpr._packed(self.nvars, terms, bound, bits, (lo1 + lo2 - off, hi1 + hi2 - off))
 
     def exact_div(self, other: "LaurentExpr") -> "LaurentExpr":
         """Exact division; raises LaurentError when the quotient is not a
@@ -242,7 +284,8 @@ class LaurentExpr:
 
         Newton polytopes add under products, so an exact quotient has, in
         each variable, exponents in [min_num - min_den, max_num - max_den],
-        read off the two envelopes; that box is the quotient's envelope.  A
+        read off the two envelopes; that box is the quotient's envelope, and
+        the division runs wide if the box leaves the narrow range.  A
         quotient term outside the box proves the division inexact, and the
         box bounds the number of steps.  Remainder keys are taken largest
         first from two sources: the numerator's keys, sorted once, and a
@@ -257,25 +300,29 @@ class LaurentExpr:
         n = self.nvars
         if self.is_zero():
             return LaurentExpr.zero(n)
-        off = _offset(n)
-        guard = off << 1
-        num_lo, num_hi = self._env_keys()
-        den_lo, den_hi = other._env_keys()
-        lo_key = num_lo - den_lo + off
-        hi_key = num_hi - den_hi + off
-        decode = _decoder(n)
-        bound = max(map(abs, decode(lo_key) + decode(hi_key)), default=0)
+        bits = max(self._bits, other._bits)
+        for bits in (bits, 16):             # a box that leaves +-31 is redone wide
+            a, b = self._as(bits), other._as(bits)
+            off = _offset(n, bits)
+            (num_lo, num_hi), (den_lo, den_hi) = a._env_keys(), b._env_keys()
+            lo_key = num_lo - den_lo + off
+            hi_key = num_hi - den_hi + off
+            decode = _decoder(n, bits)
+            bound = max(map(abs, decode(lo_key) + decode(hi_key)), default=0)
+            if _width(bound) <= bits:
+                break
         if bound > MAX_EXPONENT:
             raise LaurentError("quotient exponents may pass +-%d" % MAX_EXPONENT)
+        guard = off << 1
         env = (lo_key, hi_key)
         hi_key |= guard                     # for the box check below
 
-        den = other.terms
+        den = b.terms
         lead = max(den)
         lead_c = den[lead]
         lead_shift = lead - off
         rest = [(k, v) for k, v in den.items() if k != lead]
-        rem = dict(self.terms)
+        rem = dict(a.terms)
         stream = sorted(rem, reverse=True)
         stream.append(-1)                   # below every key: ends the stream
         i = 0
@@ -313,7 +360,7 @@ class LaurentExpr:
                     del rem[k]
                 else:
                     rem[k] = old - qc * v
-        return LaurentExpr._packed(n, quo, bound, env)
+        return LaurentExpr._packed(n, quo, bound, bits, env)
 
     def evaluate(self, values: Sequence[int] | PowerTable, prime: int) -> int:
         """Evaluate at nonzero residues ``values`` modulo ``prime``, or at

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -435,6 +436,39 @@ def test_mutate_inexact_exchange_is_clean_error(runner, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "inexact Laurent division" in result.output
+
+
+def test_mutate_through_wide_laurent_terms(runner, tmp_path):
+    """A neighbour of r2c2 whose expansion reaches exponents +-40 packs with
+    16-bit fields; the exchange through it meets narrow neighbours."""
+    data = seed_to_dict(GrassmannianSeed(2, 4).seed)
+    by_name = {v["name"]: v for v in data["vertices"]}
+    by_name["r1c2"]["laurent"] = [[[0, 0, 0, 0, -40], 2], [[0, 40, 0, 0, -1], 1]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["mutate", "--seed-file", str(path), "--at", "r2c2"])
+    assert result.exit_code == 0, result.output
+
+    xs = sympy.symbols("x0:%d" % data["nvars"])
+
+    def expansion(vertex):
+        return sympy.Add(*(c * sympy.Mul(*(x**e for x, e in zip(xs, exps))) for exps, c in vertex["laurent"]))
+
+    ids = {v["id"]: v for v in data["vertices"]}
+    vid = by_name["r2c2"]["id"]
+    ins = sympy.Mul(*(expansion(ids[u]) ** m for u, w, m in data["arrows"] if w == vid))
+    outs = sympy.Mul(*(expansion(ids[w]) ** m for u, w, m in data["arrows"] if u == vid))
+    expect = (ins + outs) / expansion(by_name["r2c2"])
+    out = json.loads(result.output)
+    new = next(v for v in out["vertices"] if v["name"] == "r2c2")
+    assert sympy.expand(expansion(new) - expect) == 0
+    assert max(abs(e) for exps, _ in new["laurent"] for e in exps) == 40
+
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(result.output)
+    again = runner.invoke(main, ["export", "--seed-file", str(mutated), "--format", "json"])
+    assert again.exit_code == 0
+    assert again.output == result.output
 
 
 # -- run ---------------------------------------------------------------------------
