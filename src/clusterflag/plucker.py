@@ -15,7 +15,7 @@ Minors of R are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
 Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
 - M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` holds the index
 sets of a family of polynomials (for the certifier: the grid dictionary and
-the kept lifted flag coordinates) and compiles them once into a
+the lifts it samples) and compiles them once into a
 straight-line program: slot-indexed nodes, grouped by size, for the generic
 pivots J = {1, ..., m}.  A point runs it right after its reduction, with
 one batched inversion per size (Montgomery, Math. Comp. 1987).  Two
@@ -475,6 +475,8 @@ def sh_coordinate(n: int, token_kind: str, i: int, j: int) -> PluckerPoly:
     """Coordinates used in the rank-two discussion of Fl_{2,n-2;n}:
     angle pairs are Plucker coordinates of 2-subsets; bracket pairs are
     signed coordinates of the complementary (n-2)-subsets."""
+    if n < 5:
+        raise PluckerError("the flag (2, n-2; n) needs n >= 5, got %d" % n)
     if not (1 <= i < j <= n):
         raise PluckerError("need 1 <= i < j <= n")
     if token_kind == "angle":
@@ -488,6 +490,8 @@ def sh_coordinate(n: int, token_kind: str, i: int, j: int) -> PluckerPoly:
 def mt_coordinate(n: int, entries: Sequence[int]) -> PluckerPoly:
     """Coordinates used in the Fl_{2,4;n} discussion: angle tuples of size
     two or four are plain Plucker coordinates."""
+    if n < 5:
+        raise PluckerError("the flag (2, 4; n) needs n >= 5, got %d" % n)
     if len(entries) not in (2, 4):
         raise PluckerError("expected an index tuple of size 2 or 4")
     if not all(1 <= e <= n for e in entries):

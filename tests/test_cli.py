@@ -644,6 +644,11 @@ def test_translate_usage_errors(runner):
     assert runner.invoke(main, ["translate", "--sh", "5", "[123]"]).exit_code == 2
     assert runner.invoke(main, ["translate", "--mt", "6", "[12]"]).exit_code == 2
     assert runner.invoke(main, ["translate", "--sh", "5", "[19]"]).exit_code == 2
+    # (2, n-2; n) and (2, 4; n) are flag types only from n = 5 on
+    for args in (["--sh", "2", "[12]"], ["--sh", "4", "<12>"], ["--mt", "3", "<12>"], ["--mt", "4", "<1234>"]):
+        result = runner.invoke(main, ["translate", *args])
+        assert result.exit_code == 2, args
+        assert "needs n >= 5" in result.output, args
     for args in (
         ["--sh", "5", "<1a>"],
         ["--sh", "5", "<1,>"],

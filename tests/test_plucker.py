@@ -555,6 +555,20 @@ def test_mt_coordinates():
         mt_coordinate(6, (1, 9))
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4])
+def test_coordinates_need_a_flag_type(n):
+    """(2, n-2; n) and (2, 4; n) are flag types only from n = 5 on: below
+    that, even an index tuple inside [1, n] has no coordinate."""
+    with pytest.raises(PluckerError, match="needs n >= 5"):
+        sh_coordinate(n, "angle", 1, 2)
+    with pytest.raises(PluckerError, match="needs n >= 5"):
+        sh_coordinate(n, "bracket", 1, 2)
+    with pytest.raises(PluckerError, match="needs n >= 5"):
+        mt_coordinate(n, (1, 2))
+    assert sh_coordinate(5, "bracket", 1, 2) == P((3, 4, 5))
+    assert mt_coordinate(5, (1, 2, 3, 4)) == P((1, 2, 3, 4))
+
+
 def test_sh_bracket_matches_complementary_minor():
     """The bracket coordinate evaluates to the signed complementary minor:
     on 2x n points, <ij> times the bracket of the complement reproduces the

@@ -21,7 +21,7 @@ from clusterflag.programs import (
     sh_program,
     verify_theorem,
 )
-from clusterflag.quiver import Seed
+from clusterflag.quiver import LaurentExpr, Seed
 from clusterflag.tableaux import Tableau, fill_up
 
 from support import all_flag_types, seeds_equal, standard_form_tableau
@@ -283,6 +283,61 @@ def test_prime_guard_tests_every_prime_but_the_default(monkeypatch):
             verify_theorem(flag, trials=1, prime=bad)
 
 
+def test_verify_at_a_non_default_prime_through_n6():
+    """At a prime other than 2^61 - 1, every type with n <= 6 gets the
+    report it gets at the default prime, but for the prime."""
+    prime = (1 << 62) - 57
+    assert is_prime(prime) and prime != DEFAULT_PRIME
+    for flag in all_flag_types(6, 5):
+        default = verify_theorem(flag, trials=3).to_dict()
+        other = verify_theorem(flag, trials=3, prime=prime).to_dict()
+        assert other["passed"], flag.heading()
+        assert other.pop("prime") == prime
+        for data in (default, other):
+            data.pop("elapsed_s")
+        del default["prime"]
+        assert other == default, flag.heading()
+
+
+def sampled_work(monkeypatch):
+    """Counters of the points drawn and the Laurent evaluations made."""
+    counts = {"points": 0, "evaluations": 0}
+    draw, evaluate = programs.random_matrix_point, LaurentExpr.evaluate
+
+    def counted_draw(*args):
+        counts["points"] += 1
+        return draw(*args)
+
+    def counted_evaluate(*args):
+        counts["evaluations"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(programs, "random_matrix_point", counted_draw)
+    monkeypatch.setattr(LaurentExpr, "evaluate", counted_evaluate)
+    return counts
+
+
+def test_value_check_samples_only_what_equality_leaves(monkeypatch):
+    """A kept vertex that no mutation touched is its own grid coordinate,
+    equal to its lift as a polynomial, and is not evaluated; a type with no
+    other kept vertex draws no point and still reports the check."""
+    counts = sampled_work(monkeypatch)
+    flag = FlagType((2, 4), 6)
+    gr = GrassmannianSeed(*flag.target_grassmannian)
+    program = general_flag_program(flag)
+    mutated = {gr.vertex_at(step.row, step.col) for step in program.mutations}
+    touched = mutated & set(run_program(gr, program).mapping.values())
+    assert len(touched) == 2
+    assert verify_theorem(flag, trials=4).passed
+    assert counts == {"points": 4, "evaluations": 4 * len(touched)}
+
+    counts.update(points=0, evaluations=0)
+    report = verify_theorem(FlagType((2,), 5), trials=4)
+    assert report.passed and report.counts["mutations"] == 0
+    assert report.checks[-1].name == "kept variables equal the lifted flag coordinates at 4 points"
+    assert counts == {"points": 0, "evaluations": 0}
+
+
 # -- certificate mutants -------------------------------------------------------------
 #
 # Each mutant breaks one ingredient of the certificate, and the report must
@@ -393,6 +448,46 @@ def test_mutant_extra_flag_arrow(monkeypatch):
     failed = failed_checks(FlagType((2, 5), 8))
     assert list(failed) == [QUIVER]
     assert failed[QUIVER] == "arrow F{5} -> F{4,5}: multiplicity 1 vs 0"
+
+
+@pytest.mark.parametrize("dims, n", [((2,), 5), ((2, 4), 6)])
+def test_mutant_untouched_lift_sign(dims, n, monkeypatch):
+    """The lift of a kept vertex that no mutation touched, negated: its
+    tableau and the mutation labels stay as they were, so only the
+    polynomials tell."""
+    flipped_vids = []
+
+    def flipped(flag_seed):
+        emb = embedded_flag_seed(flag_seed)
+        vid = next(v for v, p in emb.dictionary.items() if len(p.terms) == 1)
+        flipped_vids.append(vid)
+        dictionary = {**emb.dictionary, vid: -emb.dictionary[vid]}
+        return Seed(emb.quiver, emb.variables, dictionary)
+
+    monkeypatch.setattr(programs, "embedded_flag_seed", flipped)
+    flag = FlagType(dims, n)
+    failed = failed_checks(flag)
+    assert list(failed) == [VALUES]
+    assert failed[VALUES].startswith("trial 0 at ")
+    gr = GrassmannianSeed(*flag.target_grassmannian)
+    program = general_flag_program(flag)
+    mutated = {gr.vertex_at(step.row, step.col) for step in program.mutations}
+    assert run_program(gr, program).mapping[flipped_vids[0]] not in mutated
+
+
+@pytest.mark.parametrize("dims, n", [((2,), 5), ((2, 4), 6)])
+def test_mutant_grid_dictionary_entry(dims, n, monkeypatch):
+    """One grid dictionary polynomial doubled: every vertex still carries
+    its tableau, but the kept values no longer equal the lifts."""
+    def doubled(k, n):
+        gr = GrassmannianSeed(k, n)
+        vid = gr.seed.mutable_ids()[0]
+        dictionary = {**gr.seed.dictionary, vid: 2 * gr.seed.dictionary[vid]}
+        gr.seed = Seed(gr.seed.quiver, gr.seed.variables, dictionary)
+        return gr
+
+    monkeypatch.setattr(programs, "GrassmannianSeed", doubled)
+    assert list(failed_checks(FlagType(dims, n))) == [VALUES]
 
 
 @pytest.mark.slow
