@@ -14,8 +14,8 @@ det G and P_I(R) is +- a minor of R of size |I \ J|.
 Minors of R are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
 Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
 - M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` holds the index
-sets of a family of polynomials (for the certifier: the grid dictionary and
-the lifts it samples) and compiles them once into a
+sets of a family of polynomials (for the certifier: the grid dictionary of
+a target, or the lifts one type samples) and compiles them once into a
 straight-line program: slot-indexed nodes, grouped by size, for the generic
 pivots J = {1, ..., m}.  A point runs it right after its reduction, with
 one batched inversion per size (Montgomery, Math. Comp. 1987).  Two
@@ -296,23 +296,47 @@ class EvaluationPoint:
         self._pluckers: dict[tuple[int, ...], int] = {}
         self._echelons: dict[int, tuple[int, dict[int, int], list[list[int]]]] = {}
 
+    @classmethod
+    def reduced(cls, echelon: tuple, prime: int, plan: EvaluationPlan | None = None) -> "EvaluationPoint":
+        """The point known only by the ``reduction`` of its m rows, for coordinates of
+        size m; the plan runs at once, and ``echelon`` is only read, so points share it."""
+        point = cls((), prime, plan)
+        point._width = len(echelon[2][0])
+        point._adopt(echelon)
+        return point
+
     def plucker(self, index: Sequence[int]) -> int:
         index = tuple(index)
         v = self._pluckers.get(index)
         if v is None:
             m = len(index)
-            if m > len(self.matrix):
-                raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
-            echelon = self._echelons.get(m) or self._echelon(m)
+            echelon = self.reduction(m)
             v = self._pluckers.get(index)
             if v is None:
                 program = _compile([index], echelon[1], m, self._width)
                 v = self._pluckers[index] = _run(program, echelon, self.prime)[0]
         return v
 
+    def reduction(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
+        """The reduction of the top m rows, memoized (see ``_echelons``)."""
+        echelon = self._echelons.get(m)
+        if echelon is None:
+            if m > len(self.matrix):
+                raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
+            echelon = self._adopt(self._echelon(m))
+        return echelon
+
+    def _adopt(self, echelon: tuple[int, dict[int, int], list[list[int]]]) -> tuple:
+        """Keep the reduction of the top m rows; evaluate the plan's sets of size m at it."""
+        m = len(echelon[2])
+        self._echelons[m] = echelon
+        if self.plan is not None and m in self.plan.indices:
+            program = self.plan.program(m, echelon[1], self._width)
+            self._pluckers.update(zip(self.plan.indices[m], _run(program, echelon, self.prime)))
+        return echelon
+
     def _echelon(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
-        """Reduce the top m rows by Gauss-Jordan elimination, then evaluate
-        the plan's index sets of size m; memoized."""
+        """Reduce the top m rows by Gauss-Jordan elimination."""
         p = self.prime
         rows = [list(row) for row in self.matrix[:m]]
         scale = 1
@@ -338,11 +362,7 @@ class EvaluationPoint:
                 if f and i != r:
                     row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], top)]
             pivot_row[c + 1] = r
-        self._echelons[m] = echelon = (scale if len(pivot_row) == m else 0, pivot_row, rows)
-        if self.plan is not None and m in self.plan.indices:
-            program = self.plan.program(m, pivot_row, self._width)
-            self._pluckers.update(zip(self.plan.indices[m], _run(program, echelon, p)))
-        return echelon
+        return scale if len(pivot_row) == m else 0, pivot_row, rows
 
 
 class EvaluationPlan:

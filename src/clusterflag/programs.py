@@ -11,13 +11,15 @@ initial seed.  That comparison is what ``verify_theorem`` certifies.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 from dataclasses import dataclass, field
 
 from . import tableaux as tb
 from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
-from .plucker import DEFAULT_PRIME, EvaluationPlan, EvaluationPoint, is_prime, random_matrix_point
+from .plucker import (DEFAULT_PRIME, EvaluationPlan, EvaluationPoint, PluckerPoly, is_prime,
+                      random_matrix_point)
 from .quiver import LaurentError, LaurentExpr, PowerTable, QuiverError, Seed, quivers_agree
 
 
@@ -272,17 +274,50 @@ class Report:
 
 
 def sample_nonsingular_point(
-    seed: Seed, rows: int, cols: int, prime: int, rng: random.Random,
+    dictionary: dict[int, PluckerPoly], rows: int, cols: int, prime: int, rng: random.Random,
     plan: EvaluationPlan | None = None,
 ) -> tuple[EvaluationPoint, list[int]]:
-    """Random matrix at which every initial variable is nonzero."""
+    """Random matrix at which no polynomial of ``dictionary`` (position ->
+    initial variable) vanishes, with their values in position order."""
     for _ in range(100):
         point = random_matrix_point(rows, cols, prime, rng, plan)
-        try:
-            return point, seed.initial_values(point)
-        except ArithmeticError:
-            continue
+        values = [poly.evaluate(point) for poly in dictionary.values()]
+        if all(values):
+            return point, values
     raise ProgramError("could not sample a nonsingular evaluation point")
+
+
+# The value check's points, drawn once per process.  A point depends only on
+# its key (k, N, prime, master_seed, grid dictionary content), so every type
+# with that key reuses it.  The memo maps a key to its first _SAVED points,
+# each kept as the reduction of its k rows and the dictionary's values there,
+# and the generator that drew them; it holds one (prime, master_seed) pair.
+_POINTS: dict[tuple, tuple[list, random.Random]] = {}
+_SAVED = 20  # the CLI's default trials
+
+
+def _value_points(dictionary: dict[int, PluckerPoly], k: int, ambient: int, prime: int,
+                  master_seed: int, trials: int) -> list[tuple[tuple, list[int]]]:
+    """The first ``trials`` nonsingular points of ``random.Random(master_seed)``
+    as (reduction, values) pairs; points past _SAVED are drawn from a copy
+    of the saved generator and dropped after use."""
+    key = (k, ambient, prime, master_seed,
+           tuple((pos, tuple(poly.terms.items())) for pos, poly in dictionary.items()))
+    if next(iter(_POINTS), key)[2:4] != key[2:4]:
+        _POINTS.clear()
+    # popped, so that a draw that raises drops the entry
+    saved, state = _POINTS.pop(key, None) or ([], random.Random(master_seed))
+    points, rng, plan = saved[:trials], state, None
+    while len(points) < trials:
+        if len(saved) == _SAVED and rng is state:
+            rng = copy.copy(state)
+        plan = plan or EvaluationPlan(dictionary.values())
+        point, values = sample_nonsingular_point(dictionary, k, ambient, prime, rng, plan)
+        points.append((point.reduction(k), values))
+        if rng is state:
+            saved.append(points[-1])
+    _POINTS[key] = saved, state
+    return points
 
 
 def verify_theorem(
@@ -384,11 +419,12 @@ def _certify(report: Report) -> None:
                or restricted.dictionary[gvid] != lifts[fvid]}
     value_issues: list[str] = []
     if sampled:
-        # every coordinate either side reads, evaluated in one program run per point
-        plan = EvaluationPlan([*restricted.dictionary.values(), *(lifts[f] for f in sampled)])
-        rng = random.Random(report.master_seed)
-        for trial in range(report.trials):
-            point, values = sample_nonsingular_point(restricted, k, ambient, prime, rng, plan)
+        # the shared points; this type's lifts run as a plan of their own at each
+        plan = EvaluationPlan(lifts[f] for f in sampled)
+        points = _value_points(restricted.dictionary, k, ambient, prime, report.master_seed,
+                               report.trials)
+        for trial, (reduction, values) in enumerate(points):
+            point = EvaluationPoint.reduced(reduction, prime, plan)
             powers = PowerTable(values, prime)
             for fvid, gvid in sampled.items():
                 lhs = restricted.variables[gvid].laurent.evaluate(powers, prime)

@@ -34,7 +34,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from . import tableaux as tb
-from .plucker import EvaluationPoint, PluckerPoly
+from .plucker import PluckerPoly
 
 
 class QuiverError(ValueError):
@@ -679,14 +679,3 @@ class Seed:
             for vid, (ins, outs) in sums.items()
             if ins != outs
         ]
-
-    def initial_values(self, point: EvaluationPoint) -> list[int]:
-        """Values of the initial cluster at a point (positions in dictionary
-        order); raises if any vanishes (pick another point)."""
-        values = [0] * self.nvars
-        for pos, poly in self.dictionary.items():
-            v = poly.evaluate(point)
-            if v == 0:
-                raise ArithmeticError("initial variable %d vanishes at point" % pos)
-            values[pos] = v
-        return values

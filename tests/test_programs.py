@@ -1,13 +1,15 @@
 """Mutation schedules, their execution, and the endpoint verification."""
 
 import itertools
+import math
+import random
 
 import pytest
 
 import clusterflag.flags as flags_module
 import clusterflag.programs as programs
 from clusterflag.flags import FlagError, FlagType, GrassmannianSeed, embedded_flag_seed
-from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, is_prime
+from clusterflag.plucker import DEFAULT_PRIME, EvaluationPoint, PluckerPoly, det_mod, is_prime
 from clusterflag.programs import (
     MutationProgram,
     ProgramError,
@@ -21,7 +23,7 @@ from clusterflag.programs import (
     sh_program,
     verify_theorem,
 )
-from clusterflag.quiver import LaurentExpr, Seed
+from clusterflag.quiver import LaurentExpr, PowerTable, Seed
 from clusterflag.tableaux import Tableau, fill_up
 
 from support import all_flag_types, seeds_equal, standard_form_tableau
@@ -317,25 +319,168 @@ def sampled_work(monkeypatch):
     return counts
 
 
-def test_value_check_samples_only_what_equality_leaves(monkeypatch):
-    """A kept vertex that no mutation touched is its own grid coordinate,
-    equal to its lift as a polynomial, and is not evaluated; a type with no
-    other kept vertex draws no point and still reports the check."""
-    counts = sampled_work(monkeypatch)
-    flag = FlagType((2, 4), 6)
+def touched_kept(flag):
+    """The kept grid vertices that some mutation of the program touched."""
     gr = GrassmannianSeed(*flag.target_grassmannian)
     program = general_flag_program(flag)
     mutated = {gr.vertex_at(step.row, step.col) for step in program.mutations}
-    touched = mutated & set(run_program(gr, program).mapping.values())
-    assert len(touched) == 2
-    assert verify_theorem(flag, trials=4).passed
-    assert counts == {"points": 4, "evaluations": 4 * len(touched)}
+    return mutated & set(run_program(gr, program).mapping.values())
+
+
+def test_value_check_samples_only_what_equality_leaves(monkeypatch):
+    """A kept vertex that no mutation touched is its own grid coordinate,
+    equal to its lift as a polynomial, and is not evaluated; a type with no
+    other kept vertex draws no point and still reports the check.  Points
+    are drawn once per target: a second type on Gr(4; 8) draws none."""
+    monkeypatch.setattr(programs, "_POINTS", {})
+    counts = sampled_work(monkeypatch)
+    first, second = FlagType((2, 4), 6), FlagType((1, 4), 5)
+    assert first.target_grassmannian == second.target_grassmannian == (4, 8)
+    assert len(touched_kept(first)) == 2
+    assert verify_theorem(first, trials=4).passed
+    assert counts == {"points": 4, "evaluations": 4 * len(touched_kept(first))}
+
+    counts.update(points=0, evaluations=0)
+    assert touched_kept(second)
+    assert verify_theorem(second, trials=4).passed
+    assert counts == {"points": 0, "evaluations": 4 * len(touched_kept(second))}
 
     counts.update(points=0, evaluations=0)
     report = verify_theorem(FlagType((2,), 5), trials=4)
     assert report.passed and report.counts["mutations"] == 0
     assert report.checks[-1].name == "kept variables equal the lifted flag coordinates at 4 points"
     assert counts == {"points": 0, "evaluations": 0}
+
+
+# -- the value check's points ----------------------------------------------------------
+#
+# Every type with the same target Gr(k; N), prime and seed samples the same
+# stream, so the points are drawn once per process.  No identity check can
+# see a wrong point (a true identity passes anywhere), so these tests replay
+# the stream independently and compare the points themselves.
+
+GR48 = (FlagType((2, 4), 6), FlagType((1, 4), 5), FlagType((1, 2, 4), 5))
+GR49 = FlagType((1, 3, 4), 6)
+
+
+def replayed_stream(k, ambient, trials, prime=DEFAULT_PRIME, seed=0):
+    """The first ``trials`` matrices of ``random.Random(seed)``, drawn
+    ``randrange(prime)`` row-major k x N, at which no grid coordinate
+    vanishes, with the grid dictionary's values there (plain ``det_mod``)."""
+    dictionary = GrassmannianSeed(k, ambient).seed.dictionary
+    rng, stream = random.Random(seed), []
+    while len(stream) < trials:
+        matrix = [[rng.randrange(prime) for _ in range(ambient)] for _ in range(k)]
+        values = [sum(coeff * math.prod(minor(matrix, idx, prime) for idx in mono)
+                      for mono, coeff in poly.terms.items()) % prime
+                  for poly in dictionary.values()]
+        if all(values):
+            stream.append((matrix, values))
+    return stream
+
+
+def minor(matrix, idx, prime):
+    return det_mod([[row[c - 1] for c in idx] for row in matrix], prime)
+
+
+def record_points(monkeypatch):
+    """The (point, values) pairs the value checks run on, in order."""
+    used = []
+    reduced = EvaluationPoint.reduced.__func__
+
+    def recording(cls, *args):
+        used.append([reduced(cls, *args)])
+        return used[-1][0]
+
+    class RecordingTable(PowerTable):
+        def __init__(self, values, prime):
+            used[-1].append(list(values))
+            super().__init__(values, prime)
+
+    monkeypatch.setattr(EvaluationPoint, "reduced", classmethod(recording))
+    monkeypatch.setattr(programs, "PowerTable", RecordingTable)
+    return used
+
+
+def assert_replays(used, flag, trials):
+    k, ambient = flag.target_grassmannian
+    stream = replayed_stream(k, ambient, trials)
+    assert len(used) == trials, flag.heading()
+    for (point, values), (matrix, expected) in zip(used, stream):
+        assert values == expected, flag.heading()
+        for idx in itertools.combinations(range(1, ambient + 1), k):
+            assert point.plucker(idx) == minor(matrix, idx, DEFAULT_PRIME), (flag.heading(), idx)
+
+
+@pytest.mark.parametrize("trials", [3, 20, 25])
+def test_value_check_points_replay_the_stream(trials, monkeypatch):
+    """From an empty memo, and after another Gr(4; 8) type (or a Gr(4; 9)
+    one) ran first with fewer or more trials, each check runs on the first
+    ``trials`` nonsingular matrices of the seed's stream."""
+    assert {flag.target_grassmannian for flag in GR48} == {(4, 8)}
+    assert GR49.target_grassmannian == (4, 9)
+    used = record_points(monkeypatch)
+    first, before = GR48[0], (None, (GR48[1], trials - 2), (GR48[2], trials + 2),
+                              (GR49, trials + 2))
+    for earlier in before:
+        monkeypatch.setattr(programs, "_POINTS", {})
+        if earlier is not None:
+            assert verify_theorem(earlier[0], trials=earlier[1]).passed
+            assert_replays(used, *earlier)
+        used.clear()
+        assert verify_theorem(first, trials=trials).passed
+        assert_replays(used, first, trials)
+        used.clear()
+    for flag in GR48[1:]:
+        assert verify_theorem(flag, trials=trials).passed
+        assert_replays(used, flag, trials)
+        used.clear()
+
+
+def test_value_points_are_kept_per_dictionary_prime_and_seed(monkeypatch):
+    """A different seed or prime draws its own points and replaces the
+    memo; a call with more than 20 trials keeps only 20 points, and a draw
+    that raises drops its entry."""
+    memo = {}
+    monkeypatch.setattr(programs, "_POINTS", memo)
+    counts = sampled_work(monkeypatch)
+    flag, other_prime = GR48[0], (1 << 62) - 57
+    for trials, prime, seed, draws in [(3, DEFAULT_PRIME, 0, 3), (3, DEFAULT_PRIME, 0, 0),
+                                       (3, DEFAULT_PRIME, 1, 3), (3, other_prime, 1, 3),
+                                       (25, DEFAULT_PRIME, 0, 25), (22, DEFAULT_PRIME, 0, 2)]:
+        counts.update(points=0)
+        assert verify_theorem(flag, trials=trials, prime=prime, master_seed=seed).passed
+        assert counts["points"] == draws, (trials, prime, seed)
+        (key,) = memo
+        assert key[:4] == (4, 8, prime, seed)
+        assert len(memo[key][0]) == min(trials, 20)
+    zero = EvaluationPoint([[0] * 8] * 4)
+    monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
+    with pytest.raises(ProgramError):
+        verify_theorem(flag, trials=21)
+    assert memo == {}
+
+
+@pytest.mark.parametrize("dims, n", [((2,), 5), ((2, 4), 6)])
+def test_memo_never_serves_a_changed_dictionary(dims, n, monkeypatch):
+    """The doubled-entry mutant fails the value check also when the
+    unmutated type with the same target has already filled the memo."""
+    assert verify_theorem(FlagType(dims, n), trials=3).passed
+    test_mutant_grid_dictionary_entry(dims, n, monkeypatch)
+
+
+def test_reports_do_not_depend_on_type_order(monkeypatch):
+    """Reports, but for ``elapsed_s``, of every type with n <= 6 are the
+    same in forward and reverse order, each order from an empty memo."""
+    flags = all_flag_types(6, 5)
+    runs = []
+    for order in (flags, flags[::-1]):
+        monkeypatch.setattr(programs, "_POINTS", {})
+        reports = {flag.heading(): verify_theorem(flag, trials=3).to_dict() for flag in order}
+        for data in reports.values():
+            data.pop("elapsed_s")
+        runs.append(reports)
+    assert runs[0] == runs[1]
 
 
 # -- certificate mutants -------------------------------------------------------------

@@ -361,9 +361,8 @@ def test_grassmannian_square_exchange_values():
     rng = random.Random(0)
     for _ in range(20):
         pt = random_matrix_point(2, 4, DEFAULT_PRIME, rng)
-        try:
-            vals = seed.initial_values(pt)
-        except ArithmeticError:
+        vals = [poly.evaluate(pt) for poly in seed.dictionary.values()]
+        if not all(vals):
             continue
         got = mutated.variables[vid].laurent.evaluate(vals, pt.prime)
         p12 = PluckerPoly.variable((1, 2)).evaluate(pt)
@@ -404,17 +403,27 @@ def test_variable_values_track_laurent():
         seed = seed.mutate(vid)
     rng = random.Random(1)
     pt = random_matrix_point(2, 5, DEFAULT_PRIME, rng)
-    values = seed.initial_values(pt)
+    values = [poly.evaluate(pt) for poly in seed.dictionary.values()]
     for st in seed.variables.values():
         (column,) = st.tableau.columns()
         assert st.laurent.evaluate(values, DEFAULT_PRIME) == pt.plucker(column)
 
 
-def test_initial_values_raise_on_vanishing():
-    gr = GrassmannianSeed(2, 4)
-    zero_pt_matrix = [[1, 0, 0, 0], [0, 1, 0, 0]]
+def test_initial_values_raise_on_vanishing(monkeypatch):
+    """A point at which an initial variable vanishes is skipped, and a
+    sampler that finds no other point raises."""
+    import clusterflag.programs as programs
     from clusterflag.plucker import EvaluationPoint
 
-    pt = EvaluationPoint(zero_pt_matrix, 7)
-    with pytest.raises(ArithmeticError):
-        gr.seed.initial_values(pt)
+    dictionary = GrassmannianSeed(2, 4).seed.dictionary
+    zero = EvaluationPoint([[1, 0, 0, 0], [0, 1, 0, 0]], 7)
+    assert 0 in [poly.evaluate(zero) for poly in dictionary.values()]
+    good = EvaluationPoint([[1, 2, 3, 4], [0, 1, 2, 4]], 7)
+    draws = iter([zero, good])
+    monkeypatch.setattr(programs, "random_matrix_point", lambda *args: next(draws))
+    point, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0))
+    assert point is good and values == [poly.evaluate(good) for poly in dictionary.values()]
+    assert all(values)
+    monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
+    with pytest.raises(programs.ProgramError):
+        programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0))
