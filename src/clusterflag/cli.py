@@ -3,7 +3,7 @@
 Verbs: ``seed`` builds an initial seed, ``mutate`` applies mutations to a
 seed, ``run`` executes a preset or flag program end to end, ``verify``
 certifies the freeze/delete endpoint against the flag initial seed,
-``translate`` resolves angle/bracket coordinates, and ``export`` rewrites a
+``sweep`` certifies every flag type up to an ambient size, ``translate`` resolves angle/bracket coordinates, and ``export`` rewrites a
 stored seed as JSON or DOT.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import combinations
 
 import click
 
@@ -372,6 +373,33 @@ def verify_cmd(ctx, flag_opt, trials, prime, master_seed, output):
     if output:
         _write_output(json.dumps(report.to_dict(), indent=1), output)
     ctx.exit(0 if report.passed else 1)
+
+
+@main.command("sweep")
+@click.option("--max-n", "max_n", type=int, required=True, help="largest ambient size n")
+@click.option("--trials", type=int, default=20, show_default=True)
+@click.option("--prime", type=int, default=pk.DEFAULT_PRIME)
+@click.option("--seed", "master_seed", type=int, default=0, envvar="CLUSTERFLAG_SEED",
+              help="master RNG seed (env CLUSTERFLAG_SEED)")
+@click.option("--output", default=None, type=click.Path(dir_okay=False), help="write the JSONL here")
+@click.pass_context
+def sweep_cmd(ctx, max_n, trials, prime, master_seed, output):
+    """Certify every flag type with 3 <= n <= MAX_N; one JSON report per line."""
+    if max_n < 3:
+        raise click.UsageError("--max-n expects at least 3")
+    lines, passed = [], True
+    for n in range(3, max_n + 1):
+        for k in range(1, n):
+            for dims in combinations(range(1, n), k):
+                try:
+                    report = verify_theorem(FlagType(dims, n), trials=trials, prime=prime,
+                                            master_seed=master_seed)
+                except ProgramError as exc:
+                    raise click.UsageError(str(exc)) from None
+                lines.append(json.dumps(report.to_dict()) + "\n")
+                passed = passed and report.passed
+    _write_output("".join(lines), output)
+    ctx.exit(0 if passed else 1)
 
 
 @main.command("translate")

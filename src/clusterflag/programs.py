@@ -11,7 +11,6 @@ initial seed.  That comparison is what ``verify_theorem`` certifies.
 
 from __future__ import annotations
 
-import copy
 import random
 import time
 from dataclasses import dataclass, field
@@ -278,45 +277,44 @@ def sample_nonsingular_point(
     plan: EvaluationPlan | None = None,
 ) -> tuple[EvaluationPoint, list[int]]:
     """Random matrix at which no polynomial of ``dictionary`` (position ->
-    initial variable) vanishes, with their values in position order."""
+    initial variable, positions 0..len - 1) vanishes, with their values in
+    position order."""
     for _ in range(100):
         point = random_matrix_point(rows, cols, prime, rng, plan)
-        values = [poly.evaluate(point) for poly in dictionary.values()]
+        values = [dictionary[pos].evaluate(point) for pos in range(len(dictionary))]
         if all(values):
             return point, values
     raise ProgramError("could not sample a nonsingular evaluation point")
 
 
-# The value check's points, drawn once per process.  A point depends only on
-# its key (k, N, prime, master_seed, grid dictionary content), so every type
-# with that key reuses it.  The memo maps a key to its first _SAVED points,
-# each kept as the reduction of its k rows and the dictionary's values there,
-# and the generator that drew them; it holds one (prime, master_seed) pair.
-_POINTS: dict[tuple, tuple[list, random.Random]] = {}
+# The value check's points.  They depend only on the key (k, N, prime,
+# master_seed, trials, grid dictionary content), so every type with that key
+# in one process reuses them, as the reduction of their k rows and the
+# dictionary's values there.  At most _KEYS keys (the oldest goes first) of
+# at most _SAVED points each; a call with more trials keeps nothing.
+_POINTS: dict[tuple, list[tuple[tuple, list[int]]]] = {}
+_KEYS = 32  # sweep_n8 samples 25 targets
 _SAVED = 20  # the CLI's default trials
 
 
-def _value_points(dictionary: dict[int, PluckerPoly], k: int, ambient: int, prime: int,
-                  master_seed: int, trials: int) -> list[tuple[tuple, list[int]]]:
-    """The first ``trials`` nonsingular points of ``random.Random(master_seed)``
-    as (reduction, values) pairs; points past _SAVED are drawn from a copy
-    of the saved generator and dropped after use."""
-    key = (k, ambient, prime, master_seed,
-           tuple((pos, tuple(poly.terms.items())) for pos, poly in dictionary.items()))
-    if next(iter(_POINTS), key)[2:4] != key[2:4]:
-        _POINTS.clear()
-    # popped, so that a draw that raises drops the entry
-    saved, state = _POINTS.pop(key, None) or ([], random.Random(master_seed))
-    points, rng, plan = saved[:trials], state, None
-    while len(points) < trials:
-        if len(saved) == _SAVED and rng is state:
-            rng = copy.copy(state)
-        plan = plan or EvaluationPlan(dictionary.values())
-        point, values = sample_nonsingular_point(dictionary, k, ambient, prime, rng, plan)
-        points.append((point.reduction(k), values))
-        if rng is state:
-            saved.append(points[-1])
-    _POINTS[key] = saved, state
+def _value_points(dictionary: dict[int, PluckerPoly], lifts: list[PluckerPoly], k: int,
+                  ambient: int, prime: int, master_seed: int,
+                  trials: int) -> list[tuple[EvaluationPoint, list[int]]]:
+    """The first ``trials`` nonsingular points of ``random.Random(master_seed)``,
+    each with the dictionary's values and a plan that evaluates ``lifts``."""
+    key = (k, ambient, prime, master_seed, trials,
+           tuple((pos, tuple(dictionary[pos].terms.items())) for pos in range(len(dictionary))))
+    saved = _POINTS.get(key)
+    if saved is not None:
+        plan = EvaluationPlan(lifts)
+        return [(EvaluationPoint.reduced(echelon, prime, plan), values) for echelon, values in saved]
+    rng, plan = random.Random(master_seed), EvaluationPlan([*dictionary.values(), *lifts])
+    points = [sample_nonsingular_point(dictionary, k, ambient, prime, rng, plan)
+              for _ in range(trials)]
+    if trials <= _SAVED:
+        if len(_POINTS) >= _KEYS:
+            del _POINTS[next(iter(_POINTS))]
+        _POINTS[key] = [(point.reduction(k), values) for point, values in points]
     return points
 
 
@@ -419,12 +417,9 @@ def _certify(report: Report) -> None:
                or restricted.dictionary[gvid] != lifts[fvid]}
     value_issues: list[str] = []
     if sampled:
-        # the shared points; this type's lifts run as a plan of their own at each
-        plan = EvaluationPlan(lifts[f] for f in sampled)
-        points = _value_points(restricted.dictionary, k, ambient, prime, report.master_seed,
-                               report.trials)
-        for trial, (reduction, values) in enumerate(points):
-            point = EvaluationPoint.reduced(reduction, prime, plan)
+        points = _value_points(restricted.dictionary, [lifts[f] for f in sampled], k, ambient,
+                               prime, report.master_seed, report.trials)
+        for trial, (point, values) in enumerate(points):
             powers = PowerTable(values, prime)
             for fvid, gvid in sampled.items():
                 lhs = restricted.variables[gvid].laurent.evaluate(powers, prime)

@@ -620,6 +620,45 @@ def test_verify_rejects_vacuous_or_unsound_checks(runner):
         assert isinstance(result.exception, SystemExit), args
 
 
+# -- sweep --------------------------------------------------------------------------
+
+
+def test_sweep_writes_one_report_per_type(runner, tmp_path):
+    """Every flag type with 3 <= n <= 5, in order, each report the one
+    ``verify`` writes for that type (but for ``elapsed_s``)."""
+    out = tmp_path / "sweep.jsonl"
+    result = runner.invoke(main, ["sweep", "--max-n", "5", "--trials", "3", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    flags = [flag for flag in all_flag_types(5, 4) if flag.n >= 3]
+    assert [r["flag"] for r in reports] == [{"dims": list(f.dims), "n": f.n} for f in flags]
+    assert all(r["passed"] and r["trials"] == 3 for r in reports)
+    single = tmp_path / "single.json"
+    args = ["verify", "--flag", "5,2,4", "--trials", "3", "--output", str(single)]
+    assert runner.invoke(main, args).exit_code == 0
+    (swept,) = [r for r in reports if r["flag"] == {"dims": [2, 4], "n": 5}]
+    alone = json.loads(single.read_text())
+    swept.pop("elapsed_s"), alone.pop("elapsed_s")
+    assert swept == alone
+
+
+def test_sweep_exit_codes(runner, monkeypatch):
+    from clusterflag.programs import Report
+
+    def fake_verify(flag, trials, prime, master_seed):
+        rep = Report(flag, prime=prime, trials=trials, master_seed=master_seed)
+        rep.add("synthetic check", flag.dims != (2,), "forced for the exit-code test")
+        return rep
+
+    assert runner.invoke(main, ["sweep", "--max-n", "2"]).exit_code == 2
+    assert runner.invoke(main, ["sweep", "--max-n", "4", "--trials", "0"]).exit_code == 2
+    assert runner.invoke(main, ["sweep", "--max-n", "4", "--prime", "101"]).exit_code == 2
+    monkeypatch.setattr(cli, "verify_theorem", fake_verify)
+    result = runner.invoke(main, ["sweep", "--max-n", "4"])
+    assert result.exit_code == 1
+    assert len(result.output.splitlines()) == 3 + 7
+
+
 # -- translate ------------------------------------------------------------------------
 
 

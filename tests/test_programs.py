@@ -23,7 +23,7 @@ from clusterflag.programs import (
     sh_program,
     verify_theorem,
 )
-from clusterflag.quiver import LaurentExpr, PowerTable, Seed
+from clusterflag.quiver import LaurentExpr, Seed
 from clusterflag.tableaux import Tableau, fill_up
 
 from support import all_flag_types, seeds_equal, standard_form_tableau
@@ -386,19 +386,14 @@ def minor(matrix, idx, prime):
 def record_points(monkeypatch):
     """The (point, values) pairs the value checks run on, in order."""
     used = []
-    reduced = EvaluationPoint.reduced.__func__
+    value_points = programs._value_points
 
-    def recording(cls, *args):
-        used.append([reduced(cls, *args)])
-        return used[-1][0]
+    def recording(*args):
+        points = value_points(*args)
+        used.extend(points)
+        return points
 
-    class RecordingTable(PowerTable):
-        def __init__(self, values, prime):
-            used[-1].append(list(values))
-            super().__init__(values, prime)
-
-    monkeypatch.setattr(EvaluationPoint, "reduced", classmethod(recording))
-    monkeypatch.setattr(programs, "PowerTable", RecordingTable)
+    monkeypatch.setattr(programs, "_value_points", recording)
     return used
 
 
@@ -437,28 +432,34 @@ def test_value_check_points_replay_the_stream(trials, monkeypatch):
         used.clear()
 
 
-def test_value_points_are_kept_per_dictionary_prime_and_seed(monkeypatch):
-    """A different seed or prime draws its own points and replaces the
-    memo; a call with more than 20 trials keeps only 20 points, and a draw
-    that raises drops its entry."""
+def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch):
+    """A different seed, prime or trial count draws its own points; a call
+    with more than 20 trials keeps none, the memo holds at most _KEYS keys
+    (the oldest goes first), and a draw that raises keeps nothing."""
     memo = {}
     monkeypatch.setattr(programs, "_POINTS", memo)
+    monkeypatch.setattr(programs, "_KEYS", 3)
     counts = sampled_work(monkeypatch)
     flag, other_prime = GR48[0], (1 << 62) - 57
-    for trials, prime, seed, draws in [(3, DEFAULT_PRIME, 0, 3), (3, DEFAULT_PRIME, 0, 0),
-                                       (3, DEFAULT_PRIME, 1, 3), (3, other_prime, 1, 3),
-                                       (25, DEFAULT_PRIME, 0, 25), (22, DEFAULT_PRIME, 0, 2)]:
+    for trials, prime, seed, draws, kept in [
+        (3, DEFAULT_PRIME, 0, 3, 1), (3, DEFAULT_PRIME, 0, 0, 1), (3, DEFAULT_PRIME, 1, 3, 2),
+        (3, other_prime, 1, 3, 3), (4, DEFAULT_PRIME, 0, 4, 3), (3, DEFAULT_PRIME, 0, 3, 3),
+        (25, DEFAULT_PRIME, 0, 25, 3), (25, DEFAULT_PRIME, 0, 25, 3), (20, DEFAULT_PRIME, 0, 20, 3),
+    ]:
         counts.update(points=0)
         assert verify_theorem(flag, trials=trials, prime=prime, master_seed=seed).passed
         assert counts["points"] == draws, (trials, prime, seed)
-        (key,) = memo
-        assert key[:4] == (4, 8, prime, seed)
-        assert len(memo[key][0]) == min(trials, 20)
+        assert len(memo) == kept
+        assert all(len(points) <= 20 for points in memo.values())
+        assert [key[:5] for key in memo if key[4] > 20] == []
+    assert [key[:5] for key in memo] == [(4, 8, DEFAULT_PRIME, 0, 4), (4, 8, DEFAULT_PRIME, 0, 3),
+                                         (4, 8, DEFAULT_PRIME, 0, 20)]
+    before = dict(memo)
     zero = EvaluationPoint([[0] * 8] * 4)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(ProgramError):
-        verify_theorem(flag, trials=21)
-    assert memo == {}
+        verify_theorem(flag, trials=5)
+    assert memo == before
 
 
 @pytest.mark.parametrize("dims, n", [((2,), 5), ((2, 4), 6)])

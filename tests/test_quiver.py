@@ -427,3 +427,19 @@ def test_initial_values_raise_on_vanishing(monkeypatch):
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(programs.ProgramError):
         programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0))
+
+
+def test_sampled_values_follow_positions_not_insertion_order(monkeypatch):
+    """A dictionary whose entries are listed out of position order (as a
+    seed file may list them) still gives each position its own value."""
+    import clusterflag.programs as programs
+    from clusterflag.plucker import EvaluationPoint
+
+    dictionary = GrassmannianSeed(2, 4).seed.dictionary
+    shuffled = dict(reversed(dictionary.items()))
+    assert list(shuffled) != sorted(shuffled)
+    good = EvaluationPoint([[1, 2, 3, 4], [0, 1, 2, 4]], 7)
+    monkeypatch.setattr(programs, "random_matrix_point", lambda *args: good)
+    _, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0))
+    assert values == [dictionary[pos].evaluate(good) for pos in range(len(dictionary))]
+    assert values != [poly.evaluate(good) for poly in shuffled.values()]
