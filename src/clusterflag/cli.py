@@ -3,9 +3,9 @@
 Verbs: ``seed`` builds an initial seed, ``mutate`` applies mutations to a
 seed, ``run`` executes a preset or flag program end to end, ``verify``
 certifies the freeze/delete endpoint against the flag initial seed,
-``sweep`` certifies every flag type up to an ambient size, ``translate`` resolves angle/bracket coordinates, and ``export`` rewrites a
-stored seed as JSON or DOT.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+``sweep`` certifies every flag type up to an ambient size, ``translate``
+resolves angle/bracket coordinates, and ``export`` rewrites a stored seed as
+JSON or DOT.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations

@@ -6,11 +6,13 @@ consecutive levels; inside a region the schedule runs in pages, each page
 sweeping the rows bottom-up with shrinking widths.  After the program runs,
 vertices whose tableaux appear in the padded flag seed are kept and the rest
 are deleted, which must leave a legal restricted seed equal to the flag
-initial seed.  That comparison is what ``verify_theorem`` certifies.
+initial seed.  That comparison is what ``verify_theorem`` certifies.  The
+types of one target Gr(k; N) share a ``Target``: its grid seed and points.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -287,35 +289,35 @@ def sample_nonsingular_point(
     raise ProgramError("could not sample a nonsingular evaluation point")
 
 
-# The value check's points.  They depend only on the key (k, N, prime,
-# master_seed, trials, grid dictionary content), so every type with that key
-# in one process reuses them, as the reduction of their k rows and the
-# dictionary's values there.  At most _KEYS keys (the oldest goes first) of
-# at most _SAVED points each; a call with more trials keeps nothing.
-_POINTS: dict[tuple, list[tuple[tuple, list[int]]]] = {}
-_KEYS = 32  # sweep_n8 samples 25 targets
-_SAVED = 20  # the CLI's default trials
+class Target:
+    """The rectangles seed ``gr`` of Gr(k; N) and, once drawn, the value
+    check's points at one prime, master seed and trial count, each kept as
+    the reduction of its k rows and the grid dictionary's values there."""
+
+    def __init__(self, k: int, ambient: int, prime: int, master_seed: int, trials: int):
+        self.prime, self.master_seed, self.trials = prime, master_seed, trials
+        self.gr = GrassmannianSeed(k, ambient)
+        self.drawn: list[tuple[tuple, list[int]]] | None = None
+
+    def points(self, lifts: list[PluckerPoly]) -> list[tuple[EvaluationPoint, list[int]]]:
+        """The first ``trials`` nonsingular points of ``random.Random(master_seed)``,
+        each with the grid dictionary's values and a plan that evaluates ``lifts``;
+        the call that draws them runs the dictionary and the lifts as one plan."""
+        if self.drawn is not None:
+            plan = EvaluationPlan(lifts)
+            return [(EvaluationPoint.reduced(echelon, self.prime, plan), values)
+                    for echelon, values in self.drawn]
+        dictionary = self.gr.seed.dictionary
+        rng, plan = random.Random(self.master_seed), EvaluationPlan([*dictionary.values(), *lifts])
+        points = [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
+                  for _ in range(self.trials)]
+        self.drawn = [(point.reduction(self.gr.k), values) for point, values in points]
+        return points
 
 
-def _value_points(dictionary: dict[int, PluckerPoly], lifts: list[PluckerPoly], k: int,
-                  ambient: int, prime: int, master_seed: int,
-                  trials: int) -> list[tuple[EvaluationPoint, list[int]]]:
-    """The first ``trials`` nonsingular points of ``random.Random(master_seed)``,
-    each with the dictionary's values and a plan that evaluates ``lifts``."""
-    key = (k, ambient, prime, master_seed, trials,
-           tuple((pos, tuple(dictionary[pos].terms.items())) for pos in range(len(dictionary))))
-    saved = _POINTS.get(key)
-    if saved is not None:
-        plan = EvaluationPlan(lifts)
-        return [(EvaluationPoint.reduced(echelon, prime, plan), values) for echelon, values in saved]
-    rng, plan = random.Random(master_seed), EvaluationPlan([*dictionary.values(), *lifts])
-    points = [sample_nonsingular_point(dictionary, k, ambient, prime, rng, plan)
-              for _ in range(trials)]
-    if trials <= _SAVED:
-        if len(_POINTS) >= _KEYS:
-            del _POINTS[next(iter(_POINTS))]
-        _POINTS[key] = [(point.reduction(k), values) for point, values in points]
-    return points
+# The types with the same five ints share one Target in a process; a call
+# with more trials than the CLI's default of 20 builds a private one.
+_shared_target = functools.lru_cache(maxsize=128)(Target)  # 48 targets at n <= 8, 120 at n <= 12
 
 
 def verify_theorem(
@@ -347,8 +349,8 @@ def _certify(report: Report) -> None:
     certificate fact; stops after a check that later ones depend on."""
     flag, prime = report.flag, report.prime
     program = general_flag_program(flag)
-    k, ambient = flag.target_grassmannian
-    gr = GrassmannianSeed(k, ambient)
+    target = (Target if report.trials > 20 else _shared_target)(
+        *flag.target_grassmannian, prime, report.master_seed, report.trials)
 
     expected = expected_mutation_count(flag)
     report.add(
@@ -358,7 +360,7 @@ def _certify(report: Report) -> None:
     )
 
     try:
-        result = run_program(gr, program)
+        result = run_program(target.gr, program)
     except (LaurentError, QuiverError, tb.TableauError) as exc:
         report.add("program executed with exact exchanges", False, str(exc))
         return
@@ -377,7 +379,7 @@ def _certify(report: Report) -> None:
         "deleted": len(result.deleted_labels),
         "kept": len(result.mapping),
         "flag_vertices": len(result.embedded.variables),
-        "grid_vertices": len(gr.seed.variables),
+        "grid_vertices": len(target.gr.seed.variables),
     }
 
     balance = result.endpoint.is_balanced()
@@ -417,9 +419,7 @@ def _certify(report: Report) -> None:
                or restricted.dictionary[gvid] != lifts[fvid]}
     value_issues: list[str] = []
     if sampled:
-        points = _value_points(restricted.dictionary, [lifts[f] for f in sampled], k, ambient,
-                               prime, report.master_seed, report.trials)
-        for trial, (point, values) in enumerate(points):
+        for trial, (point, values) in enumerate(target.points([lifts[f] for f in sampled])):
             powers = PowerTable(values, prime)
             for fvid, gvid in sampled.items():
                 lhs = restricted.variables[gvid].laurent.evaluate(powers, prime)

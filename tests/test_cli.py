@@ -642,6 +642,26 @@ def test_sweep_writes_one_report_per_type(runner, tmp_path):
     assert swept == alone
 
 
+def test_sweep_builds_one_grid_seed_per_target(runner, tmp_path, monkeypatch):
+    """From an empty target cache, ``sweep`` builds the rectangles seed of
+    each target Gr(k; N) of its types once, however many types share it."""
+    built = []
+    build = GrassmannianSeed.__init__
+
+    def counted(self, k, n):
+        built.append((k, n))
+        build(self, k, n)
+
+    monkeypatch.setattr(GrassmannianSeed, "__init__", counted)
+    out = tmp_path / "sweep.jsonl"
+    result = runner.invoke(main, ["sweep", "--max-n", "6", "--trials", "3", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    flags = [flag for flag in all_flag_types(6, 5) if flag.n >= 3]
+    assert len(out.read_text().splitlines()) == len(flags) == 56
+    assert sorted(built) == sorted({flag.target_grassmannian for flag in flags})
+    assert len(built) == 24
+
+
 def test_sweep_exit_codes(runner, monkeypatch):
     from clusterflag.programs import Report
 

@@ -332,7 +332,6 @@ def test_value_check_samples_only_what_equality_leaves(monkeypatch):
     equal to its lift as a polynomial, and is not evaluated; a type with no
     other kept vertex draws no point and still reports the check.  Points
     are drawn once per target: a second type on Gr(4; 8) draws none."""
-    monkeypatch.setattr(programs, "_POINTS", {})
     counts = sampled_work(monkeypatch)
     first, second = FlagType((2, 4), 6), FlagType((1, 4), 5)
     assert first.target_grassmannian == second.target_grassmannian == (4, 8)
@@ -354,10 +353,11 @@ def test_value_check_samples_only_what_equality_leaves(monkeypatch):
 
 # -- the value check's points ----------------------------------------------------------
 #
-# Every type with the same target Gr(k; N), prime and seed samples the same
-# stream, so the points are drawn once per process.  No identity check can
-# see a wrong point (a true identity passes anywhere), so these tests replay
-# the stream independently and compare the points themselves.
+# Every type with the same target Gr(k; N), prime, seed and trial count
+# samples the same stream, so their shared ``Target`` draws the points once.
+# No identity check can see a wrong point (a true identity passes anywhere),
+# so these tests replay the stream independently and compare the points
+# themselves.
 
 GR48 = (FlagType((2, 4), 6), FlagType((1, 4), 5), FlagType((1, 2, 4), 5))
 GR49 = FlagType((1, 3, 4), 6)
@@ -386,14 +386,14 @@ def minor(matrix, idx, prime):
 def record_points(monkeypatch):
     """The (point, values) pairs the value checks run on, in order."""
     used = []
-    value_points = programs._value_points
+    target_points = programs.Target.points
 
-    def recording(*args):
-        points = value_points(*args)
+    def recording(target, lifts):
+        points = target_points(target, lifts)
         used.extend(points)
         return points
 
-    monkeypatch.setattr(programs, "_value_points", recording)
+    monkeypatch.setattr(programs.Target, "points", recording)
     return used
 
 
@@ -409,16 +409,16 @@ def assert_replays(used, flag, trials):
 
 @pytest.mark.parametrize("trials", [3, 20, 25])
 def test_value_check_points_replay_the_stream(trials, monkeypatch):
-    """From an empty memo, and after another Gr(4; 8) type (or a Gr(4; 9)
-    one) ran first with fewer or more trials, each check runs on the first
-    ``trials`` nonsingular matrices of the seed's stream."""
+    """From an empty target cache, and after another Gr(4; 8) type (or a
+    Gr(4; 9) one) ran first with fewer or more trials, each check runs on
+    the first ``trials`` nonsingular matrices of the seed's stream."""
     assert {flag.target_grassmannian for flag in GR48} == {(4, 8)}
     assert GR49.target_grassmannian == (4, 9)
     used = record_points(monkeypatch)
     first, before = GR48[0], (None, (GR48[1], trials - 2), (GR48[2], trials + 2),
                               (GR49, trials + 2))
     for earlier in before:
-        monkeypatch.setattr(programs, "_POINTS", {})
+        programs._shared_target.cache_clear()
         if earlier is not None:
             assert verify_theorem(earlier[0], trials=earlier[1]).passed
             assert_replays(used, *earlier)
@@ -433,50 +433,88 @@ def test_value_check_points_replay_the_stream(trials, monkeypatch):
 
 
 def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch):
-    """A different seed, prime or trial count draws its own points; a call
-    with more than 20 trials keeps none, the memo holds at most _KEYS keys
-    (the oldest goes first), and a draw that raises keeps nothing."""
-    memo = {}
-    monkeypatch.setattr(programs, "_POINTS", memo)
-    monkeypatch.setattr(programs, "_KEYS", 3)
+    """A different seed, prime or trial count gets its own ``Target`` and
+    draws its own points; a call with more than 20 trials caches nothing;
+    a draw that raises keeps no points, and the next call draws again."""
+    shared = programs._shared_target
     counts = sampled_work(monkeypatch)
     flag, other_prime = GR48[0], (1 << 62) - 57
-    for trials, prime, seed, draws, kept in [
+    for trials, prime, seed, draws, cached in [
         (3, DEFAULT_PRIME, 0, 3, 1), (3, DEFAULT_PRIME, 0, 0, 1), (3, DEFAULT_PRIME, 1, 3, 2),
-        (3, other_prime, 1, 3, 3), (4, DEFAULT_PRIME, 0, 4, 3), (3, DEFAULT_PRIME, 0, 3, 3),
-        (25, DEFAULT_PRIME, 0, 25, 3), (25, DEFAULT_PRIME, 0, 25, 3), (20, DEFAULT_PRIME, 0, 20, 3),
+        (3, other_prime, 1, 3, 3), (4, DEFAULT_PRIME, 0, 4, 4), (3, DEFAULT_PRIME, 0, 0, 4),
+        (25, DEFAULT_PRIME, 0, 25, 4), (25, DEFAULT_PRIME, 0, 25, 4), (20, DEFAULT_PRIME, 0, 20, 5),
     ]:
         counts.update(points=0)
         assert verify_theorem(flag, trials=trials, prime=prime, master_seed=seed).passed
         assert counts["points"] == draws, (trials, prime, seed)
-        assert len(memo) == kept
-        assert all(len(points) <= 20 for points in memo.values())
-        assert [key[:5] for key in memo if key[4] > 20] == []
-    assert [key[:5] for key in memo] == [(4, 8, DEFAULT_PRIME, 0, 4), (4, 8, DEFAULT_PRIME, 0, 3),
-                                         (4, 8, DEFAULT_PRIME, 0, 20)]
-    before = dict(memo)
-    zero = EvaluationPoint([[0] * 8] * 4)
+        assert shared.cache_info().currsize == cached
+    for trials, prime, seed in [(3, DEFAULT_PRIME, 0), (3, DEFAULT_PRIME, 1), (3, other_prime, 1),
+                                (4, DEFAULT_PRIME, 0), (20, DEFAULT_PRIME, 0)]:
+        target = shared(4, 8, prime, seed, trials)
+        assert (target.prime, target.master_seed, target.trials) == (prime, seed, trials)
+        assert len(target.drawn) == trials
+    assert shared.cache_info().currsize == 5
+    draw, zero = programs.random_matrix_point, EvaluationPoint([[0] * 8] * 4)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(ProgramError):
         verify_theorem(flag, trials=5)
-    assert memo == before
+    assert shared(4, 8, DEFAULT_PRIME, 0, 5).drawn is None
+    monkeypatch.setattr(programs, "random_matrix_point", draw)
+    counts.update(points=0)
+    assert verify_theorem(flag, trials=5).passed
+    assert counts["points"] == 5
+
+
+def test_target_cache_holds_every_target_through_n12():
+    """The cache keeps every target Gr(d_k; n + d_k - d_1) of the types with
+    n <= 12, counted here from the pair (d_1, d_k) of each type."""
+    targets = {(dk, n + dk - d1) for n in range(2, 13) for d1 in range(1, n) for dk in range(d1, n)}
+    assert len(targets) == 121
+    assert programs._shared_target.cache_info().maxsize >= len(targets)
 
 
 @pytest.mark.parametrize("dims, n", [((2,), 5), ((2, 4), 6)])
 def test_memo_never_serves_a_changed_dictionary(dims, n, monkeypatch):
-    """The doubled-entry mutant fails the value check also when the
-    unmutated type with the same target has already filled the memo."""
-    assert verify_theorem(FlagType(dims, n), trials=3).passed
-    test_mutant_grid_dictionary_entry(dims, n, monkeypatch)
+    """While the unmutated ``Target`` of the type's key is cached with its
+    points, a run served a ``Target`` whose grid dictionary has one entry
+    doubled still fails exactly the value check."""
+    flag = FlagType(dims, n)
+    assert verify_theorem(flag, trials=3).passed
+    shared, key = programs._shared_target, (*flag.target_grassmannian, DEFAULT_PRIME, 0, 3)
+    clean = shared(*key)
+    clean.points([])  # draws them where the type itself sampled nothing
+    monkeypatch.setattr(programs, "GrassmannianSeed", doubled_grid)
+    mutant = programs.Target(*key)
+    monkeypatch.setattr(programs, "_shared_target", lambda *args: mutant)
+    assert list(failed_checks(flag)) == [VALUES]
+    assert shared(*key) is clean and shared.cache_info().currsize == 1
 
 
-def test_reports_do_not_depend_on_type_order(monkeypatch):
+def test_runs_leave_the_shared_target_unchanged():
+    """Every type with n <= 6 on Gr(4; 8) runs on one ``Target``; afterwards
+    its grid seed is that of a fresh ``GrassmannianSeed(4, 8)`` and its saved
+    reductions and values still replay the seed's stream."""
+    from clusterflag.cli import seed_to_dict
+
+    flags = [flag for flag in all_flag_types(6, 5) if flag.target_grassmannian == (4, 8)]
+    assert len(flags) == 6
+    for flag in flags:
+        assert verify_theorem(flag, trials=3).passed
+    target = programs._shared_target(4, 8, DEFAULT_PRIME, 0, 3)
+    assert programs._shared_target.cache_info().currsize == 1
+    assert seed_to_dict(target.gr.seed) == seed_to_dict(GrassmannianSeed(4, 8).seed)
+    saved = [(EvaluationPoint.reduced(echelon, DEFAULT_PRIME), values)
+             for echelon, values in target.drawn]
+    assert_replays(saved, flags[0], 3)
+
+
+def test_reports_do_not_depend_on_type_order():
     """Reports, but for ``elapsed_s``, of every type with n <= 6 are the
-    same in forward and reverse order, each order from an empty memo."""
+    same in forward and reverse order, each order from an empty target cache."""
     flags = all_flag_types(6, 5)
     runs = []
     for order in (flags, flags[::-1]):
-        monkeypatch.setattr(programs, "_POINTS", {})
+        programs._shared_target.cache_clear()
         reports = {flag.heading(): verify_theorem(flag, trials=3).to_dict() for flag in order}
         for data in reports.values():
             data.pop("elapsed_s")
@@ -621,25 +659,29 @@ def test_mutant_untouched_lift_sign(dims, n, monkeypatch):
     assert run_program(gr, program).mapping[flipped_vids[0]] not in mutated
 
 
+def doubled_grid(k, n):
+    """The rectangles seed of Gr(k; n) with its first mutable vertex's
+    dictionary polynomial doubled."""
+    gr = GrassmannianSeed(k, n)
+    vid = gr.seed.mutable_ids()[0]
+    dictionary = {**gr.seed.dictionary, vid: 2 * gr.seed.dictionary[vid]}
+    gr.seed = Seed(gr.seed.quiver, gr.seed.variables, dictionary)
+    return gr
+
+
 @pytest.mark.parametrize("dims, n", [((2,), 5), ((2, 4), 6)])
 def test_mutant_grid_dictionary_entry(dims, n, monkeypatch):
     """One grid dictionary polynomial doubled: every vertex still carries
     its tableau, but the kept values no longer equal the lifts."""
-    def doubled(k, n):
-        gr = GrassmannianSeed(k, n)
-        vid = gr.seed.mutable_ids()[0]
-        dictionary = {**gr.seed.dictionary, vid: 2 * gr.seed.dictionary[vid]}
-        gr.seed = Seed(gr.seed.quiver, gr.seed.variables, dictionary)
-        return gr
-
-    monkeypatch.setattr(programs, "GrassmannianSeed", doubled)
+    monkeypatch.setattr(programs, "GrassmannianSeed", doubled_grid)
     assert list(failed_checks(FlagType(dims, n))) == [VALUES]
 
 
 @pytest.mark.slow
 def test_verify_every_flag_type_through_n9():
-    """The certified range: every flag type with n <= 9 (502 types, about a
-    minute and a half together), plus the deeper three-step (3,7,11; 14)."""
+    """The certified range: every flag type with n <= 9 (502 types, n = 2
+    included; about 17 s together on a 2-core host with Python 3.11), plus
+    the deeper three-step (3,7,11; 14)."""
     flags = all_flag_types(9, 8) + [FlagType((3, 7, 11), 14)]
     for flag in flags:
         report = verify_theorem(flag, trials=5)
