@@ -10,9 +10,12 @@ JSON or DOT.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import sys
 from itertools import combinations
+from typing import Callable, Iterator
 
 import click
 
@@ -178,7 +181,8 @@ def seed_to_dot(seed: Seed) -> str:
         v = seed.quiver.vertices[vid]
         st = seed.variables[vid]
         shape = "box" if v.frozen else "ellipse"
-        label = "%s\\n%s" % (v.name, _tableau_brief(st.tableau))
+        name = v.name.replace("\\", "\\\\").replace('"', '\\"')
+        label = "%s\\n%s" % (name, _tableau_brief(st.tableau))
         lines.append('  v%d [label="%s" shape=%s];' % (vid, label, shape))
     for (u, w), m in sorted(seed.quiver.arrows.items()):
         extra = ' [label="%d"]' % m if m > 1 else ""
@@ -218,15 +222,29 @@ def parse_gr_option(text: str) -> tuple[int, int]:
     return k, n
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w") as fh:
+@contextlib.contextmanager
+def _opened(output: str | None) -> Iterator[Callable[[str], None]]:
+    """A writer of text to the file ``output``, opened here so that an
+    unwritable path exits 2 before any work, or to standard output.  Each
+    write is flushed, so the file keeps what was written if the work fails."""
+    if not output:
+        yield functools.partial(click.echo, nl=False)
+        return
+    try:
+        with open(output, "w") as fh:
+            def write(text: str) -> None:
                 fh.write(text)
-        except OSError as exc:
-            raise click.UsageError("cannot write %s: %s" % (output, exc.strerror)) from None
-    else:
-        click.echo(text, nl=not text.endswith("\n"))
+                fh.flush()
+
+            yield write
+    except OSError as exc:
+        raise click.UsageError("cannot write %s: %s" % (output, exc.strerror)) from None
+
+
+def _write_output(text: str, output: str | None) -> None:
+    """``text`` to the file ``output``, or to standard output ending in a newline."""
+    with _opened(output) as write:
+        write(text if output or text.endswith("\n") else text + "\n")
 
 
 def _vertex_id(seed: Seed, token: str) -> int:
@@ -364,14 +382,15 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
 def verify_cmd(ctx, flag_opt, trials, prime, master_seed, output):
     """Certify freeze/delete endpoint == flag initial seed for one flag."""
     flag = parse_flag_option(flag_opt)
-    try:
-        report = verify_theorem(flag, trials=trials, prime=prime, master_seed=master_seed)
-    except ProgramError as exc:
-        raise click.UsageError(str(exc)) from None
-    for line in report.summary_lines():
-        click.echo(line)
-    if output:
-        _write_output(json.dumps(report.to_dict(), indent=1), output)
+    with _opened(output) as write:
+        try:
+            report = verify_theorem(flag, trials=trials, prime=prime, master_seed=master_seed)
+        except ProgramError as exc:
+            raise click.UsageError(str(exc)) from None
+        for line in report.summary_lines():
+            click.echo(line)
+        if output:
+            write(json.dumps(report.to_dict(), indent=1))
     ctx.exit(0 if report.passed else 1)
 
 
@@ -387,18 +406,18 @@ def sweep_cmd(ctx, max_n, trials, prime, master_seed, output):
     """Certify every flag type with 3 <= n <= MAX_N; one JSON report per line."""
     if max_n < 3:
         raise click.UsageError("--max-n expects at least 3")
-    lines, passed = [], True
-    for n in range(3, max_n + 1):
-        for k in range(1, n):
-            for dims in combinations(range(1, n), k):
-                try:
-                    report = verify_theorem(FlagType(dims, n), trials=trials, prime=prime,
-                                            master_seed=master_seed)
-                except ProgramError as exc:
-                    raise click.UsageError(str(exc)) from None
-                lines.append(json.dumps(report.to_dict()) + "\n")
-                passed = passed and report.passed
-    _write_output("".join(lines), output)
+    passed = True
+    with _opened(output) as write:
+        for n in range(3, max_n + 1):
+            for k in range(1, n):
+                for dims in combinations(range(1, n), k):
+                    try:
+                        report = verify_theorem(FlagType(dims, n), trials=trials, prime=prime,
+                                                master_seed=master_seed)
+                    except ProgramError as exc:
+                        raise click.UsageError(str(exc)) from None
+                    write(json.dumps(report.to_dict()) + "\n")
+                    passed = passed and report.passed
     ctx.exit(0 if passed else 1)
 
 

@@ -15,14 +15,15 @@ Minors of R are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
 Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
 - M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` holds the index
 sets of a family of polynomials (for the certifier: the grid dictionary of
-a target, or the lifts one type samples) and compiles them once into a
-straight-line program: slot-indexed nodes, grouped by size, for the generic
-pivots J = {1, ..., m}.  A point runs it right after its reduction, with
-one batched inversion per size (Montgomery, Math. Comp. 1987).  Two
-fallbacks keep every value exact: a point with other pivots or dependent
-rows gets a program compiled for its own pivots, and a node whose interior
-minor is 0 mod p is computed by ``det_mod``.  A lookup outside the plan is a
-program of its own.  An isolated minor of size 10 shares no windows and is
+a target when it draws its points, or the lifts one type samples) and
+compiles them once into a straight-line program: slot-indexed nodes,
+grouped by size, for the generic pivots J = {1, ..., m}.
+``point.run(plan)`` runs it at the point's reductions, with one batched
+inversion per size (Montgomery, Math. Comp. 1987).  Two fallbacks keep
+every value exact: a point with other pivots or dependent rows gets a
+program compiled for its own pivots, and a node whose interior minor is 0
+mod p is computed by ``det_mod``.  A lookup outside the plan is a program
+of its own.  An isolated minor of size 10 shares no windows and is
 about 6 times slower than elimination; the certifier evaluates none.
 """
 
@@ -278,32 +279,37 @@ class EvaluationPoint:
     I \ J, with sign (-1)^(rows of I & J + their positions in I).  Each
     coordinate is computed once per point and kept in ``_pluckers``.
 
-    With a ``plan``, the reduction of the top m rows evaluates all of the
-    plan's index sets of size m in one program run (``EvaluationPlan``);
-    any other index set is a program of its own.
+    ``run(plan)`` evaluates all of an ``EvaluationPlan``'s index sets in one
+    program run per size; any other index set is a program of its own.
     """
 
-    __slots__ = ("matrix", "prime", "plan", "_width", "_pluckers", "_echelons")
+    __slots__ = ("matrix", "prime", "_width", "_pluckers", "_echelons")
 
-    def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME,
-                 plan: EvaluationPlan | None = None):
+    def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME):
         self.matrix = tuple(tuple(x % prime for x in row) for row in matrix)
         if len({len(row) for row in self.matrix}) > 1:
             raise PluckerError("matrix rows differ in length")
         self.prime = prime
-        self.plan = plan
         self._width = len(self.matrix[0]) if self.matrix else 0
         self._pluckers: dict[tuple[int, ...], int] = {}
         self._echelons: dict[int, tuple[int, dict[int, int], list[list[int]]]] = {}
 
     @classmethod
-    def reduced(cls, echelon: tuple, prime: int, plan: EvaluationPlan | None = None) -> "EvaluationPoint":
+    def reduced(cls, echelon: tuple, prime: int) -> "EvaluationPoint":
         """The point known only by the ``reduction`` of its m rows, for coordinates of
-        size m; the plan runs at once, and ``echelon`` is only read, so points share it."""
-        point = cls((), prime, plan)
+        size m; ``echelon`` is only read, so points share it."""
+        point = cls((), prime)
         point._width = len(echelon[2][0])
-        point._adopt(echelon)
+        point._echelons[len(echelon[2])] = echelon
         return point
+
+    def run(self, plan: EvaluationPlan) -> "EvaluationPoint":
+        """Evaluate every index set of ``plan`` here, one program run per size; returns the point."""
+        for m, indices in plan.indices.items():
+            echelon = self.reduction(m)
+            program = plan.program(m, echelon[1], self._width)
+            self._pluckers.update(zip(indices, _run(program, echelon, self.prime)))
+        return self
 
     def plucker(self, index: Sequence[int]) -> int:
         index = tuple(index)
@@ -311,10 +317,8 @@ class EvaluationPoint:
         if v is None:
             m = len(index)
             echelon = self.reduction(m)
-            v = self._pluckers.get(index)
-            if v is None:
-                program = _compile([index], echelon[1], m, self._width)
-                v = self._pluckers[index] = _run(program, echelon, self.prime)[0]
+            program = _compile([index], echelon[1], m, self._width)
+            v = self._pluckers[index] = _run(program, echelon, self.prime)[0]
         return v
 
     def reduction(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
@@ -323,16 +327,7 @@ class EvaluationPoint:
         if echelon is None:
             if m > len(self.matrix):
                 raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
-            echelon = self._adopt(self._echelon(m))
-        return echelon
-
-    def _adopt(self, echelon: tuple[int, dict[int, int], list[list[int]]]) -> tuple:
-        """Keep the reduction of the top m rows; evaluate the plan's sets of size m at it."""
-        m = len(echelon[2])
-        self._echelons[m] = echelon
-        if self.plan is not None and m in self.plan.indices:
-            program = self.plan.program(m, echelon[1], self._width)
-            self._pluckers.update(zip(self.plan.indices[m], _run(program, echelon, self.prime)))
+            echelon = self._echelons[m] = self._echelon(m)
         return echelon
 
     def _echelon(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
@@ -481,11 +476,9 @@ def det_mod(matrix: list[list[int]], p: int) -> int:
     return det % p
 
 
-def random_matrix_point(
-    rows: int, cols: int, prime: int, rng: random.Random, plan: EvaluationPlan | None = None
-) -> EvaluationPoint:
+def random_matrix_point(rows: int, cols: int, prime: int, rng: random.Random) -> EvaluationPoint:
     matrix = [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)]
-    return EvaluationPoint(matrix, prime, plan)
+    return EvaluationPoint(matrix, prime)
 
 
 # -- coordinates of the worked families ------------------------------------

@@ -276,13 +276,13 @@ class Report:
 
 def sample_nonsingular_point(
     dictionary: dict[int, PluckerPoly], rows: int, cols: int, prime: int, rng: random.Random,
-    plan: EvaluationPlan | None = None,
+    plan: EvaluationPlan,
 ) -> tuple[EvaluationPoint, list[int]]:
-    """Random matrix at which no polynomial of ``dictionary`` (position ->
-    initial variable, positions 0..len - 1) vanishes, with their values in
-    position order."""
+    """Random matrix, with ``plan`` run there, at which no polynomial of
+    ``dictionary`` (position -> initial variable, positions 0..len - 1)
+    vanishes, with their values in position order."""
     for _ in range(100):
-        point = random_matrix_point(rows, cols, prime, rng, plan)
+        point = random_matrix_point(rows, cols, prime, rng).run(plan)
         values = [dictionary[pos].evaluate(point) for pos in range(len(dictionary))]
         if all(values):
             return point, values
@@ -290,29 +290,29 @@ def sample_nonsingular_point(
 
 
 class Target:
-    """The rectangles seed ``gr`` of Gr(k; N) and, once drawn, the value
-    check's points at one prime, master seed and trial count, each kept as
-    the reduction of its k rows and the grid dictionary's values there."""
+    """The rectangles seed ``gr`` of Gr(k; N) and the value check's points
+    at one prime, master seed and trial count, drawn on first use."""
 
     def __init__(self, k: int, ambient: int, prime: int, master_seed: int, trials: int):
         self.prime, self.master_seed, self.trials = prime, master_seed, trials
         self.gr = GrassmannianSeed(k, ambient)
-        self.drawn: list[tuple[tuple, list[int]]] | None = None
 
-    def points(self, lifts: list[PluckerPoly]) -> list[tuple[EvaluationPoint, list[int]]]:
+    @functools.cached_property
+    def drawn(self) -> list[tuple[tuple, list[int]]]:
         """The first ``trials`` nonsingular points of ``random.Random(master_seed)``,
-        each with the grid dictionary's values and a plan that evaluates ``lifts``;
-        the call that draws them runs the dictionary and the lifts as one plan."""
-        if self.drawn is not None:
-            plan = EvaluationPlan(lifts)
-            return [(EvaluationPoint.reduced(echelon, self.prime, plan), values)
-                    for echelon, values in self.drawn]
+        each kept as the reduction of its k rows with the grid dictionary's values
+        there; a draw that raises keeps nothing."""
         dictionary = self.gr.seed.dictionary
-        rng, plan = random.Random(self.master_seed), EvaluationPlan([*dictionary.values(), *lifts])
+        rng, plan = random.Random(self.master_seed), EvaluationPlan(dictionary.values())
         points = [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
                   for _ in range(self.trials)]
-        self.drawn = [(point.reduction(self.gr.k), values) for point, values in points]
-        return points
+        return [(point.reduction(self.gr.k), values) for point, values in points]
+
+    def points(self, lifts: list[PluckerPoly]) -> list[tuple[EvaluationPoint, list[int]]]:
+        """The ``drawn`` points, each with ``lifts`` evaluated there by one plan."""
+        plan = EvaluationPlan(lifts)
+        return [(EvaluationPoint.reduced(echelon, self.prime).run(plan), values)
+                for echelon, values in self.drawn]
 
 
 # The types with the same five ints share one Target in a process; a call
@@ -422,7 +422,7 @@ def _certify(report: Report) -> None:
         for trial, (point, values) in enumerate(target.points([lifts[f] for f in sampled])):
             powers = PowerTable(values, prime)
             for fvid, gvid in sampled.items():
-                lhs = restricted.variables[gvid].laurent.evaluate(powers, prime)
+                lhs = restricted.variables[gvid].laurent.evaluate(powers)
                 rhs = lifts[fvid].evaluate(point)
                 if lhs != rhs % prime:
                     value_issues.append(

@@ -362,15 +362,15 @@ class LaurentExpr:
                     rem[k] = old - qc * v
         return LaurentExpr._packed(n, quo, bound, bits, env)
 
-    def evaluate(self, values: Sequence[int] | PowerTable, prime: int) -> int:
-        """Evaluate at nonzero residues ``values`` modulo ``prime``, or at
-        their ``PowerTable``, which calls at the same values share."""
+    def evaluate(self, powers: PowerTable) -> int:
+        """The value at the residues of ``powers``, modulo its prime; calls
+        at the same residues share one table."""
         if self._sparse is None:
             self._sparse = [
                 (coeff, tuple(compress(enumerate(exps), exps)))
                 for exps, coeff in self.exponent_items()
             ]
-        power = (values if isinstance(values, PowerTable) else PowerTable(values, prime)).__getitem__
+        power, prime = powers.__getitem__, powers.prime
         total = 0
         for coeff, factors in self._sparse:
             total += prod(map(power, factors), start=coeff) % prime

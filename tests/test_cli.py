@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,18 @@ def test_dot_deterministic_and_marks_frozen():
     assert "shape=box" in a       # frozen vertices
     assert "shape=ellipse" in a   # mutable vertices
     assert a.count("->") == len(seed.quiver.arrows)
+
+
+def test_dot_label_reads_back_a_quoted_name():
+    """A vertex name holding a quote and a backslash is escaped, so its DOT
+    label reads back as one quoted string: the name, a line break, the tableau."""
+    data = seed_to_dict(GrassmannianSeed(2, 4).seed)
+    data["vertices"][0]["name"] = 'a"b\\'
+    line = seed_to_dot(seed_from_dict(data)).splitlines()[2]
+    quoted = re.fullmatch(r'  v0 \[label=("(?:[^"\\]|\\.)*") shape=\w+\];', line)
+    assert quoted, line
+    assert data["vertices"][0]["tableau"] == [[3], [4]]
+    assert json.loads(quoted.group(1)) == 'a"b\\\n34'
 
 
 # -- seed / mutate / export ----------------------------------------------------
@@ -550,6 +563,17 @@ def test_unwritable_output_is_usage_error(runner, tmp_path):
         assert "cannot write" in result.output, args
 
 
+def test_unwritable_output_exits_before_any_certificate(runner, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify_theorem", lambda *args, **kwargs: calls.append(args))
+    out = str(tmp_path / "missing" / "out.json")
+    for args in (["verify", "--flag", "6,2,4"], ["sweep", "--max-n", "5"]):
+        result = runner.invoke(main, [*args, "--output", out])
+        assert result.exit_code == 2, args
+        assert "cannot write" in result.output, args
+    assert calls == []
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -660,6 +684,26 @@ def test_sweep_builds_one_grid_seed_per_target(runner, tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == len(flags) == 56
     assert sorted(built) == sorted({flag.target_grassmannian for flag in flags})
     assert len(built) == 24
+
+
+def test_sweep_keeps_the_finished_lines_when_a_type_fails(runner, tmp_path, monkeypatch):
+    """Each report is written as it is made: a type that raises leaves the
+    lines of the types before it in the output."""
+    from clusterflag.programs import Report
+
+    def failing_third(flag, trials, prime, master_seed):
+        made.append(flag)
+        if len(made) == 3:
+            raise MemoryError
+        return Report(flag, prime=prime, trials=trials, master_seed=master_seed)
+
+    made = []
+    monkeypatch.setattr(cli, "verify_theorem", failing_third)
+    out = tmp_path / "sweep.jsonl"
+    result = runner.invoke(main, ["sweep", "--max-n", "4", "--output", str(out)])
+    assert isinstance(result.exception, MemoryError)
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["flag"] for r in reports] == [{"dims": list(f.dims), "n": f.n} for f in made[:2]]
 
 
 def test_sweep_exit_codes(runner, monkeypatch):

@@ -5,10 +5,12 @@ No linter ships with the project, so this walks the syntax tree of each
 module under ``src/`` and ``tests/``: a name bound by a module-level
 ``import`` that no expression of the module loads is reported.
 ``from __future__`` imports are exempt.  Under ``src/``, a module-level
-function or class that no ``src/`` module loads, outside its own body, is
-reported too, so that code only the tests need lives under ``tests/``.
-Click commands, which the command line reads through their decorator, are
-exempt.
+function or class, or a method or property of such a class, that no
+``src/`` module loads outside its own body is reported too, so that code
+only the tests need lives under ``tests/``.  A method counts as read when
+any attribute of its name is loaded.  Click commands, which the command
+line reads through their decorator, and dunder methods, which Python reads,
+are exempt.
 """
 
 import ast
@@ -64,28 +66,46 @@ def _is_command(node) -> bool:
     )
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """(qualified name, node) of the module-level functions and classes of
+    ``tree`` and of the methods and properties of those classes, dunders
+    left out."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS) and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield "%s.%s" % (node.name, sub.name), sub
+
+
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes of ``sources`` (module name ->
-    source) that no module loads outside the definition itself."""
+    """Definitions of ``sources`` (module name -> source), as ``_definitions``
+    lists them, that no module loads outside the definition itself."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     total = sum((_loads(tree) for tree in trees.values()), Counter())
     return [
-        "%s line %d: %s" % (name, node.lineno, node.name)
+        "%s line %d: %s" % (name, node.lineno, qualified)
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not _is_command(node)
-        and total[node.name] == _loads(node)[node.name]
+        for qualified, node in _definitions(tree)
+        if not _is_command(node) and total[node.name] == _loads(node)[node.name]
     ]
 
 
 def test_reader_guard_sees_unread_definitions():
     sources = {
         "a": "def used():\n    pass\ndef loop():\n    return loop()\nclass K:\n    pass\n"
-             "def helper():\n    pass\n@main.command('x')\ndef cmd():\n    pass\n",
-        "b": "import a\nfrom a import used, K\nused(K)\na.helper()\n",
+             "def helper():\n    pass\n@main.command('x')\ndef cmd():\n    pass\n"
+             "class M:\n    def __init__(self):\n        self.read()\n    def read(self):\n        pass\n"
+             "    @property\n    def size(self):\n        return 1\n"
+             "    def _adopt(self):\n        return self._adopt()\n"
+             "    @classmethod\n    def make(cls):\n        return cls()\n",
+        "b": "import a\nfrom a import used, K\nused(K)\na.helper()\na.M.make().size\n",
     }
-    assert unread_definitions(sources) == ["a line 3: loop"]
+    assert unread_definitions(sources) == ["a line 3: loop", "a line 20: M._adopt"]
 
 
 def test_library_definitions_are_read_by_the_library():

@@ -461,7 +461,7 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
     assert list(plan.indices) == [k]
     for prime in (2, 3, 7, DEFAULT_PRIME):
         for matrix, values in zip(matrices, expected):
-            pt = EvaluationPoint(matrix, prime, plan)
+            pt = EvaluationPoint(matrix, prime).run(plan)
             for index, det in values.items():
                 assert pt.plucker(index) == det % prime, (prime, matrix, index)
         if prime < 7:
@@ -480,14 +480,14 @@ def test_plan_single_lookups_and_bounds():
     matrix = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]]
     plan = EvaluationPlan([P((1, 2, 4)) * P((2, 3)), P((3, 4, 5))])
     assert plan.indices == {3: [(1, 2, 4), (3, 4, 5)], 2: [(2, 3)]}
-    pt = EvaluationPoint(matrix, 101, plan)
+    pt = EvaluationPoint(matrix, 101).run(plan)
     for m in (1, 2, 3):
         for index in itertools.combinations(range(1, 6), m):
             sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(m)])
             assert pt.plucker(index) == sub.det() % 101, index
-    bad = EvaluationPoint(matrix, 101, EvaluationPlan([P((2, 6))]))
+    bad = EvaluationPoint(matrix, 101)
     with pytest.raises(PluckerError):
-        bad.plucker((1, 2))
+        bad.run(EvaluationPlan([P((2, 6))]))
 
 
 def test_batch_inverse():

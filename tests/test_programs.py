@@ -458,11 +458,40 @@ def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(ProgramError):
         verify_theorem(flag, trials=5)
-    assert shared(4, 8, DEFAULT_PRIME, 0, 5).drawn is None
+    assert "drawn" not in vars(shared(4, 8, DEFAULT_PRIME, 0, 5))
     monkeypatch.setattr(programs, "random_matrix_point", draw)
     counts.update(points=0)
     assert verify_theorem(flag, trials=5).passed
     assert counts["points"] == 5
+
+
+def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
+    """Each type that samples, the first on a fresh target too, evaluates
+    its lifts at ``trials`` saved reductions; the draw, made once, runs a
+    plan of exactly the grid dictionary's index sets."""
+    reduced, plans = [], []
+    make_reduced, sample = EvaluationPoint.reduced.__func__, programs.sample_nonsingular_point
+
+    def counted_reduced(cls, echelon, prime):
+        reduced.append(echelon)
+        return make_reduced(cls, echelon, prime)
+
+    def recording_sample(dictionary, rows, cols, prime, rng, plan):
+        plans.append(plan)
+        return sample(dictionary, rows, cols, prime, rng, plan)
+
+    monkeypatch.setattr(EvaluationPoint, "reduced", classmethod(counted_reduced))
+    monkeypatch.setattr(programs, "sample_nonsingular_point", recording_sample)
+    for flag in GR48[:2]:
+        assert touched_kept(flag)
+        reduced.clear()
+        assert verify_theorem(flag, trials=4).passed
+        assert len(reduced) == 4, flag.heading()
+    assert len(plans) == 4 and all(plan is plans[0] for plan in plans)
+    grid = GrassmannianSeed(4, 8).seed.dictionary
+    expected = {idx for poly in grid.values() for mono in poly.terms for idx in mono}
+    assert list(plans[0].indices) == [4]
+    assert sorted(plans[0].indices[4]) == sorted(expected)
 
 
 def test_target_cache_holds_every_target_through_n12():

@@ -118,7 +118,7 @@ def test_laurent_evaluate():
     p = 101
     x, y = 7, 9
     expect = (3 * pow(x, 2, p) * pow(y, p - 2, p) - 1) % p
-    assert f.evaluate([x, y], p) == expect
+    assert f.evaluate(PowerTable([x, y], p)) == expect
 
 
 def test_shared_power_table_against_fractions():
@@ -141,8 +141,8 @@ def test_shared_power_table_against_fractions():
         )
         expect = exact.numerator * pow(exact.denominator, -1, p) % p
         expr = LaurentExpr(len(values), terms)
-        assert expr.evaluate(table, p) == expect, terms
-        assert expr.evaluate(values, p) == expect, terms
+        assert expr.evaluate(table) == expect, terms
+        assert expr.evaluate(PowerTable(values, p)) == expect, terms
     assert {e for _, e in table} >= {-4, -3, -2, -1, 1, 2, 3}
 
 
@@ -364,7 +364,7 @@ def test_grassmannian_square_exchange_values():
         vals = [poly.evaluate(pt) for poly in seed.dictionary.values()]
         if not all(vals):
             continue
-        got = mutated.variables[vid].laurent.evaluate(vals, pt.prime)
+        got = mutated.variables[vid].laurent.evaluate(PowerTable(vals, pt.prime))
         p12 = PluckerPoly.variable((1, 2)).evaluate(pt)
         p34 = PluckerPoly.variable((3, 4)).evaluate(pt)
         p14 = PluckerPoly.variable((1, 4)).evaluate(pt)
@@ -406,40 +406,42 @@ def test_variable_values_track_laurent():
     values = [poly.evaluate(pt) for poly in seed.dictionary.values()]
     for st in seed.variables.values():
         (column,) = st.tableau.columns()
-        assert st.laurent.evaluate(values, DEFAULT_PRIME) == pt.plucker(column)
+        assert st.laurent.evaluate(PowerTable(values, DEFAULT_PRIME)) == pt.plucker(column)
 
 
 def test_initial_values_raise_on_vanishing(monkeypatch):
     """A point at which an initial variable vanishes is skipped, and a
     sampler that finds no other point raises."""
     import clusterflag.programs as programs
-    from clusterflag.plucker import EvaluationPoint
+    from clusterflag.plucker import EvaluationPlan, EvaluationPoint
 
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
+    plan = EvaluationPlan(dictionary.values())
     zero = EvaluationPoint([[1, 0, 0, 0], [0, 1, 0, 0]], 7)
     assert 0 in [poly.evaluate(zero) for poly in dictionary.values()]
     good = EvaluationPoint([[1, 2, 3, 4], [0, 1, 2, 4]], 7)
     draws = iter([zero, good])
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: next(draws))
-    point, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0))
+    point, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
     assert point is good and values == [poly.evaluate(good) for poly in dictionary.values()]
     assert all(values)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(programs.ProgramError):
-        programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0))
+        programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
 
 
 def test_sampled_values_follow_positions_not_insertion_order(monkeypatch):
     """A dictionary whose entries are listed out of position order (as a
     seed file may list them) still gives each position its own value."""
     import clusterflag.programs as programs
-    from clusterflag.plucker import EvaluationPoint
+    from clusterflag.plucker import EvaluationPlan, EvaluationPoint
 
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
     shuffled = dict(reversed(dictionary.items()))
     assert list(shuffled) != sorted(shuffled)
     good = EvaluationPoint([[1, 2, 3, 4], [0, 1, 2, 4]], 7)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: good)
-    _, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0))
+    _, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0),
+                                                  EvaluationPlan(shuffled.values()))
     assert values == [dictionary[pos].evaluate(good) for pos in range(len(dictionary))]
     assert values != [poly.evaluate(good) for poly in shuffled.values()]
