@@ -23,6 +23,7 @@ from . import plucker as pk
 from . import tableaux as tb
 from .flags import FlagError, FlagType, FlagSeed, GrassmannianSeed
 from .programs import (
+    DEFAULT_TRIALS,
     ProgramError,
     general_flag_program,
     mt_program,
@@ -365,18 +366,17 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
         _write_output(render_seed(result.restricted, export_fmt), output)
 
 
+def _value_check_options(command: Callable) -> Callable:
+    """The value check's ``--trials``, ``--prime`` and ``--seed``, for ``verify`` and ``sweep``."""
+    command = click.option("--seed", "master_seed", type=int, default=0, envvar="CLUSTERFLAG_SEED",
+                           help="master RNG seed (env CLUSTERFLAG_SEED)")(command)
+    command = click.option("--prime", type=int, default=pk.DEFAULT_PRIME)(command)
+    return click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True)(command)
+
+
 @main.command("verify")
 @click.option("--flag", "flag_opt", required=True, help="n,d1,d2,... flag type")
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--prime", type=int, default=pk.DEFAULT_PRIME)
-@click.option(
-    "--seed",
-    "master_seed",
-    type=int,
-    default=0,
-    envvar="CLUSTERFLAG_SEED",
-    help="master RNG seed (env CLUSTERFLAG_SEED)",
-)
+@_value_check_options
 @click.option("--output", default=None, type=click.Path(dir_okay=False), help="write JSON report")
 @click.pass_context
 def verify_cmd(ctx, flag_opt, trials, prime, master_seed, output):
@@ -396,10 +396,7 @@ def verify_cmd(ctx, flag_opt, trials, prime, master_seed, output):
 
 @main.command("sweep")
 @click.option("--max-n", "max_n", type=int, required=True, help="largest ambient size n")
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--prime", type=int, default=pk.DEFAULT_PRIME)
-@click.option("--seed", "master_seed", type=int, default=0, envvar="CLUSTERFLAG_SEED",
-              help="master RNG seed (env CLUSTERFLAG_SEED)")
+@_value_check_options
 @click.option("--output", default=None, type=click.Path(dir_okay=False), help="write the JSONL here")
 @click.pass_context
 def sweep_cmd(ctx, max_n, trials, prime, master_seed, output):

@@ -6,8 +6,10 @@ consecutive levels; inside a region the schedule runs in pages, each page
 sweeping the rows bottom-up with shrinking widths.  After the program runs,
 vertices whose tableaux appear in the padded flag seed are kept and the rest
 are deleted, which must leave a legal restricted seed equal to the flag
-initial seed.  That comparison is what ``verify_theorem`` certifies.  The
-types of one target Gr(k; N) share a ``Target``: its grid seed and points.
+initial seed.  That comparison is what ``verify_theorem`` certifies, with
+its last check run at ``DEFAULT_TRIALS`` random points unless told
+otherwise.  The types of one target Gr(k; N) share a ``Target``: its grid
+seed and points.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
 from .plucker import (DEFAULT_PRIME, EvaluationPlan, EvaluationPoint, PluckerPoly, is_prime,
                       random_matrix_point)
 from .quiver import LaurentError, LaurentExpr, PowerTable, QuiverError, Seed, quivers_agree
+
+
+DEFAULT_TRIALS = 20
 
 
 class ProgramError(ValueError):
@@ -85,13 +90,11 @@ def _region_steps(flag: FlagType, j: int) -> list[Step]:
 
 
 def _freeze_steps(flag: FlagType) -> list[Step]:
-    ext = flag.extended
     d1 = flag.dims[0]
     steps: list[Step] = []
     for j in range(2, flag.k + 1):
-        col = ext[j - 1] + 1
-        for i in range(ext[j - 1] - d1 + 2, ext[j] - d1 + 1):
-            steps.append(Step(i, col, region=j))
+        a, _, c, top = region_parameters(flag, j)
+        steps += [Step(row, c + 1, region=j) for row in range(top, top + a)]
     # the padded coordinates P_{[1,d_j]} sitting inside the grid
     for j in range(1, flag.k):
         steps.append(Step(flag.dims[j - 1] - d1 + 1, flag.dims[j - 1] + 1))
@@ -225,7 +228,7 @@ class Report:
     deleted_labels: list[int] = field(default_factory=list)
     elapsed: float = 0.0
     prime: int = DEFAULT_PRIME
-    trials: int = 20
+    trials: int = DEFAULT_TRIALS
     master_seed: int = 0
 
     @property
@@ -234,6 +237,10 @@ class Report:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name, passed, detail))
+
+    def add_problems(self, name: str, problems: list[str]) -> None:
+        """A check that passes when ``problems`` is empty; its detail is the first three."""
+        self.add(name, not problems, "; ".join(problems[:3]))
 
     def to_dict(self) -> dict:
         return {
@@ -316,13 +323,13 @@ class Target:
 
 
 # The types with the same five ints share one Target in a process; a call
-# with more trials than the CLI's default of 20 builds a private one.
+# with more than DEFAULT_TRIALS trials builds a private one.
 _shared_target = functools.lru_cache(maxsize=128)(Target)  # 48 targets at n <= 8, 120 at n <= 12
 
 
 def verify_theorem(
     flag: FlagType,
-    trials: int = 20,
+    trials: int = DEFAULT_TRIALS,
     prime: int = DEFAULT_PRIME,
     master_seed: int = 0,
 ) -> Report:
@@ -349,7 +356,7 @@ def _certify(report: Report) -> None:
     certificate fact; stops after a check that later ones depend on."""
     flag, prime = report.flag, report.prime
     program = general_flag_program(flag)
-    target = (Target if report.trials > 20 else _shared_target)(
+    target = (Target if report.trials > DEFAULT_TRIALS else _shared_target)(
         *flag.target_grassmannian, prime, report.master_seed, report.trials)
 
     expected = expected_mutation_count(flag)
@@ -382,13 +389,8 @@ def _certify(report: Report) -> None:
         "grid_vertices": len(target.gr.seed.variables),
     }
 
-    balance = result.endpoint.is_balanced()
-    report.add("endpoint degree-balanced", not balance, "; ".join(balance[:3]))
-    report.add(
-        "endpoint tableaux contain the padded flag tableaux",
-        not result.match_problems,
-        "; ".join(result.match_problems[:3]),
-    )
+    report.add_problems("endpoint degree-balanced", result.endpoint.is_balanced())
+    report.add_problems("endpoint tableaux contain the padded flag tableaux", result.match_problems)
     restricted = result.restricted
     report.add(
         "deletion leaves a legal restricted seed", restricted is not None, result.restrict_problem
@@ -396,12 +398,8 @@ def _certify(report: Report) -> None:
     if restricted is None:
         return
 
-    mismatches = quivers_agree(result.embedded.quiver, restricted.quiver, result.mapping)
-    report.add(
-        "restricted quiver equals the flag quiver",
-        not mismatches,
-        "; ".join(mismatches[:3]),
-    )
+    report.add_problems("restricted quiver equals the flag quiver",
+                        quivers_agree(result.embedded.quiver, restricted.quiver, result.mapping))
 
     # the flag seed's own variables placed on the restricted quiver
     grading = Seed(
@@ -409,7 +407,7 @@ def _certify(report: Report) -> None:
         {g: result.flag_seed.variables[f] for f, g in result.mapping.items()},
         result.flag_seed.dictionary,
     ).is_balanced()
-    report.add("restricted seed balanced for the flag grading", not grading, "; ".join(grading[:3]))
+    report.add_problems("restricted seed balanced for the flag grading", grading)
 
     # a kept vertex that is still its own initial variable, with its lift as
     # its dictionary entry, is certified by that equality; the rest are sampled
@@ -428,8 +426,6 @@ def _certify(report: Report) -> None:
                     value_issues.append(
                         "trial %d at %s" % (trial, result.embedded.quiver.vertices[fvid].name)
                     )
-    report.add(
-        "kept variables equal the lifted flag coordinates at %d points" % report.trials,
-        not value_issues,
-        "; ".join(value_issues[:3]),
+    report.add_problems(
+        "kept variables equal the lifted flag coordinates at %d points" % report.trials, value_issues
     )

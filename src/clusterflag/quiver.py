@@ -600,11 +600,10 @@ class Seed:
 
     @functools.cached_property
     def heights(self) -> tuple[int, ...]:
-        """The column heights of the seed's tableaux, ascending: the heights
-        its grading counts (see ``tableau_weight``)."""
-        return tuple(sorted({
-            len(col) for st in self.variables.values() for col in st.tableau.columns()
-        }))
+        """The column heights of the seed's tableaux, ascending: the heights its grading
+        counts.  As in ``tableau_weight``, h is one where row h is longer than row h + 1."""
+        shapes = {st.tableau.shape + (0,) for st in self.variables.values()}
+        return tuple(sorted({h for s in shapes for h in range(1, len(s)) if s[h - 1] > s[h]}))
 
     @property
     def nvars(self) -> int:
@@ -620,11 +619,10 @@ class Seed:
         return [vid for vid, v in self.quiver.vertices.items() if not v.frozen]
 
     def mutate(self, vid: int) -> "Seed":
-        """Mutate at a mutable vertex, updating both variable tracks.  The
-        tableau update runs first: its shape test is the balance check, so
-        an unbalanced exchange does no Laurent work."""
-        if self.quiver.is_frozen(vid):
-            raise QuiverError("cannot mutate frozen vertex %d" % vid)
+        """Mutate at a mutable vertex, updating both variable tracks.  The new
+        quiver refuses a frozen vertex; then the tableau's shape test is the
+        balance check, so an unbalanced exchange does no Laurent work."""
+        quiver = self.quiver.mutate(vid)
         state = self.variables[vid]
         # neighbor states, each repeated by its arrow multiplicity
         ins, outs = (
@@ -648,7 +646,7 @@ class Seed:
             for side in (ins, outs)
         )
         new_state = VariableState((prod_in + prod_out).exact_div(state.laurent), tableau)
-        return Seed(self.quiver.mutate(vid), {**self.variables, vid: new_state}, self.dictionary)
+        return Seed(quiver, {**self.variables, vid: new_state}, self.dictionary)
 
     def freeze(self, vid: int) -> "Seed":
         return Seed(self.quiver.freeze(vid), self.variables, self.dictionary)

@@ -131,14 +131,11 @@ def one_column(entries: Iterable[int]) -> Tableau:
     return Tableau([[x] for x in col])
 
 
-EMPTY = Tableau([])
-
-
 # -- monoid operations ---------------------------------------------------
 
 
 def union(*tableaux: Tableau) -> Tableau:
-    """Row-wise multiset union; commutative, associative, unit ``EMPTY``.
+    """Row-wise multiset union; commutative, associative, unit the empty tableau.
 
     A union of semistandard tableaux is semistandard, so it is built
     unchecked.  In each summand, every entry of row i+1 has its own entry

@@ -5,12 +5,12 @@ No linter ships with the project, so this walks the syntax tree of each
 module under ``src/`` and ``tests/``: a name bound by a module-level
 ``import`` that no expression of the module loads is reported.
 ``from __future__`` imports are exempt.  Under ``src/``, a module-level
-function or class, or a method or property of such a class, that no
-``src/`` module loads outside its own body is reported too, so that code
-only the tests need lives under ``tests/``.  A method counts as read when
-any attribute of its name is loaded.  Click commands, which the command
-line reads through their decorator, and dunder methods, which Python reads,
-are exempt.
+function, class or assigned name, or a method or property of such a class,
+that no ``src/`` module loads outside its own definition is reported too, so
+that code only the tests need lives under ``tests/``.  A method counts as
+read when any attribute of its name is loaded.  Click commands, which the
+command line reads through their decorator, and dunders such as methods or
+``__version__``, which Python or packaging read, are exempt.
 """
 
 import ast
@@ -66,20 +66,29 @@ def _is_command(node) -> bool:
     )
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(tree):
-    """(qualified name, node) of the module-level functions and classes of
-    ``tree`` and of the methods and properties of those classes, dunders
-    left out."""
+    """(qualified name, name, node) of the module-level functions, classes
+    and assigned names of ``tree`` and of the methods and properties of
+    those classes; click commands and dunders left out."""
     for node in tree.body:
-        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-            yield node.name, node
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not _is_command(node):
+            yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not _is_dunder(sub.id):
+                        yield sub.id, sub.id, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, FUNCTIONS) and not (sub.name.startswith("__") and sub.name.endswith("__")):
-                    yield "%s.%s" % (node.name, sub.name), sub
+                if isinstance(sub, FUNCTIONS) and not _is_dunder(sub.name):
+                    yield "%s.%s" % (node.name, sub.name), sub.name, sub
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
@@ -88,10 +97,10 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(source) for name, source in sources.items()}
     total = sum((_loads(tree) for tree in trees.values()), Counter())
     return [
-        "%s line %d: %s" % (name, node.lineno, qualified)
-        for name, tree in trees.items()
-        for qualified, node in _definitions(tree)
-        if not _is_command(node) and total[node.name] == _loads(node)[node.name]
+        "%s line %d: %s" % (module, node.lineno, qualified)
+        for module, tree in trees.items()
+        for qualified, name, node in _definitions(tree)
+        if total[name] == _loads(node)[name]
     ]
 
 
@@ -102,10 +111,11 @@ def test_reader_guard_sees_unread_definitions():
              "class M:\n    def __init__(self):\n        self.read()\n    def read(self):\n        pass\n"
              "    @property\n    def size(self):\n        return 1\n"
              "    def _adopt(self):\n        return self._adopt()\n"
-             "    @classmethod\n    def make(cls):\n        return cls()\n",
-        "b": "import a\nfrom a import used, K\nused(K)\na.helper()\na.M.make().size\n",
+             "    @classmethod\n    def make(cls):\n        return cls()\n"
+             "LIMIT = 3\nTOP: int = LIMIT\nSPARE, LOW = 1, LIMIT\n__version__ = '0'\n",
+        "b": "import a\nfrom a import used, K\nused(K)\na.helper()\na.M.make().size\nprint(a.TOP, a.LOW)\n",
     }
-    assert unread_definitions(sources) == ["a line 3: loop", "a line 20: M._adopt"]
+    assert unread_definitions(sources) == ["a line 3: loop", "a line 20: M._adopt", "a line 27: SPARE"]
 
 
 def test_library_definitions_are_read_by_the_library():

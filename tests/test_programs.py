@@ -9,10 +9,12 @@ import pytest
 import clusterflag.flags as flags_module
 import clusterflag.programs as programs
 from clusterflag.flags import FlagError, FlagType, GrassmannianSeed, embedded_flag_seed
-from clusterflag.plucker import DEFAULT_PRIME, EvaluationPoint, PluckerPoly, det_mod, is_prime
+from clusterflag.plucker import (DEFAULT_PRIME, EvaluationPlan, EvaluationPoint, PluckerPoly, det_mod,
+                                 is_prime)
 from clusterflag.programs import (
     MutationProgram,
     ProgramError,
+    Step,
     expected_mutation_count,
     general_flag_program,
     match_embedded_vertices,
@@ -74,6 +76,18 @@ def test_region_parameters():
     assert region_parameters(flag, 2) == (1, 7, 4, 2)
     assert region_parameters(flag, 3) == (2, 7, 6, 4)
     assert expected_mutation_count(flag) == 10 + 49
+
+
+def test_freeze_steps_follow_the_region_geometry():
+    """The freezes against the closed form in the flag's extended dimensions:
+    region j freezes rows d_{j-1} - d_1 + 2 .. d_j - d_1 in column d_{j-1} + 1,
+    then the padded coordinates P_{[1,d_j]} follow, for every type with n <= 10."""
+    for flag in all_flag_types(10, 9):
+        ext, d1 = flag.extended, flag.dims[0]
+        expected = [Step(row, ext[j - 1] + 1, region=j) for j in range(2, flag.k + 1)
+                    for row in range(ext[j - 1] - d1 + 2, ext[j] - d1 + 1)]
+        expected += [Step(d - d1 + 1, d + 1) for d in flag.dims[:-1]]
+        assert programs._freeze_steps(flag) == expected, flag.heading()
 
 
 def test_preset_guards():
@@ -492,6 +506,23 @@ def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
     expected = {idx for poly in grid.values() for mono in poly.terms for idx in mono}
     assert list(plans[0].indices) == [4]
     assert sorted(plans[0].indices[4]) == sorted(expected)
+
+
+def test_kept_points_have_the_generic_pivots():
+    """The draw rejects a point where P_{[1,k]}, the grid's unit coordinate,
+    vanishes, so every saved reduction of every target of the types with
+    n <= 6 has pivots {1, ..., k}, and a plan run at all of them compiles
+    one program."""
+    targets = {flag.target_grassmannian for flag in all_flag_types(6, 5)}
+    assert len(targets) == 25
+    trials = programs.DEFAULT_TRIALS
+    for k, ambient in sorted(targets):
+        target = programs._shared_target(k, ambient, DEFAULT_PRIME, 0, trials)
+        assert [echelon[1] for echelon, _ in target.drawn] == [{j: j - 1 for j in range(1, k + 1)}] * trials
+        plan = EvaluationPlan(target.gr.seed.dictionary.values())
+        for echelon, _ in target.drawn:
+            EvaluationPoint.reduced(echelon, DEFAULT_PRIME).run(plan)
+        assert len(plan._programs) == 1, (k, ambient)
 
 
 def test_target_cache_holds_every_target_through_n12():

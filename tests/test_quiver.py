@@ -23,9 +23,9 @@ from clusterflag.quiver import (
 from clusterflag.cli import seed_to_dict
 from clusterflag.flags import GrassmannianSeed
 from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, random_matrix_point
-from clusterflag.tableaux import from_columns, one_column
+from clusterflag.tableaux import Tableau, from_columns, one_column
 
-from support import matrix_mutation_oracle, quiver_differences, random_quiver, seeds_equal
+from support import matrix_mutation_oracle, quiver_differences, random_quiver, random_tableau, seeds_equal
 
 
 def rand_laurent(rng: random.Random, nvars: int, nterms: int = 3) -> LaurentExpr:
@@ -314,8 +314,23 @@ def test_flipped_grid_arrow_unbalances_two_vertices():
 
 
 def test_seed_mutate_rejects_frozen():
-    with pytest.raises(QuiverError, match="frozen"):
+    with pytest.raises(QuiverError, match="^cannot mutate frozen vertex 1$"):
         toy_seed().mutate(1)
+
+
+def test_seed_heights_are_the_column_lengths():
+    """``Seed.heights`` against column lengths counted off the rows (column
+    j is as tall as the number of rows longer than j), on seeds of random
+    tableaux that each hold the empty tableau, the seed of it alone too."""
+    rng = random.Random(2310)
+    for size in range(300):
+        tableaux = [Tableau([])] + [random_tableau(rng, max_height=5) for _ in range(size % 5)]
+        columns = [(t.rows, j) for t in tableaux for j in range(len(t.rows[0]) if t.rows else 0)]
+        expected = tuple(sorted({sum(len(row) > j for row in rows) for rows, j in columns}))
+        variables = {i: VariableState(LaurentExpr.generator(len(tableaux), i), t)
+                     for i, t in enumerate(tableaux)}
+        assert Seed(make_quiver(len(tableaux), []), variables, {}).heights == expected
+        assert size % 5 or expected == ()
 
 
 def test_seed_freeze_and_restrict():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterflag.tableaux import (
-    EMPTY,
     Tableau,
     TableauError,
     UnbalancedExchange,
@@ -25,6 +24,8 @@ from clusterflag.tableaux import (
 )
 
 from support import brute_dominance, check_semistandard, random_tableau, two_row_tableaux
+
+EMPTY = Tableau([])
 
 
 def cols_strategy(max_n=7, max_cols=4, max_h=4):
