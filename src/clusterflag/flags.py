@@ -9,7 +9,10 @@ maps straight to its face's vertex id; faces touching the y-axis are
 frozen.  Every arrow comes from one rule, applied along boundaries,
 crossings and the spots where levels separate: one arrow per run of equal
 consecutive (source, target) face pairs.  A face's label decodes into an
-explicit quadratic (or monomial) lift in Plucker coordinates.
+explicit quadratic (or monomial) lift in Plucker coordinates.  Lifts and
+their padded forms depend only on a face's interval data, n and d_k, so
+one process-level memo, ``face_entry``, builds each of them once for every
+flag type that shares it.
 
 The Grassmannian seed is the familiar grid of solid minors; for one-step
 flags both constructions agree vertex-for-vertex and arrow-for-arrow, which
@@ -18,6 +21,7 @@ is one of the cross-checks in the test suite.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from . import tableaux as tb
@@ -199,18 +203,31 @@ def decompose_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[int, 
     raise FlagError("more than two intervals in %s" % (idx,))
 
 
-def lift_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[PluckerPoly, tb.Tableau]:
-    """The seed variable attached to a face label: a Plucker polynomial on
-    the flag variety together with its leading tableau."""
-    n = flag.n
-    i1, d1, i2, d2 = decompose_index_set(index_set, flag)
+@functools.cache
+def face_entry(i1: int, d1: int, i2: int, d2: int, n: int, dk: int) -> tuple[PluckerPoly, tb.Tableau]:
+    """The (polynomial, tableau) of the face with interval data (i1, d1, i2,
+    d2) in n, or, for i1 = 0, of the unit vertex E_{d1}, the coordinate
+    P_{[1,d1]}; for ``dk`` = d_k > 0 padded into the target Grassmannian by
+    phi-star.  Built once per process for every flag type with these
+    numbers; the entries are shared, so callers must not change them."""
+    if dk:
+        poly, tab = face_entry(i1, d1, i2, d2, n, 0)
+        levels = {d1, d2, dk} - {0, n}  # the flag levels the lift's indices can have
+        return phi_star(poly, levels, n), tb.fill_up(tab, levels, n)
+    if i1 == 0:
+        prefix = range(1, d1 + 1)
+        return PluckerPoly.variable(prefix), tb.one_column(prefix)
     if i2 == 0:
-        poly = interval_minor_to_plucker(i1, d1, n)
-        tab = tb.one_column(tb.interval_index_set(i1, d1, n))
-        return poly, tab
-    poly = laplace_initial_minor(i1, d1, i2, d2, n)
-    tab = tb.initial_tableau(i1, d1, i2, d2, n)
-    return poly, tab
+        return interval_minor_to_plucker(i1, d1, n), tb.one_column(tb.interval_index_set(i1, d1, n))
+    return laplace_initial_minor(i1, d1, i2, d2, n), tb.initial_tableau(i1, d1, i2, d2, n)
+
+
+def lift_index_set(index_set: Sequence[int], flag: FlagType, dk: int = 0) -> tuple[PluckerPoly, tb.Tableau]:
+    """The seed variable attached to a face label: a Plucker polynomial on
+    the flag variety together with its leading tableau, padded to height
+    ``dk`` when it is given.  The label is checked against ``flag`` on every
+    call; the entry comes from ``face_entry``."""
+    return face_entry(*decompose_index_set(index_set, flag), flag.n, dk)
 
 
 def build_flag_quiver(arr: Arrangement, vertices: list[Vertex], unit_vertex: dict) -> Quiver:
@@ -270,8 +287,7 @@ class FlagSeed:
         entries = {vid: lift_index_set(face.index_set, flag) for vid, face in enumerate(faces)}
         for d, vid in self.unit_vertex.items():
             vertices.append(Vertex(vid, "E%d" % d, True))
-            prefix = range(1, d + 1)
-            entries[vid] = (PluckerPoly.variable(prefix), tb.one_column(prefix))
+            entries[vid] = face_entry(0, d, 0, 0, flag.n, 0)
         quiver = build_flag_quiver(arr, vertices, self.unit_vertex)
         self.seed = Seed.initial(quiver, entries)
 
@@ -338,13 +354,11 @@ def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:
     """The flag seed pushed into its target Grassmannian: polynomials get
     phi-star applied and tableaux are padded to height d_k, so the seed is
     graded by degree.  Laurent data and the quiver are unchanged."""
-    flag = flag_seed.flag
-    seed = flag_seed.seed
-    dictionary = {
-        vid: phi_star(poly, flag.dims, flag.n) for vid, poly in seed.dictionary.items()
-    }
+    flag, seed = flag_seed.flag, flag_seed.seed
+    dk = flag.dims[-1]
+    padded = [lift_index_set(face.index_set, flag, dk) for face in flag_seed.arrangement.faces]
+    padded += [face_entry(0, d, 0, 0, flag.n, dk) for d in flag_seed.unit_vertex]
     variables = {
-        vid: VariableState(st.laurent, tb.fill_up(st.tableau, flag.dims, flag.n))
-        for vid, st in seed.variables.items()
+        vid: VariableState(st.laurent, padded[vid][1]) for vid, st in seed.variables.items()
     }
-    return Seed(seed.quiver, variables, dictionary)
+    return Seed(seed.quiver, variables, {vid: padded[vid][0] for vid in seed.dictionary})

@@ -169,13 +169,15 @@ def format_poly(poly: PluckerPoly) -> str:
 
 def phi_star(poly: PluckerPoly, dims: Sequence[int], n: int) -> PluckerPoly:
     """Embed a flag polynomial into the big Grassmannian: every index set is
-    padded by ``pad_index``."""
+    padded by ``pad_index``.  A polynomial that padding leaves as it was is
+    returned itself."""
     try:
-        return PluckerPoly(
+        padded = PluckerPoly(
             ([pad_index(idx, dims, n) for idx in mono], coeff) for mono, coeff in poly.terms.items()
         )
     except TableauError as exc:
         raise PluckerError(str(exc)) from None
+    return poly if padded == poly else padded
 
 
 # -- solid and two-interval minors ------------------------------------------

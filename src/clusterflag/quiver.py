@@ -460,11 +460,13 @@ class Quiver:
                 outs.append((w, m))
         return ins, outs
 
-    def mutate(self, vid: int) -> "Quiver":
+    def mutate(self, vid: int, sides: tuple[list, list] | None = None) -> "Quiver":
+        """The quiver mutated at ``vid``; ``sides``, when given, is
+        ``self.exchange(vid)``, already computed by the caller."""
         if self.is_frozen(vid):
             raise QuiverError("cannot mutate frozen vertex %d" % vid)
         q = self.copy()
-        ins, outs = self.exchange(vid)
+        ins, outs = sides or self.exchange(vid)
         # compose through the mutated vertex
         for u, mu in ins:
             for w, mw in outs:
@@ -622,13 +624,11 @@ class Seed:
         """Mutate at a mutable vertex, updating both variable tracks.  The new
         quiver refuses a frozen vertex; then the tableau's shape test is the
         balance check, so an unbalanced exchange does no Laurent work."""
-        quiver = self.quiver.mutate(vid)
+        sides = self.quiver.exchange(vid)
+        quiver = self.quiver.mutate(vid, sides)
         state = self.variables[vid]
         # neighbor states, each repeated by its arrow multiplicity
-        ins, outs = (
-            [self.variables[u] for u, m in side for _ in range(m)]
-            for side in self.quiver.exchange(vid)
-        )
+        ins, outs = ([self.variables[u] for u, m in side for _ in range(m)] for side in sides)
         try:
             tableau = tb.tableau_mutation(
                 state.tableau, [st.tableau for st in ins], [st.tableau for st in outs]

@@ -222,8 +222,10 @@ def pad_index(idx: Sequence[int], dims: Sequence[int], n: int) -> tuple[int, ...
 
 def fill_up(t: Tableau, dims: Sequence[int], n: int) -> Tableau:
     """Pad every column to height max(dims) by ``pad_index``: the tableau
-    side of phi-star."""
-    return from_columns([pad_index(c, dims, n) for c in t.columns()])
+    side of phi-star.  A tableau that padding leaves as it was is returned
+    itself."""
+    padded = from_columns([pad_index(c, dims, n) for c in t.columns()])
+    return t if padded == t else padded
 
 
 def interval_index_set(i: int, d: int, n: int) -> tuple[int, ...]:

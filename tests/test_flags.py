@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from clusterflag.cli import seed_to_dict
 from clusterflag.flags import (
     Arrangement,
     FlagError,
@@ -13,6 +14,7 @@ from clusterflag.flags import (
     GrassmannianSeed,
     decompose_index_set,
     embedded_flag_seed,
+    face_entry,
     lift_index_set,
     sigma_draw,
 )
@@ -383,3 +385,38 @@ def test_embedded_indices_have_full_size():
     for poly in emb.dictionary.values():
         for mono in poly.terms:
             assert all(len(idx) == 5 for idx in mono)
+
+
+# -- the face memo ------------------------------------------------------------------
+
+
+def test_warm_face_memo_builds_the_seeds_of_an_empty_one():
+    """Every type with n <= 8, built in ``sweep`` order with the face memo
+    warm, has the flag seed and embedded seed of a build made after the
+    memo is emptied."""
+    flags = [flag for flag in all_flag_types(8, 7) if flag.n >= 3]
+    assert len(flags) == 246
+    warm = []
+    for flag in flags:
+        fs = FlagSeed(flag)
+        warm.append((seed_to_dict(fs.seed), seed_to_dict(embedded_flag_seed(fs))))
+    assert face_entry.cache_info().hits > face_entry.cache_info().misses
+    for flag, seeds in zip(flags, warm):
+        face_entry.cache_clear()
+        fs = FlagSeed(flag)
+        assert (seed_to_dict(fs.seed), seed_to_dict(embedded_flag_seed(fs))) == seeds, flag.heading()
+
+
+def test_padding_that_changes_nothing_keeps_the_entry():
+    """A lift whose indices all have d_k entries is its own padded entry,
+    not an equal copy, and so is a tableau whose columns all have height
+    d_k; a shorter index or column is padded."""
+    flag = FlagType((2, 4), 6)
+    kept = 0
+    for face in Arrangement(flag).faces:
+        (poly, tab), padded = lift_index_set(face.index_set, flag), lift_index_set(face.index_set, flag, 4)
+        full = all(len(idx) == 4 for mono in poly.terms for idx in mono)
+        assert (padded[0] is poly) == full, face
+        assert (padded[1] is tab) == all(len(col) == 4 for col in tab.columns()) == full, face
+        kept += full
+    assert 0 < kept < len(Arrangement(flag).faces)

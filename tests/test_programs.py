@@ -1,5 +1,6 @@
 """Mutation schedules, their execution, and the endpoint verification."""
 
+import functools
 import itertools
 import math
 import random
@@ -566,6 +567,52 @@ def test_runs_leave_the_shared_target_unchanged():
     saved = [(EvaluationPoint.reduced(echelon, DEFAULT_PRIME), values)
              for echelon, values in target.drawn]
     assert_replays(saved, flags[0], 3)
+
+
+def face_keys(flag) -> set[tuple[int, ...]]:
+    """The face memo's keys of a type, counted from its arrangement faces by
+    ``decompose_index_set``: (i1, d1, i2, d2, n, 0) for a face's lift,
+    (0, d, 0, 0, n, 0) for the unit vertex E_d, and each again with d_k in
+    place of the 0 for its padded entry."""
+    n, dk = flag.n, flag.dims[-1]
+    lifts = {(*flags_module.decompose_index_set(face.index_set, flag), n)
+             for face in flags_module.Arrangement(flag).faces}
+    lifts |= {(0, d, 0, 0, n) for d in flag.dims}
+    return {key + (pad,) for key in lifts for pad in (0, dk)}
+
+
+def test_certifying_builds_each_face_entry_once(monkeypatch):
+    """Certifying every type with n <= 6 from an empty face memo builds
+    each distinct face key of those types once, and no other key."""
+    built, build = [], flags_module.face_entry.__wrapped__
+
+    def recorded(*key, **named):
+        built.append(key + tuple(named.values()))
+        return build(*key, **named)
+
+    monkeypatch.setattr(flags_module, "face_entry", functools.cache(recorded))
+    flags = all_flag_types(6, 5)
+    for flag in flags:
+        assert verify_theorem(flag, trials=3).passed
+    keys = set().union(*map(face_keys, flags))
+    assert len(keys) == 274
+    assert len(built) == len(keys) and set(built) == keys
+
+
+def test_runs_leave_the_face_memo_unchanged():
+    """After every type with n <= 6 is certified, each entry the face memo
+    serves is equal to a build of its key from an empty memo, so no run
+    changed a polynomial or tableau that later types share."""
+    face_entry = flags_module.face_entry
+    flags = all_flag_types(6, 5)
+    for flag in flags:
+        assert verify_theorem(flag, trials=3).passed
+    keys = set().union(*map(face_keys, flags))
+    served = {key: face_entry(*key) for key in keys}
+    assert face_entry.cache_info().currsize == len(keys)
+    for key, entry in served.items():
+        face_entry.cache_clear()
+        assert face_entry(*key) == entry, key
 
 
 def test_reports_do_not_depend_on_type_order():

@@ -318,6 +318,32 @@ def test_seed_mutate_rejects_frozen():
         toy_seed().mutate(1)
 
 
+def test_each_mutation_scans_the_arrows_once(monkeypatch):
+    """``Seed.mutate`` computes its vertex's exchange once and hands it to
+    ``Quiver.mutate``, which computes one itself only when called alone;
+    both give the arrows of the matrix rule, along a walk of 40 mutations
+    on the Gr(3; 7) grid."""
+    scans, exchange = [], Quiver.exchange
+
+    def counted(quiver, vid):
+        scans.append(vid)
+        return exchange(quiver, vid)
+
+    monkeypatch.setattr(Quiver, "exchange", counted)
+    rng = random.Random(24)
+    seed = GrassmannianSeed(3, 7).seed
+    for _ in range(40):
+        vid = rng.choice(seed.mutable_ids())
+        expected = matrix_mutation_oracle(seed.quiver, vid)
+        scans.clear()
+        assert seed.quiver.mutate(vid).arrows == expected
+        assert scans == [vid]
+        scans.clear()
+        seed = seed.mutate(vid)
+        assert scans == [vid]
+        assert seed.quiver.arrows == expected
+
+
 def test_seed_heights_are_the_column_lengths():
     """``Seed.heights`` against column lengths counted off the rows (column
     j is as tall as the number of rows longer than j), on seeds of random
