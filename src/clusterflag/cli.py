@@ -172,8 +172,8 @@ def _tableau_brief(t: tb.Tableau) -> str:
     if not t.rows:
         return "1"
     cols = t.columns()
-    sep = "," if (t.rows and max(max(r) for r in t.rows) > 9) else ""
-    return " ".join(sep.join(map(str, col)) if sep else "".join(map(str, col)) for col in cols)
+    sep = "," if max(max(r) for r in t.rows) > 9 else ""
+    return " ".join(sep.join(map(str, col)) for col in cols)
 
 
 def seed_to_dot(seed: Seed) -> str:
@@ -427,7 +427,7 @@ def translate_cmd(sh_n, mt_n, token):
     if (sh_n is None) == (mt_n is None):
         raise click.UsageError("give exactly one of --sh or --mt")
     token = token.strip()
-    if len(token) < 3 or token[0] not in "<[" or token[-1] not in ">]":
+    if len(token) < 3 or token[0] + token[-1] not in ("<>", "[]"):
         raise click.UsageError("token must look like <ij> or [ij]")
     body = token[1:-1]
     try:

@@ -6,10 +6,11 @@ tuples).  Identity testing is randomized: evaluate both sides on random
 matrices over F_p (p a large prime) with P_I read off as the minor on the
 top |I| rows and the columns I.
 
-A point is row-reduced once per row count m: the top m rows A become the
-reduced row echelon form R = G^-1 A with pivot columns J, and every
-coordinate of size m follows as P_I(A) = P_J(A) * P_I(R), where P_J(A) =
-det G and P_I(R) is +- a minor of R of size |I \ J|.
+A point is the reduction of its top m rows, made once (``reduce_rows``):
+those rows A become the reduced row echelon form R = G^-1 A with pivot
+columns J, and every coordinate of size m follows as P_I(A) = P_J(A) *
+P_I(R), where P_J(A) = det G and P_I(R) is +- a minor of R of size
+|I \ J|.
 
 Minors of R are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
 Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
@@ -18,13 +19,14 @@ sets of a family of polynomials (for the certifier: the grid dictionary of
 a target when it draws its points, or the lifts one type samples) and
 compiles them once into a straight-line program: slot-indexed nodes,
 grouped by size, for the generic pivots J = {1, ..., m}.
-``point.run(plan)`` runs it at the point's reductions, with one batched
-inversion per size (Montgomery, Math. Comp. 1987).  Two fallbacks keep
-every value exact: a point with other pivots or dependent rows gets a
-program compiled for its own pivots, and a node whose interior minor is 0
-mod p is computed by ``det_mod``.  A lookup outside the plan is a program
-of its own.  An isolated minor of size 10 shares no windows and is
-about 6 times slower than elimination; the certifier evaluates none.
+``plan.run(echelon, p)`` runs it at one reduction, with one batched
+inversion per size (Montgomery, Math. Comp. 1987), and returns the values
+of the plan's index sets of that size, which ``PluckerPoly.evaluate``
+reads.  Two fallbacks keep every value exact: a reduction with other
+pivots or dependent rows gets a program compiled for its own pivots, and
+a node whose interior minor is 0 mod p is computed by ``det_mod``.  An
+isolated minor of size 10 shares no windows and is about 6 times slower
+than elimination; the certifier evaluates none.
 """
 
 from __future__ import annotations
@@ -131,13 +133,13 @@ class PluckerPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, point: "EvaluationPoint") -> int:
+    def evaluate(self, values: Mapping[tuple[int, ...], int], p: int) -> int:
+        """The value mod p, with ``values[I]`` for each P_I (``EvaluationPlan.run``)."""
         total = 0
-        p = point.prime
         for mono, coeff in self.terms.items():
             val = coeff % p
             for idx in mono:
-                val = (val * point.plucker(idx)) % p
+                val = (val * values[idx]) % p
             total = (total + val) % p
         return total
 
@@ -268,98 +270,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class EvaluationPoint:
-    r"""A matrix over F_p at which Plucker coordinates are evaluated.
+Echelon = tuple[int, dict[int, int], list[list[int]]]
 
-    ``plucker(I)`` is the minor on the top |I| rows and columns I, for I
-    strictly increasing; the matrix must have at least |I| rows and max(I)
-    columns.  The top m rows are row-reduced once, on the first coordinate
-    of size m, and kept in ``_echelons``: the signed product of the pivots,
-    which is P_J(A) (0 when the rows are dependent), the row of each pivot
-    column j in J, and the reduced rows R.  Then P_I(A) = P_J(A) * P_I(R),
-    and P_I(R) is the minor of R on the rows of J \ I and the columns
-    I \ J, with sign (-1)^(rows of I & J + their positions in I).  Each
-    coordinate is computed once per point and kept in ``_pluckers``.
 
-    ``run(plan)`` evaluates all of an ``EvaluationPlan``'s index sets in one
-    program run per size; any other index set is a program of its own.
-    """
-
-    __slots__ = ("matrix", "prime", "_width", "_pluckers", "_echelons")
-
-    def __init__(self, matrix: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME):
-        self.matrix = tuple(tuple(x % prime for x in row) for row in matrix)
-        if len({len(row) for row in self.matrix}) > 1:
-            raise PluckerError("matrix rows differ in length")
-        self.prime = prime
-        self._width = len(self.matrix[0]) if self.matrix else 0
-        self._pluckers: dict[tuple[int, ...], int] = {}
-        self._echelons: dict[int, tuple[int, dict[int, int], list[list[int]]]] = {}
-
-    @classmethod
-    def reduced(cls, echelon: tuple, prime: int) -> "EvaluationPoint":
-        """The point known only by the ``reduction`` of its m rows, for coordinates of
-        size m; ``echelon`` is only read, so points share it."""
-        point = cls((), prime)
-        point._width = len(echelon[2][0])
-        point._echelons[len(echelon[2])] = echelon
-        return point
-
-    def run(self, plan: EvaluationPlan) -> "EvaluationPoint":
-        """Evaluate every index set of ``plan`` here, one program run per size; returns the point."""
-        for m, indices in plan.indices.items():
-            echelon = self.reduction(m)
-            program = plan.program(m, echelon[1], self._width)
-            self._pluckers.update(zip(indices, _run(program, echelon, self.prime)))
-        return self
-
-    def plucker(self, index: Sequence[int]) -> int:
-        index = tuple(index)
-        v = self._pluckers.get(index)
-        if v is None:
-            m = len(index)
-            echelon = self.reduction(m)
-            program = _compile([index], echelon[1], m, self._width)
-            v = self._pluckers[index] = _run(program, echelon, self.prime)[0]
-        return v
-
-    def reduction(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
-        """The reduction of the top m rows, memoized (see ``_echelons``)."""
-        echelon = self._echelons.get(m)
-        if echelon is None:
-            if m > len(self.matrix):
-                raise PluckerError("index size %d exceeds row count %d" % (m, len(self.matrix)))
-            echelon = self._echelons[m] = self._echelon(m)
-        return echelon
-
-    def _echelon(self, m: int) -> tuple[int, dict[int, int], list[list[int]]]:
-        """Reduce the top m rows by Gauss-Jordan elimination."""
-        p = self.prime
-        rows = [list(row) for row in self.matrix[:m]]
-        scale = 1
-        pivot_row: dict[int, int] = {}
-        for c in range(self._width):
-            r = len(pivot_row)
-            if r == m:
-                break
-            if not rows[r][c]:
-                pick = next((i for i in range(r, m) if rows[i][c]), None)
-                if pick is None:
-                    continue
-                rows[r], rows[pick] = rows[pick], rows[r]
-                scale = -scale
-            pivot = rows[r][c]
-            scale = scale * pivot % p
-            inv = pow(pivot, -1, p)
-            # left of column c the pivot row is 0, and no minor reads a pivot
-            # column, so each update starts right of c
-            top = rows[r][c + 1:] = [x * inv % p for x in rows[r][c + 1:]]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], top)]
-            pivot_row[c + 1] = r
-        return scale if len(pivot_row) == m else 0, pivot_row, rows
+def reduce_rows(matrix: Sequence[Sequence[int]], m: int, p: int) -> Echelon:
+    r"""The reduction of the top m rows A of ``matrix`` over F_p by
+    Gauss-Jordan elimination: the signed product of the pivots, which is
+    P_J(A) (0 when the rows are dependent), the row of each pivot column j
+    in J, and the reduced rows R.  Then P_I(A) = P_J(A) * P_I(R) for
+    |I| = m, and P_I(R) is the minor of R on the rows of J \ I and the
+    columns I \ J, with sign (-1)^(rows of I & J + their positions in I)."""
+    if len({len(row) for row in matrix}) > 1:
+        raise PluckerError("matrix rows differ in length")
+    if m > len(matrix):
+        raise PluckerError("index size %d exceeds row count %d" % (m, len(matrix)))
+    rows = [[x % p for x in row] for row in matrix[:m]]
+    scale = 1
+    pivot_row: dict[int, int] = {}
+    for c in range(len(matrix[0]) if matrix else 0):
+        r = len(pivot_row)
+        if r == m:
+            break
+        if not rows[r][c]:
+            pick = next((i for i in range(r, m) if rows[i][c]), None)
+            if pick is None:
+                continue
+            rows[r], rows[pick] = rows[pick], rows[r]
+            scale = -scale
+        pivot = rows[r][c]
+        scale = scale * pivot % p
+        inv = pow(pivot, -1, p)
+        # left of column c the pivot row is 0, and no minor reads a pivot
+        # column, so each update starts right of c
+        top = rows[r][c + 1:] = [x * inv % p for x in rows[r][c + 1:]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], top)]
+        pivot_row[c + 1] = r
+    return scale if len(pivot_row) == m else 0, pivot_row, rows
 
 
 class EvaluationPlan:
@@ -375,11 +324,16 @@ class EvaluationPlan:
             self.indices.setdefault(len(idx), []).append(idx)
         self._programs: dict[tuple, tuple] = {}
 
-    def program(self, m: int, pivot_row: dict[int, int], width: int) -> tuple:
+    def run(self, echelon: Echelon, p: int) -> dict[tuple[int, ...], int]:
+        """P_I(A) mod p for every index set I of the plan of size m, from
+        ``echelon = reduce_rows(A, m, p)``, which is only read."""
+        _, pivot_row, rows = echelon
+        m, width = len(rows), (len(rows[0]) if rows else 0)
+        indices = self.indices.get(m, ())
         key = (m, width, *pivot_row.items())
         if key not in self._programs:
-            self._programs[key] = _compile(self.indices[m], pivot_row, m, width)
-        return self._programs[key]
+            self._programs[key] = _compile(indices, pivot_row, m, width)
+        return dict(zip(indices, _run(self._programs[key], echelon, p)))
 
 
 def _compile(indices: Iterable[tuple[int, ...]], pivot_row: dict[int, int], m: int, width: int) -> tuple:
@@ -417,7 +371,7 @@ def _compile(indices: Iterable[tuple[int, ...]], pivot_row: dict[int, int], m: i
     return one + 1 + len(slots), [level for level in levels if level], outputs
 
 
-def _run(program: tuple, echelon: tuple[int, dict[int, int], list[list[int]]], p: int) -> list[int]:
+def _run(program: tuple, echelon: Echelon, p: int) -> list[int]:
     """The values P_I(A) of a program's index sets, one minor size after
     the other, with one batched inversion per size from 3 up."""
     nslots, levels, outputs = program
@@ -478,9 +432,8 @@ def det_mod(matrix: list[list[int]], p: int) -> int:
     return det % p
 
 
-def random_matrix_point(rows: int, cols: int, prime: int, rng: random.Random) -> EvaluationPoint:
-    matrix = [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)]
-    return EvaluationPoint(matrix, prime)
+def random_matrix_point(rows: int, cols: int, prime: int, rng: random.Random) -> list[list[int]]:
+    return [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)]
 
 
 # -- coordinates of the worked families ------------------------------------

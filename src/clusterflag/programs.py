@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from . import tableaux as tb
 from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
-from .plucker import (DEFAULT_PRIME, EvaluationPlan, EvaluationPoint, PluckerPoly, is_prime,
-                      random_matrix_point)
+from .plucker import (DEFAULT_PRIME, Echelon, EvaluationPlan, PluckerPoly, is_prime,
+                      random_matrix_point, reduce_rows)
 from .quiver import LaurentError, LaurentExpr, PowerTable, QuiverError, Seed, quivers_agree
 
 
@@ -284,15 +284,16 @@ class Report:
 def sample_nonsingular_point(
     dictionary: dict[int, PluckerPoly], rows: int, cols: int, prime: int, rng: random.Random,
     plan: EvaluationPlan,
-) -> tuple[EvaluationPoint, list[int]]:
-    """Random matrix, with ``plan`` run there, at which no polynomial of
-    ``dictionary`` (position -> initial variable, positions 0..len - 1)
-    vanishes, with their values in position order."""
+) -> tuple[Echelon, list[int]]:
+    """The reduction of a random matrix's rows, with ``plan`` run there, at
+    which no polynomial of ``dictionary`` (position -> initial variable,
+    positions 0..len - 1) vanishes, with their values in position order."""
     for _ in range(100):
-        point = random_matrix_point(rows, cols, prime, rng).run(plan)
-        values = [dictionary[pos].evaluate(point) for pos in range(len(dictionary))]
+        echelon = reduce_rows(random_matrix_point(rows, cols, prime, rng), rows, prime)
+        pluckers = plan.run(echelon, prime)
+        values = [dictionary[pos].evaluate(pluckers, prime) for pos in range(len(dictionary))]
         if all(values):
-            return point, values
+            return echelon, values
     raise ProgramError("could not sample a nonsingular evaluation point")
 
 
@@ -305,21 +306,20 @@ class Target:
         self.gr = GrassmannianSeed(k, ambient)
 
     @functools.cached_property
-    def drawn(self) -> list[tuple[tuple, list[int]]]:
+    def drawn(self) -> list[tuple[Echelon, list[int]]]:
         """The first ``trials`` nonsingular points of ``random.Random(master_seed)``,
         each kept as the reduction of its k rows with the grid dictionary's values
         there; a draw that raises keeps nothing."""
         dictionary = self.gr.seed.dictionary
         rng, plan = random.Random(self.master_seed), EvaluationPlan(dictionary.values())
-        points = [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
-                  for _ in range(self.trials)]
-        return [(point.reduction(self.gr.k), values) for point, values in points]
+        return [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
+                for _ in range(self.trials)]
 
-    def points(self, lifts: list[PluckerPoly]) -> list[tuple[EvaluationPoint, list[int]]]:
-        """The ``drawn`` points, each with ``lifts`` evaluated there by one plan."""
+    def points(self, lifts: list[PluckerPoly]) -> list[tuple[dict, list[int]]]:
+        """The values of ``lifts``' index sets at each ``drawn`` point, run by
+        one plan, with the grid dictionary's values there."""
         plan = EvaluationPlan(lifts)
-        return [(EvaluationPoint.reduced(echelon, self.prime).run(plan), values)
-                for echelon, values in self.drawn]
+        return [(plan.run(echelon, self.prime), values) for echelon, values in self.drawn]
 
 
 # The types with the same five ints share one Target in a process; a call
@@ -417,11 +417,11 @@ def _certify(report: Report) -> None:
                or restricted.dictionary[gvid] != lifts[fvid]}
     value_issues: list[str] = []
     if sampled:
-        for trial, (point, values) in enumerate(target.points([lifts[f] for f in sampled])):
+        for trial, (pluckers, values) in enumerate(target.points([lifts[f] for f in sampled])):
             powers = PowerTable(values, prime)
             for fvid, gvid in sampled.items():
                 lhs = restricted.variables[gvid].laurent.evaluate(powers)
-                rhs = lifts[fvid].evaluate(point)
+                rhs = lifts[fvid].evaluate(pluckers, prime)
                 if lhs != rhs % prime:
                     value_issues.append(
                         "trial %d at %s" % (trial, result.embedded.quiver.vertices[fvid].name)

@@ -11,7 +11,7 @@ from collections import Counter
 
 from clusterflag.tableaux import Tableau, one_column, union
 from clusterflag.flags import FlagType, sigma_draw
-from clusterflag.plucker import EvaluationPoint, PluckerError, PluckerPoly, det_mod
+from clusterflag.plucker import EvaluationPlan, PluckerError, PluckerPoly, det_mod, reduce_rows
 from clusterflag.quiver import quivers_agree
 
 
@@ -331,7 +331,7 @@ def trial_division_is_prime(n: int) -> bool:
 # The flag seed's lifted coordinates restrict, on this patch, to plain minors
 # of the matrix; these helpers are the tests' oracle for that statement.  The
 # minors are a plain ``det_mod`` of the submatrix, independent of the row
-# reduction behind ``EvaluationPoint.plucker``; test_det_mod_against_naive_expansion
+# reduction behind ``EvaluationPlan.run``; test_det_mod_against_naive_expansion
 # checks ``det_mod`` against cofactor expansion.
 
 
@@ -355,7 +355,7 @@ def unipotent_pattern(dims, n: int) -> list[list[bool]]:
     return free
 
 
-def random_unipotent_point(dims, n: int, prime: int, rng: random.Random) -> EvaluationPoint:
+def random_unipotent_point(dims, n: int, prime: int, rng: random.Random) -> list[list[int]]:
     """Random point of the unipotent patch of the flag variety: upper
     unitriangular with zeros inside every diagonal block."""
     free = unipotent_pattern(dims, n)
@@ -365,13 +365,24 @@ def random_unipotent_point(dims, n: int, prime: int, rng: random.Random) -> Eval
         for c in range(n):
             if free[r][c]:
                 matrix[r][c] = rng.randrange(prime)
-    return EvaluationPoint(matrix, prime)
+    return matrix
 
 
-def pattern_minor(point: EvaluationPoint, row_set) -> int:
-    """Minor of the point on rows ``row_set`` and the last |row_set| columns;
+def pattern_minor(matrix, row_set, prime: int) -> int:
+    """Minor of the matrix on rows ``row_set`` and the last |row_set| columns;
     the function the lifted seed variables restrict to on the patch."""
     m = len(row_set)
-    n = len(point.matrix[0])
-    sub = [[point.matrix[r - 1][c - 1] for c in range(n - m + 1, n + 1)] for r in row_set]
-    return det_mod(sub, point.prime)
+    n = len(matrix[0])
+    sub = [[matrix[r - 1][c - 1] for c in range(n - m + 1, n + 1)] for r in row_set]
+    return det_mod(sub, prime)
+
+
+def minors(matrix, prime: int) -> dict:
+    """A lazy map I -> P_I(matrix) mod p, for ``PluckerPoly.evaluate`` at any
+    index set: each I on first lookup, by a plan of its own at ``reduce_rows``."""
+    class Minors(dict):
+        def __missing__(self, idx):
+            self[idx] = EvaluationPlan([PluckerPoly.variable(idx)]).run(
+                reduce_rows(matrix, len(idx), prime), prime)[idx]
+            return self[idx]
+    return Minors()

@@ -28,6 +28,7 @@ from support import (
     all_flag_types,
     brute_dominance,
     check_semistandard,
+    minors,
     pattern_minor,
     plucker_relation,
     quiver_differences,
@@ -160,8 +161,9 @@ def test_criterion_4_character_examples():
     rows = (1, 2, 4)
     for n, poly in ((5, got_5), (6, got_6)):
         for _ in range(20):
-            pt = random_unipotent_point((2, 4), n, DEFAULT_PRIME, rng)
-            if poly.evaluate(pt) != pattern_minor(pt, rows):
+            matrix = random_unipotent_point((2, 4), n, DEFAULT_PRIME, rng)
+            value = poly.evaluate(minors(matrix, DEFAULT_PRIME), DEFAULT_PRIME)
+            if value != pattern_minor(matrix, rows, DEFAULT_PRIME):
                 problems.append("oracle mismatch at ambient %d" % n)
                 break
     emit(

@@ -758,6 +758,9 @@ def test_translate_usage_errors(runner):
         ["--mt", "6", "<1,2,x>"],
         ["--mt", "6", "<1,1>"],
         ["--mt", "6", "<2,1>"],
+        ["--sh", "5", "<1,2]"],
+        ["--sh", "5", "[1,2>"],
+        ["--mt", "6", "<1,2,3,4]"],
     ):
         result = runner.invoke(main, ["translate", *args])
         assert result.exit_code == 2, args

@@ -34,6 +34,7 @@ from support import (
     column_weight,
     initial_index_sets,
     laurent_grading_problems,
+    minors,
     pattern_minor,
     quiver_differences,
     random_unipotent_point,
@@ -219,10 +220,11 @@ def test_flag_seed_dictionary_matches_unipotent_minors():
         flag = FlagType(dims, n)
         fs = FlagSeed(flag)
         for _ in range(3):
-            pt = random_unipotent_point(dims, n, DEFAULT_PRIME, rng)
+            matrix = random_unipotent_point(dims, n, DEFAULT_PRIME, rng)
+            pt = minors(matrix, DEFAULT_PRIME)
             for vid, face in enumerate(fs.arrangement.faces):
-                got = fs.seed.dictionary[vid].evaluate(pt)
-                assert got == pattern_minor(pt, face.index_set)
+                got = fs.seed.dictionary[vid].evaluate(pt, DEFAULT_PRIME)
+                assert got == pattern_minor(matrix, face.index_set, DEFAULT_PRIME)
 
 
 def test_rank_one_flag_equals_grassmannian_seed():

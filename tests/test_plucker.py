@@ -11,7 +11,6 @@ from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed, embedded_fla
 from clusterflag.plucker import (
     DEFAULT_PRIME,
     EvaluationPlan,
-    EvaluationPoint,
     PluckerError,
     PluckerPoly,
     batch_inverse,
@@ -25,12 +24,14 @@ from clusterflag.plucker import (
     normalize_index,
     phi_star,
     random_matrix_point,
+    reduce_rows,
     sh_coordinate,
 )
 from clusterflag.tableaux import TableauError, fill_up, initial_tableau, one_column
 
 from support import (
     inversion_sign,
+    minors,
     pattern_minor,
     plucker_relation,
     random_unipotent_point,
@@ -147,7 +148,7 @@ def test_format_poly():
 
 def test_evaluation_is_ring_homomorphism():
     rng = random.Random(2)
-    pt = random_matrix_point(4, 6, DEFAULT_PRIME, rng)
+    pt = minors(random_matrix_point(4, 6, DEFAULT_PRIME, rng), DEFAULT_PRIME)
     polys = []
     for _ in range(6):
         poly = PluckerPoly()
@@ -157,8 +158,8 @@ def test_evaluation_is_ring_homomorphism():
         polys.append(poly)
     p = DEFAULT_PRIME
     for f, g in itertools.combinations(polys, 2):
-        assert (f + g).evaluate(pt) == (f.evaluate(pt) + g.evaluate(pt)) % p
-        assert (f * g).evaluate(pt) == (f.evaluate(pt) * g.evaluate(pt)) % p
+        assert (f + g).evaluate(pt, p) == (f.evaluate(pt, p) + g.evaluate(pt, p)) % p
+        assert (f * g).evaluate(pt, p) == (f.evaluate(pt, p) * g.evaluate(pt, p)) % p
 
 
 def test_det_mod_against_naive_expansion():
@@ -208,9 +209,9 @@ def test_relations_vanish_at_random_points():
             s = rng.randint(1, d_p)
             cases.append(plucker_relation(J, L, s))
     for _ in range(20):
-        pt = random_matrix_point(4, n, DEFAULT_PRIME, rng)
+        pt = minors(random_matrix_point(4, n, DEFAULT_PRIME, rng), DEFAULT_PRIME)
         for rel in cases:
-            assert rel.evaluate(pt) == 0
+            assert rel.evaluate(pt, DEFAULT_PRIME) == 0
 
 
 def test_relation_degenerate_full_swap_is_zero():
@@ -306,20 +307,23 @@ def test_lifts_match_unipotent_minors():
     rng = random.Random(77)
     for n in range(3, 9):
         for d in range(1, n):
-            pt = random_unipotent_point((d,), n, DEFAULT_PRIME, rng)
+            matrix = random_unipotent_point((d,), n, DEFAULT_PRIME, rng)
+            pt = minors(matrix, DEFAULT_PRIME)
             for i in range(1, d + 1):
                 lift = interval_minor_to_plucker(i, d, n)
                 rows = tuple(range(i, d + 1))
-                assert lift.evaluate(pt) == pattern_minor(pt, rows)
+                assert lift.evaluate(pt, DEFAULT_PRIME) == pattern_minor(matrix, rows, DEFAULT_PRIME)
     for n in range(4, 8):
         for d1, d2 in itertools.combinations(range(1, n), 2):
             for trial in range(3):
-                pt = random_unipotent_point((d1, d2), n, DEFAULT_PRIME, rng)
+                matrix = random_unipotent_point((d1, d2), n, DEFAULT_PRIME, rng)
+                pt = minors(matrix, DEFAULT_PRIME)
                 for i1 in range(1, d1 + 1):
                     for i2 in range(d1 + 1, d2 + 1):
                         lift = laplace_initial_minor(i1, d1, i2, d2, n)
                         rows = tuple(range(i1, d1 + 1)) + tuple(range(i2, d2 + 1))
-                        assert lift.evaluate(pt) == pattern_minor(pt, rows)
+                        expect = pattern_minor(matrix, rows, DEFAULT_PRIME)
+                        assert lift.evaluate(pt, DEFAULT_PRIME) == expect
 
 
 def test_two_interval_lift_leading_coefficient():
@@ -352,9 +356,9 @@ def test_two_interval_collapse_at_full_height():
 
 def test_plucker_of_prefix_is_one_on_unipotent_points():
     rng = random.Random(5)
-    pt = random_unipotent_point((2, 4), 6, DEFAULT_PRIME, rng)
+    pt = minors(random_unipotent_point((2, 4), 6, DEFAULT_PRIME, rng), DEFAULT_PRIME)
     for d in (1, 2, 3, 4, 6):
-        assert pt.plucker(tuple(range(1, d + 1))) == 1
+        assert pt[tuple(range(1, d + 1))] == 1
 
 
 def _oracle_matrices(prime: int):
@@ -373,25 +377,31 @@ def _oracle_matrices(prime: int):
 
 @pytest.mark.parametrize("prime", [7, DEFAULT_PRIME])
 def test_plucker_against_sympy_determinant(prime):
-    """Every P_I with |I| <= rows, against sympy's determinant mod p: pivots
-    past column 1, dependent rows, a repeated column, |I| below the row
-    count, and a second lookup answered from the memo."""
+    """Every P_I with |I| <= rows, from a plan of every index set of size m
+    run at the reduction of the top m rows, against sympy's determinant mod
+    p: pivots past column 1, dependent rows, a repeated column, |I| below
+    the row count, and a second run of the program compiled by the first."""
     for matrix in _oracle_matrices(prime):
-        pt = EvaluationPoint(matrix, prime)
         n = len(matrix[0])
-        for _ in range(2):
-            for m in range(len(matrix) + 1):
-                for index in itertools.combinations(range(1, n + 1), m):
+        for m in range(len(matrix) + 1):
+            indices = list(itertools.combinations(range(1, n + 1), m))
+            plan, echelon = EvaluationPlan(P(index) for index in indices), reduce_rows(matrix, m, prime)
+            for _ in range(2):
+                values = plan.run(echelon, prime)
+                assert list(values) == indices
+                for index in indices:
                     sub = sympy.Matrix(m, m, [matrix[r][c - 1] for r in range(m) for c in index])
-                    assert pt.plucker(index) == sub.det() % prime, (matrix, index)
+                    assert values[index] == sub.det() % prime, (matrix, index)
+            assert len(plan._programs) == 1
 
 
 @pytest.mark.parametrize("prime", [2, 3, 7, DEFAULT_PRIME])
 def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
-    """A 6x10 integer matrix at the Gr(4,9) grid dictionary, its index sets
-    lifted by column 10, and every 6-subset, queried in shuffled order,
-    against sympy's integer determinant mod p; then every coordinate again,
-    from the memo.  At p = 2 and 3 interior minors vanish and elimination
+    """A 6x10 integer matrix at one plan of the Gr(4,9) grid dictionary, its
+    index sets lifted by column 10, and every 6-subset, listed in shuffled
+    order, run at the reduction of each size, against sympy's integer
+    determinant mod p; then every size again, with the same values and the
+    same fallbacks.  At p = 2 and 3 interior minors vanish and elimination
     takes over; at 2^61 - 1 condensation alone answers."""
     rng = random.Random(12)
     matrix = [[rng.randrange(-99, 100) for _ in range(10)] for _ in range(6)]
@@ -406,16 +416,19 @@ def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
         return det_mod(rows, p)
 
     monkeypatch.setattr(plucker, "det_mod", counted_det_mod)
-    pt = EvaluationPoint(matrix, prime)
+    plan = EvaluationPlan(P(index) for index in indices)
+    assert sorted(plan.indices) == [4, 5, 6]
     expected = {}
     for index in indices:
         sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(len(index))])
         expected[index] = sub.det() % prime
-        assert pt.plucker(index) == expected[index], index
+    echelons = {m: reduce_rows(matrix, m, prime) for m in plan.indices}
+    for m, sized in plan.indices.items():
+        assert plan.run(echelons[m], prime) == {index: expected[index] for index in sized}, m
     fallbacks = len(calls)
-    for index in indices:
-        assert pt.plucker(index) == expected[index], index
-    assert len(calls) == fallbacks
+    for m, sized in plan.indices.items():
+        assert plan.run(echelons[m], prime) == {index: expected[index] for index in sized}, m
+    assert len(calls) == 2 * fallbacks
     if prime in (2, 3):
         assert fallbacks > 0
     if prime == DEFAULT_PRIME:
@@ -429,7 +442,7 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
     integer determinant mod p for p in {2, 3, 7, 2^61 - 1}.  The points
     include a zero first column (other pivots), two equal rows (dependent
     rows) and, at small p, vanishing interior minors; counters show that
-    each fallback ran and that the plan answered every lookup."""
+    each fallback ran and that every program compiled holds the whole plan."""
     flag = FlagType(dims, n)
     k, ambient = flag.target_grassmannian
     plan = EvaluationPlan([*GrassmannianSeed(k, ambient).seed.dictionary.values(),
@@ -461,13 +474,13 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
     assert list(plan.indices) == [k]
     for prime in (2, 3, 7, DEFAULT_PRIME):
         for matrix, values in zip(matrices, expected):
-            pt = EvaluationPoint(matrix, prime).run(plan)
+            got = plan.run(reduce_rows(matrix, k, prime), prime)
             for index, det in values.items():
-                assert pt.plucker(index) == det % prime, (prime, matrix, index)
+                assert got[index] == det % prime, (prime, matrix, index)
         if prime < 7:
             assert det_calls.count(prime) > 0, prime
     assert DEFAULT_PRIME not in det_calls
-    # no lookup fell outside the plan, and each pivot pattern compiled once
+    # every program holds the whole plan, and each pivot pattern compiled once
     assert all(size == len(plan.indices[k]) for size, _, _ in compiled)
     assert sum(is_generic for _, is_generic, _ in compiled) == 1
     assert any(not is_generic and not dependent for _, is_generic, dependent in compiled)
@@ -475,19 +488,22 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
 
 
 def test_plan_single_lookups_and_bounds():
-    """Index sets outside a plan are single lookups through the same
-    kernel; a plan index set outside the matrix is refused."""
+    """A plan run at the reduction of m rows gives its index sets of size m
+    and no others; an index set outside a plan is a plan of its own through
+    the same kernel; a plan index set outside the matrix is refused."""
     matrix = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]]
     plan = EvaluationPlan([P((1, 2, 4)) * P((2, 3)), P((3, 4, 5))])
     assert plan.indices == {3: [(1, 2, 4), (3, 4, 5)], 2: [(2, 3)]}
-    pt = EvaluationPoint(matrix, 101).run(plan)
+    values = {m: plan.run(reduce_rows(matrix, m, 101), 101) for m in (1, 2, 3)}
+    assert [list(values[m]) for m in (1, 2, 3)] == [[], [(2, 3)], [(1, 2, 4), (3, 4, 5)]]
+    pt = minors(matrix, 101)
     for m in (1, 2, 3):
         for index in itertools.combinations(range(1, 6), m):
             sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(m)])
-            assert pt.plucker(index) == sub.det() % 101, index
-    bad = EvaluationPoint(matrix, 101)
+            assert pt[index] == sub.det() % 101, index
+            assert values[m].get(index, pt[index]) == pt[index], index
     with pytest.raises(PluckerError):
-        bad.run(EvaluationPlan([P((2, 6))]))
+        EvaluationPlan([P((2, 6))]).run(reduce_rows(matrix, 2, 101), 101)
 
 
 def test_batch_inverse():
@@ -514,21 +530,25 @@ def test_unipotent_pattern_shape():
 def test_unipotent_point_determinism():
     a = random_unipotent_point((2, 4), 6, 10007, random.Random(42))
     b = random_unipotent_point((2, 4), 6, 10007, random.Random(42))
-    assert a.matrix == b.matrix
-    assert EvaluationPoint([[1, 0], [0, 1]], 7).plucker((1, 2)) == 1
+    assert a == b
+    assert minors([[1, 0], [0, 1]], 7)[1, 2] == 1
 
 
 def test_evaluation_point_bounds():
-    pt = EvaluationPoint([[1, 2, 3], [0, 1, 4]], 7)
-    with pytest.raises(PluckerError):
-        pt.plucker((1, 2, 3))       # more rows than the matrix has
-    for index in ((2, 1), (1, 1), (0, 1), (1, 4)):
+    matrix = [[1, 2, 3], [0, 1, 4]]
+    with pytest.raises(PluckerError, match="index size 3 exceeds row count 2"):
+        reduce_rows(matrix, 3, 7)       # more rows than the matrix has
+    echelon = reduce_rows(matrix, 2, 7)
+    for index in ((0, 1), (1, 4)):
         with pytest.raises(PluckerError):
-            pt.plucker(index)       # not strictly increasing within columns 1..3
+            EvaluationPlan([P(index)]).run(echelon, 7)      # outside columns 1..3
+    for index in ((2, 1), (1, 1)):
+        with pytest.raises(PluckerError):
+            plucker._compile([index], echelon[1], 2, 3)     # not strictly increasing
     with pytest.raises(PluckerError):
         det_mod([[1, 2]], 7)
-    with pytest.raises(PluckerError):
-        EvaluationPoint([[1, 2, 3], [4, 5]], 7).plucker((2, 3))     # ragged rows
+    with pytest.raises(PluckerError, match="rows differ in length"):
+        reduce_rows([[1, 2, 3], [4, 5]], 2, 7)      # ragged rows
 
 
 # -- coordinate dictionaries --------------------------------------------------------------
@@ -575,8 +595,8 @@ def test_sh_bracket_matches_complementary_minor():
     determinant expansion sign."""
     rng = random.Random(3)
     n = 6
-    pt = random_matrix_point(n - 2, n, DEFAULT_PRIME, rng)
+    pt = minors(random_matrix_point(n - 2, n, DEFAULT_PRIME, rng), DEFAULT_PRIME)
     for i, j in itertools.combinations(range(1, n + 1), 2):
         comp = tuple(x for x in range(1, n + 1) if x not in (i, j))
-        expect = ((-1) ** (i + j - 1)) * pt.plucker(comp) % DEFAULT_PRIME
-        assert sh_coordinate(n, "bracket", i, j).evaluate(pt) == expect
+        expect = ((-1) ** (i + j - 1)) * pt[comp] % DEFAULT_PRIME
+        assert sh_coordinate(n, "bracket", i, j).evaluate(pt, DEFAULT_PRIME) == expect

@@ -1,5 +1,6 @@
 """Mutation schedules, their execution, and the endpoint verification."""
 
+import copy
 import functools
 import itertools
 import math
@@ -10,8 +11,7 @@ import pytest
 import clusterflag.flags as flags_module
 import clusterflag.programs as programs
 from clusterflag.flags import FlagError, FlagType, GrassmannianSeed, embedded_flag_seed
-from clusterflag.plucker import (DEFAULT_PRIME, EvaluationPlan, EvaluationPoint, PluckerPoly, det_mod,
-                                 is_prime)
+from clusterflag.plucker import DEFAULT_PRIME, EvaluationPlan, PluckerPoly, det_mod, is_prime
 from clusterflag.programs import (
     MutationProgram,
     ProgramError,
@@ -399,27 +399,40 @@ def minor(matrix, idx, prime):
 
 
 def record_points(monkeypatch):
-    """The (point, values) pairs the value checks run on, in order."""
+    """The (reduction, lift values, grid values) triples the value checks
+    run on, in order."""
     used = []
     target_points = programs.Target.points
 
     def recording(target, lifts):
         points = target_points(target, lifts)
-        used.extend(points)
+        used.extend((echelon, pluckers, values)
+                    for (echelon, _), (pluckers, values) in zip(target.drawn, points))
         return points
 
     monkeypatch.setattr(programs.Target, "points", recording)
     return used
 
 
+def subsets_plan(k, ambient):
+    """A plan of every coordinate P_I of Gr(k; ambient)."""
+    return EvaluationPlan(PluckerPoly.variable(idx)
+                          for idx in itertools.combinations(range(1, ambient + 1), k))
+
+
 def assert_replays(used, flag, trials):
+    """Each recorded point is the reduction of the stream's matrix: a plan
+    of every coordinate, run there, gives its minors, and the lift values
+    the check read are among them."""
     k, ambient = flag.target_grassmannian
-    stream = replayed_stream(k, ambient, trials)
+    stream, plan = replayed_stream(k, ambient, trials), subsets_plan(k, ambient)
     assert len(used) == trials, flag.heading()
-    for (point, values), (matrix, expected) in zip(used, stream):
+    for (echelon, pluckers, values), (matrix, expected) in zip(used, stream):
         assert values == expected, flag.heading()
-        for idx in itertools.combinations(range(1, ambient + 1), k):
-            assert point.plucker(idx) == minor(matrix, idx, DEFAULT_PRIME), (flag.heading(), idx)
+        coordinates = plan.run(echelon, DEFAULT_PRIME)
+        for idx in plan.indices[k]:
+            assert coordinates[idx] == minor(matrix, idx, DEFAULT_PRIME), (flag.heading(), idx)
+        assert pluckers.items() <= coordinates.items(), flag.heading()
 
 
 @pytest.mark.parametrize("trials", [3, 20, 25])
@@ -469,7 +482,7 @@ def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch)
         assert (target.prime, target.master_seed, target.trials) == (prime, seed, trials)
         assert len(target.drawn) == trials
     assert shared.cache_info().currsize == 5
-    draw, zero = programs.random_matrix_point, EvaluationPoint([[0] * 8] * 4)
+    draw, zero = programs.random_matrix_point, [[0] * 8] * 4
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(ProgramError):
         verify_theorem(flag, trials=5)
@@ -481,27 +494,48 @@ def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch)
 
 
 def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
-    """Each type that samples, the first on a fresh target too, evaluates
-    its lifts at ``trials`` saved reductions; the draw, made once, runs a
-    plan of exactly the grid dictionary's index sets."""
-    reduced, plans = [], []
-    make_reduced, sample = EvaluationPoint.reduced.__func__, programs.sample_nonsingular_point
+    """Each type that samples, the first on a fresh target too, runs one
+    plan of its lifts at its target's ``trials`` saved reductions; each
+    drawn matrix is reduced once, and no lift run reduces one.  The draw,
+    made once, runs a plan of exactly the grid dictionary's index sets."""
+    runs, reduced, plans = [], [], []
+    run, reduce_rows = EvaluationPlan.run, programs.reduce_rows
+    sample, target_points = programs.sample_nonsingular_point, programs.Target.points
 
-    def counted_reduced(cls, echelon, prime):
-        reduced.append(echelon)
-        return make_reduced(cls, echelon, prime)
+    def counted_run(plan, echelon, p):
+        runs.append((plan, echelon))
+        return run(plan, echelon, p)
+
+    def counted_reduce_rows(matrix, m, p):
+        reduced.append(matrix)
+        return reduce_rows(matrix, m, p)
 
     def recording_sample(dictionary, rows, cols, prime, rng, plan):
         plans.append(plan)
         return sample(dictionary, rows, cols, prime, rng, plan)
 
-    monkeypatch.setattr(EvaluationPoint, "reduced", classmethod(counted_reduced))
+    def reducing_none(target, lifts):
+        target.drawn        # a first call draws here, before its run
+        before = len(reduced)
+        points = target_points(target, lifts)
+        assert len(reduced) == before
+        return points
+
+    counts = sampled_work(monkeypatch)
+    monkeypatch.setattr(EvaluationPlan, "run", counted_run)
+    monkeypatch.setattr(programs, "reduce_rows", counted_reduce_rows)
     monkeypatch.setattr(programs, "sample_nonsingular_point", recording_sample)
+    monkeypatch.setattr(programs.Target, "points", reducing_none)
     for flag in GR48[:2]:
         assert touched_kept(flag)
-        reduced.clear()
+        runs.clear()
         assert verify_theorem(flag, trials=4).passed
-        assert len(reduced) == 4, flag.heading()
+        lift_runs = [(plan, echelon) for plan, echelon in runs if plan is not plans[0]]
+        drawn = programs._shared_target(4, 8, DEFAULT_PRIME, 0, 4).drawn
+        assert len(lift_runs) == len(drawn) == 4, flag.heading()
+        assert all(plan is lift_runs[0][0] for plan, _ in lift_runs), flag.heading()
+        assert all(echelon is saved for (_, echelon), (saved, _) in zip(lift_runs, drawn))
+    assert len(reduced) == counts["points"] == 4
     assert len(plans) == 4 and all(plan is plans[0] for plan in plans)
     grid = GrassmannianSeed(4, 8).seed.dictionary
     expected = {idx for poly in grid.values() for mono in poly.terms for idx in mono}
@@ -522,8 +556,28 @@ def test_kept_points_have_the_generic_pivots():
         assert [echelon[1] for echelon, _ in target.drawn] == [{j: j - 1 for j in range(1, k + 1)}] * trials
         plan = EvaluationPlan(target.gr.seed.dictionary.values())
         for echelon, _ in target.drawn:
-            EvaluationPoint.reduced(echelon, DEFAULT_PRIME).run(plan)
+            plan.run(echelon, DEFAULT_PRIME)
         assert len(plan._programs) == 1, (k, ambient)
+
+
+def test_plan_runs_only_read_the_saved_reductions():
+    """Every type with n <= 6 runs its lift plans at the saved reductions
+    of its target, and a plan of every coordinate runs there after them;
+    each target's saved reductions and values still equal a deep copy
+    taken right after the draw."""
+    saved = {}
+    for flag in all_flag_types(6, 5):
+        target = programs._shared_target(*flag.target_grassmannian, DEFAULT_PRIME, 0,
+                                         programs.DEFAULT_TRIALS)
+        if target not in saved:
+            saved[target] = copy.deepcopy(target.drawn)
+        assert verify_theorem(flag).passed, flag.heading()
+    assert len(saved) == 25
+    for target, drawn in saved.items():
+        plan = subsets_plan(target.gr.k, target.gr.n)
+        for echelon, _ in target.drawn:
+            plan.run(echelon, DEFAULT_PRIME)
+        assert target.drawn == drawn, (target.gr.k, target.gr.n)
 
 
 def test_target_cache_holds_every_target_through_n12():
@@ -564,8 +618,7 @@ def test_runs_leave_the_shared_target_unchanged():
     target = programs._shared_target(4, 8, DEFAULT_PRIME, 0, 3)
     assert programs._shared_target.cache_info().currsize == 1
     assert seed_to_dict(target.gr.seed) == seed_to_dict(GrassmannianSeed(4, 8).seed)
-    saved = [(EvaluationPoint.reduced(echelon, DEFAULT_PRIME), values)
-             for echelon, values in target.drawn]
+    saved = [(echelon, {}, values) for echelon, values in target.drawn]
     assert_replays(saved, flags[0], 3)
 
 

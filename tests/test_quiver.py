@@ -1,6 +1,7 @@
 """Laurent arithmetic, quiver mutation, and the two-track seed."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from clusterflag.quiver import (
 )
 from clusterflag.cli import seed_to_dict
 from clusterflag.flags import GrassmannianSeed
-from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, random_matrix_point
+from clusterflag.plucker import DEFAULT_PRIME, EvaluationPlan, PluckerPoly, random_matrix_point, reduce_rows
 from clusterflag.tableaux import Tableau, from_columns, one_column
 
 from support import matrix_mutation_oracle, quiver_differences, random_quiver, random_tableau, seeds_equal
@@ -399,19 +400,20 @@ def test_grassmannian_square_exchange_values():
     seed = gr.seed
     vid = seed.mutable_ids()[0]
     mutated = seed.mutate(vid)
-    rng = random.Random(0)
+    rng, p = random.Random(0), DEFAULT_PRIME
+    plan = EvaluationPlan(PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 5), 2))
     for _ in range(20):
-        pt = random_matrix_point(2, 4, DEFAULT_PRIME, rng)
-        vals = [poly.evaluate(pt) for poly in seed.dictionary.values()]
+        pt = plan.run(reduce_rows(random_matrix_point(2, 4, p, rng), 2, p), p)
+        vals = [poly.evaluate(pt, p) for poly in seed.dictionary.values()]
         if not all(vals):
             continue
-        got = mutated.variables[vid].laurent.evaluate(PowerTable(vals, pt.prime))
-        p12 = PluckerPoly.variable((1, 2)).evaluate(pt)
-        p34 = PluckerPoly.variable((3, 4)).evaluate(pt)
-        p14 = PluckerPoly.variable((1, 4)).evaluate(pt)
-        p23 = PluckerPoly.variable((2, 3)).evaluate(pt)
-        p13 = PluckerPoly.variable((1, 3)).evaluate(pt)
-        expect = (p12 * p34 + p14 * p23) * pow(p13, pt.prime - 2, pt.prime) % pt.prime
+        got = mutated.variables[vid].laurent.evaluate(PowerTable(vals, p))
+        p12 = PluckerPoly.variable((1, 2)).evaluate(pt, p)
+        p34 = PluckerPoly.variable((3, 4)).evaluate(pt, p)
+        p14 = PluckerPoly.variable((1, 4)).evaluate(pt, p)
+        p23 = PluckerPoly.variable((2, 3)).evaluate(pt, p)
+        p13 = PluckerPoly.variable((1, 3)).evaluate(pt, p)
+        expect = (p12 * p34 + p14 * p23) * pow(p13, p - 2, p) % p
         assert got == expect
     assert mutated.variables[vid].tableau == one_column([2, 4])
 
@@ -442,47 +444,59 @@ def test_variable_values_track_laurent():
     seed = gr.seed
     for vid in seed.mutable_ids():
         seed = seed.mutate(vid)
-    rng = random.Random(1)
-    pt = random_matrix_point(2, 5, DEFAULT_PRIME, rng)
-    values = [poly.evaluate(pt) for poly in seed.dictionary.values()]
+    rng, p = random.Random(1), DEFAULT_PRIME
+    plan = EvaluationPlan(PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 6), 2))
+    pt = plan.run(reduce_rows(random_matrix_point(2, 5, p, rng), 2, p), p)
+    values = [poly.evaluate(pt, p) for poly in seed.dictionary.values()]
     for st in seed.variables.values():
         (column,) = st.tableau.columns()
-        assert st.laurent.evaluate(PowerTable(values, DEFAULT_PRIME)) == pt.plucker(column)
+        assert st.laurent.evaluate(PowerTable(values, p)) == pt[column]
 
 
 def test_initial_values_raise_on_vanishing(monkeypatch):
     """A point at which an initial variable vanishes is skipped, and a
-    sampler that finds no other point raises."""
+    sampler that finds no other point raises.  Each drawn matrix, the
+    skipped ones included, is reduced once."""
     import clusterflag.programs as programs
-    from clusterflag.plucker import EvaluationPlan, EvaluationPoint
 
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
     plan = EvaluationPlan(dictionary.values())
-    zero = EvaluationPoint([[1, 0, 0, 0], [0, 1, 0, 0]], 7)
-    assert 0 in [poly.evaluate(zero) for poly in dictionary.values()]
-    good = EvaluationPoint([[1, 2, 3, 4], [0, 1, 2, 4]], 7)
+    zero, good = [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 2, 3, 4], [0, 1, 2, 4]]
+    at_zero, at_good = (plan.run(reduce_rows(matrix, 2, 7), 7) for matrix in (zero, good))
+    assert 0 in [poly.evaluate(at_zero, 7) for poly in dictionary.values()]
+    reduced = []
+
+    def counted_reduce_rows(matrix, m, p):
+        reduced.append(matrix)
+        return reduce_rows(matrix, m, p)
+
     draws = iter([zero, good])
+    monkeypatch.setattr(programs, "reduce_rows", counted_reduce_rows)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: next(draws))
-    point, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
-    assert point is good and values == [poly.evaluate(good) for poly in dictionary.values()]
+    echelon, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
+    assert echelon == reduce_rows(good, 2, 7)
+    assert values == [poly.evaluate(at_good, 7) for poly in dictionary.values()]
     assert all(values)
+    assert len(reduced) == 2 and reduced[0] is zero and reduced[1] is good
+    reduced.clear()
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(programs.ProgramError):
         programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
+    assert len(reduced) == 100
 
 
 def test_sampled_values_follow_positions_not_insertion_order(monkeypatch):
     """A dictionary whose entries are listed out of position order (as a
     seed file may list them) still gives each position its own value."""
     import clusterflag.programs as programs
-    from clusterflag.plucker import EvaluationPlan, EvaluationPoint
 
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
     shuffled = dict(reversed(dictionary.items()))
     assert list(shuffled) != sorted(shuffled)
-    good = EvaluationPoint([[1, 2, 3, 4], [0, 1, 2, 4]], 7)
+    good = [[1, 2, 3, 4], [0, 1, 2, 4]]
+    plan = EvaluationPlan(shuffled.values())
+    at_good = plan.run(reduce_rows(good, 2, 7), 7)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: good)
-    _, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0),
-                                                  EvaluationPlan(shuffled.values()))
-    assert values == [dictionary[pos].evaluate(good) for pos in range(len(dictionary))]
-    assert values != [poly.evaluate(good) for poly in shuffled.values()]
+    _, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0), plan)
+    assert values == [dictionary[pos].evaluate(at_good, 7) for pos in range(len(dictionary))]
+    assert values != [poly.evaluate(at_good, 7) for poly in shuffled.values()]
