@@ -25,6 +25,7 @@ from .flags import FlagError, FlagType, FlagSeed, GrassmannianSeed
 from .programs import (
     DEFAULT_TRIALS,
     ProgramError,
+    check_value_parameters,
     general_flag_program,
     mt_program,
     run_program,
@@ -367,11 +368,20 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
 
 
 def _value_check_options(command: Callable) -> Callable:
-    """The value check's ``--trials``, ``--prime`` and ``--seed``, for ``verify`` and ``sweep``."""
-    command = click.option("--seed", "master_seed", type=int, default=0, envvar="CLUSTERFLAG_SEED",
-                           help="master RNG seed (env CLUSTERFLAG_SEED)")(command)
-    command = click.option("--prime", type=int, default=pk.DEFAULT_PRIME)(command)
-    return click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True)(command)
+    """The value check's ``--trials``, ``--prime`` and ``--seed``, for ``verify`` and ``sweep``;
+    a refused ``--trials`` or ``--prime`` exits 2 before the command opens its output."""
+    @functools.wraps(command)
+    def checked(*args, trials: int, prime: int, **kwargs):
+        try:
+            check_value_parameters(trials, prime)
+        except ProgramError as exc:
+            raise click.UsageError(str(exc)) from None
+        return command(*args, trials=trials, prime=prime, **kwargs)
+
+    checked = click.option("--seed", "master_seed", type=int, default=0, envvar="CLUSTERFLAG_SEED",
+                           help="master RNG seed (env CLUSTERFLAG_SEED)")(checked)
+    checked = click.option("--prime", type=int, default=pk.DEFAULT_PRIME)(checked)
+    return click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True)(checked)
 
 
 @main.command("verify")

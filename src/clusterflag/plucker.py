@@ -2,30 +2,29 @@ r"""Exact arithmetic in Plucker coordinates and the numeric evaluation oracle.
 
 Variables are Plucker coordinates P_I indexed by strictly increasing tuples.
 Polynomials are sparse integer combinations of monomials (multisets of index
-tuples).  Identity testing is randomized: evaluate both sides on random
-matrices over F_p (p a large prime) with P_I read off as the minor on the
-top |I| rows and the columns I.
+tuples).  Identity testing is randomized: evaluate both sides at random
+points of the big cell P_{[1,m]} != 0 of Gr(m; N) over F_p (p a large prime).
 
-A point is the reduction of its top m rows, made once (``reduce_rows``):
-those rows A become the reduced row echelon form R = G^-1 A with pivot
-columns J, and every coordinate of size m follows as P_I(A) = P_J(A) *
-P_I(R), where P_J(A) = det G and P_I(R) is +- a minor of R of size
-|I \ J|.
+A point is a scale and a chart (t, M): t in F_p^* and M an m x (N - m)
+matrix over F_p, standing for the Plucker vector t * P([I_m | M]).  So
+P_{[1,m]} = t, and P_I is t times +- the minor of M on the rows [m] \ I and
+the columns I \ [m].  A matrix A = [A_L | A_R] with det A_L != 0 has
+P(A) = (det A_L) * P([I | A_L^-1 A_R]), and for uniform A the pair
+(det A_L, A_L^-1 A_R) is uniform on F_p^* x F_p^(m x (N - m)), so a uniform
+(t, M) is a uniform matrix conditioned on P_{[1,m]} != 0.
 
-Minors of R are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
+Minors of M are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
 Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
 - M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` holds the index
 sets of a family of polynomials (for the certifier: the grid dictionary of
 a target when it draws its points, or the lifts one type samples) and
-compiles them once into a straight-line program: slot-indexed nodes,
-grouped by size, for the generic pivots J = {1, ..., m}.
-``plan.run(echelon, p)`` runs it at one reduction, with one batched
-inversion per size (Montgomery, Math. Comp. 1987), and returns the values
-of the plan's index sets of that size, which ``PluckerPoly.evaluate``
-reads.  Two fallbacks keep every value exact: a reduction with other
-pivots or dependent rows gets a program compiled for its own pivots, and
-a node whose interior minor is 0 mod p is computed by ``det_mod``.  An
-isolated minor of size 10 shares no windows and is about 6 times slower
+compiles them once per size and chart width into a straight-line program
+of slot-indexed nodes, grouped by size.  ``plan.run(point, p)`` runs it at
+one point, with one batched inversion per size (Montgomery, Math. Comp.
+1987), and returns the values of the plan's index sets of size m = len(M),
+which ``PluckerPoly.evaluate`` reads.  One fallback keeps every value
+exact: a node whose interior minor is 0 mod p is computed by ``det_mod``.
+An isolated minor of size 10 shares no windows and is about 6 times slower
 than elimination; the certifier evaluates none.
 """
 
@@ -270,51 +269,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-Echelon = tuple[int, dict[int, int], list[list[int]]]
-
-
-def reduce_rows(matrix: Sequence[Sequence[int]], m: int, p: int) -> Echelon:
-    r"""The reduction of the top m rows A of ``matrix`` over F_p by
-    Gauss-Jordan elimination: the signed product of the pivots, which is
-    P_J(A) (0 when the rows are dependent), the row of each pivot column j
-    in J, and the reduced rows R.  Then P_I(A) = P_J(A) * P_I(R) for
-    |I| = m, and P_I(R) is the minor of R on the rows of J \ I and the
-    columns I \ J, with sign (-1)^(rows of I & J + their positions in I)."""
-    if len({len(row) for row in matrix}) > 1:
-        raise PluckerError("matrix rows differ in length")
-    if m > len(matrix):
-        raise PluckerError("index size %d exceeds row count %d" % (m, len(matrix)))
-    rows = [[x % p for x in row] for row in matrix[:m]]
-    scale = 1
-    pivot_row: dict[int, int] = {}
-    for c in range(len(matrix[0]) if matrix else 0):
-        r = len(pivot_row)
-        if r == m:
-            break
-        if not rows[r][c]:
-            pick = next((i for i in range(r, m) if rows[i][c]), None)
-            if pick is None:
-                continue
-            rows[r], rows[pick] = rows[pick], rows[r]
-            scale = -scale
-        pivot = rows[r][c]
-        scale = scale * pivot % p
-        inv = pow(pivot, -1, p)
-        # left of column c the pivot row is 0, and no minor reads a pivot
-        # column, so each update starts right of c
-        top = rows[r][c + 1:] = [x * inv % p for x in rows[r][c + 1:]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], top)]
-        pivot_row[c + 1] = r
-    return scale if len(pivot_row) == m else 0, pivot_row, rows
+Point = tuple[int, list[list[int]]]
 
 
 class EvaluationPlan:
     """The index sets of some Plucker polynomials, grouped by size, with
-    their programs: one per row count, width and pivot columns, compiled
-    on first use.  Nearly every point has the generic pivots {1, ..., m}."""
+    their programs: one per size and chart width, compiled on first use."""
 
     __slots__ = ("indices", "_programs")
 
@@ -322,27 +282,27 @@ class EvaluationPlan:
         self.indices: dict[int, list[tuple[int, ...]]] = {}
         for idx in dict.fromkeys(idx for poly in polys for mono in poly.terms for idx in mono):
             self.indices.setdefault(len(idx), []).append(idx)
-        self._programs: dict[tuple, tuple] = {}
+        self._programs: dict[tuple[int, int], tuple] = {}
 
-    def run(self, echelon: Echelon, p: int) -> dict[tuple[int, ...], int]:
-        """P_I(A) mod p for every index set I of the plan of size m, from
-        ``echelon = reduce_rows(A, m, p)``, which is only read."""
-        _, pivot_row, rows = echelon
-        m, width = len(rows), (len(rows[0]) if rows else 0)
+    def run(self, point: Point, p: int) -> dict[tuple[int, ...], int]:
+        """P_I mod p at ``point = (t, M)``, which stands for t * P([I_m | M]),
+        for every index set I of the plan of size m = len(M); the point is
+        only read."""
+        chart = point[1]
+        m, width = len(chart), (len(chart[0]) if chart else 0)
         indices = self.indices.get(m, ())
-        key = (m, width, *pivot_row.items())
-        if key not in self._programs:
-            self._programs[key] = _compile(indices, pivot_row, m, width)
-        return dict(zip(indices, _run(self._programs[key], echelon, p)))
+        if (m, width) not in self._programs:
+            self._programs[m, width] = _compile(indices, m, width)
+        return dict(zip(indices, _run(self._programs[m, width], point, p)))
 
 
-def _compile(indices: Iterable[tuple[int, ...]], pivot_row: dict[int, int], m: int, width: int) -> tuple:
-    """The straight-line program of ``indices``, each of size m, at reduced
-    rows R (m x ``width``) whose pivot column j is in row pivot_row[j].
-    Slot r * width + c holds R[r][c], slot m * width holds 1, and every
-    further slot a minor of R of size 2 or more, condensed from five
-    smaller ones.  Returns the slot count, the nodes grouped by size (slot,
-    the slots it reads, rows, cols), and each index set's slot and sign."""
+def _compile(indices: Iterable[tuple[int, ...]], m: int, width: int) -> tuple:
+    """The straight-line program of ``indices``, each of size m, at a chart
+    M (m x ``width``) of [I_m | M].  Slot r * width + c holds M[r][c], slot
+    m * width holds 1, and every further slot a minor of M of size 2 or
+    more, condensed from five smaller ones.  Returns the slot count, the
+    nodes grouped by size (slot, the slots it reads, rows, cols), and each
+    index set's slot and sign."""
     one = m * width
     slots: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     levels: list[list[tuple]] = [[] for _ in range(m - 1)]
@@ -362,23 +322,23 @@ def _compile(indices: Iterable[tuple[int, ...]], pivot_row: dict[int, int], m: i
 
     outputs = []
     for index in indices:
-        if m and (index[0] < 1 or index[-1] > width or any(b <= a for a, b in zip(index, index[1:]))):
+        if m and (index[0] < 1 or index[-1] > m + width or any(b <= a for a, b in zip(index, index[1:]))):
             raise PluckerError("index %s is not strictly increasing within the columns" % (index,))
-        hits = {pivot_row[c]: pos for pos, c in enumerate(index) if c in pivot_row}
+        # column i <= m of [I | M] is the unit vector e_i: it drops row i from
+        # the minor, with sign (-1)^(i - 1 + its position in the index)
+        hits = {i - 1: pos for pos, i in enumerate(index) if i <= m}
         rows = tuple(r for r in range(m) if r not in hits)
-        cols = tuple(c - 1 for c in index if c not in pivot_row)
+        cols = tuple(c - m - 1 for c in index if c > m)
         outputs.append((slot(rows, cols), sum(map(sum, hits.items())) & 1))
     return one + 1 + len(slots), [level for level in levels if level], outputs
 
 
-def _run(program: tuple, echelon: Echelon, p: int) -> list[int]:
-    """The values P_I(A) of a program's index sets, one minor size after
-    the other, with one batched inversion per size from 3 up."""
+def _run(program: tuple, point: Point, p: int) -> list[int]:
+    """The values of a program's index sets at ``point``, one minor size
+    after the other, with one batched inversion per size from 3 up."""
     nslots, levels, outputs = program
-    scale, _, reduced = echelon
-    if not scale:
-        return [0] * len(outputs)
-    vals = [x for row in reduced for x in row]
+    scale, chart = point
+    vals = [x % p for row in chart for x in row]
     vals += [1] + [0] * (nslots - len(vals) - 1)
     for s, a, b, c, d, *_ in levels[0] if levels else ():     # size 2: interior 1
         vals[s] = (vals[a] * vals[b] - vals[c] * vals[d]) % p
@@ -387,7 +347,7 @@ def _run(program: tuple, echelon: Echelon, p: int) -> list[int]:
         invs = iter(batch_inverse([x for x in inner if x], p))
         for (s, a, b, c, d, _, rows, cols), x in zip(level, inner):
             vals[s] = ((vals[a] * vals[b] - vals[c] * vals[d]) * next(invs) % p if x
-                       else det_mod([[reduced[r][j] for j in cols] for r in rows], p))
+                       else det_mod([[chart[r][j] for j in cols] for r in rows], p))
     return [(-scale if neg else scale) * vals[s] % p for s, neg in outputs]
 
 

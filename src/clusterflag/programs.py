@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 from . import tableaux as tb
 from .flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
-from .plucker import (DEFAULT_PRIME, Echelon, EvaluationPlan, PluckerPoly, is_prime,
-                      random_matrix_point, reduce_rows)
+from .plucker import DEFAULT_PRIME, EvaluationPlan, PluckerPoly, Point, is_prime, random_matrix_point
 from .quiver import LaurentError, LaurentExpr, PowerTable, QuiverError, Seed, quivers_agree
 
 
@@ -284,16 +283,18 @@ class Report:
 def sample_nonsingular_point(
     dictionary: dict[int, PluckerPoly], rows: int, cols: int, prime: int, rng: random.Random,
     plan: EvaluationPlan,
-) -> tuple[Echelon, list[int]]:
-    """The reduction of a random matrix's rows, with ``plan`` run there, at
-    which no polynomial of ``dictionary`` (position -> initial variable,
-    positions 0..len - 1) vanishes, with their values in position order."""
+) -> tuple[Point, list[int]]:
+    """A random point (t, M) of Gr(``rows``; ``cols``), t in [1, p - 1] drawn
+    first, then the ``rows`` x (``cols`` - ``rows``) chart M, with ``plan``
+    run there, at which no polynomial of ``dictionary`` (position -> initial
+    variable, positions 0..len - 1) vanishes, with their values in position
+    order."""
     for _ in range(100):
-        echelon = reduce_rows(random_matrix_point(rows, cols, prime, rng), rows, prime)
-        pluckers = plan.run(echelon, prime)
+        point = rng.randrange(1, prime), random_matrix_point(rows, cols - rows, prime, rng)
+        pluckers = plan.run(point, prime)
         values = [dictionary[pos].evaluate(pluckers, prime) for pos in range(len(dictionary))]
         if all(values):
-            return echelon, values
+            return point, values
     raise ProgramError("could not sample a nonsingular evaluation point")
 
 
@@ -306,10 +307,10 @@ class Target:
         self.gr = GrassmannianSeed(k, ambient)
 
     @functools.cached_property
-    def drawn(self) -> list[tuple[Echelon, list[int]]]:
+    def drawn(self) -> list[tuple[Point, list[int]]]:
         """The first ``trials`` nonsingular points of ``random.Random(master_seed)``,
-        each kept as the reduction of its k rows with the grid dictionary's values
-        there; a draw that raises keeps nothing."""
+        each kept as its scale and chart with the grid dictionary's values there;
+        a draw that raises keeps nothing."""
         dictionary = self.gr.seed.dictionary
         rng, plan = random.Random(self.master_seed), EvaluationPlan(dictionary.values())
         return [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
@@ -319,12 +320,23 @@ class Target:
         """The values of ``lifts``' index sets at each ``drawn`` point, run by
         one plan, with the grid dictionary's values there."""
         plan = EvaluationPlan(lifts)
-        return [(plan.run(echelon, self.prime), values) for echelon, values in self.drawn]
+        return [(plan.run(point, self.prime), values) for point, values in self.drawn]
 
 
 # The types with the same five ints share one Target in a process; a call
 # with more than DEFAULT_TRIALS trials builds a private one.
 _shared_target = functools.lru_cache(maxsize=128)(Target)  # 48 targets at n <= 8, 120 at n <= 12
+
+
+def check_value_parameters(trials: int, prime: int) -> None:
+    """Raise ProgramError when the evaluation check would be vacuous
+    (``trials < 1``), unsound (``prime`` not a prime below 2**64) or weak
+    (``prime`` below 2**31, where sampling may fail outright and a passing
+    check says little)."""
+    if trials < 1:
+        raise ProgramError("trials must be at least 1, got %d" % trials)
+    if not (1 << 31 <= prime < 1 << 64 and (prime == DEFAULT_PRIME or is_prime(prime))):
+        raise ProgramError("prime must be a prime between 2^31 and 2^64, got %d" % prime)
 
 
 def verify_theorem(
@@ -334,16 +346,9 @@ def verify_theorem(
     master_seed: int = 0,
 ) -> Report:
     """Run the program for a flag type and certify that freezing plus
-    deletion turns the endpoint into the padded flag initial seed.
-
-    Raises ProgramError when the evaluation check would be vacuous
-    (``trials < 1``), unsound (``prime`` not a prime below 2**64) or weak
-    (``prime`` below 2**31, where sampling may fail outright and a passing
-    check says little)."""
-    if trials < 1:
-        raise ProgramError("trials must be at least 1, got %d" % trials)
-    if not (1 << 31 <= prime < 1 << 64 and (prime == DEFAULT_PRIME or is_prime(prime))):
-        raise ProgramError("prime must be a prime between 2^31 and 2^64, got %d" % prime)
+    deletion turns the endpoint into the padded flag initial seed; raises
+    ProgramError on the parameters ``check_value_parameters`` refuses."""
+    check_value_parameters(trials, prime)
     t0 = time.perf_counter()
     report = Report(flag, prime=prime, trials=trials, master_seed=master_seed)
     _certify(report)

@@ -11,7 +11,7 @@ from collections import Counter
 
 from clusterflag.tableaux import Tableau, one_column, union
 from clusterflag.flags import FlagType, sigma_draw
-from clusterflag.plucker import EvaluationPlan, PluckerError, PluckerPoly, det_mod, reduce_rows
+from clusterflag.plucker import PluckerError, PluckerPoly, det_mod
 from clusterflag.quiver import quivers_agree
 
 
@@ -330,8 +330,8 @@ def trial_division_is_prime(n: int) -> bool:
 #
 # The flag seed's lifted coordinates restrict, on this patch, to plain minors
 # of the matrix; these helpers are the tests' oracle for that statement.  The
-# minors are a plain ``det_mod`` of the submatrix, independent of the row
-# reduction behind ``EvaluationPlan.run``; test_det_mod_against_naive_expansion
+# minors are a plain ``det_mod`` of the submatrix, independent of the
+# condensation behind ``EvaluationPlan.run``; test_det_mod_against_naive_expansion
 # checks ``det_mod`` against cofactor expansion.
 
 
@@ -379,10 +379,20 @@ def pattern_minor(matrix, row_set, prime: int) -> int:
 
 def minors(matrix, prime: int) -> dict:
     """A lazy map I -> P_I(matrix) mod p, for ``PluckerPoly.evaluate`` at any
-    index set: each I on first lookup, by a plan of its own at ``reduce_rows``."""
+    index set: each I on first lookup, as ``det_mod`` of the top |I| rows
+    and the columns I."""
     class Minors(dict):
         def __missing__(self, idx):
-            self[idx] = EvaluationPlan([PluckerPoly.variable(idx)]).run(
-                reduce_rows(matrix, len(idx), prime), prime)[idx]
+            self[idx] = det_mod([[row[c - 1] for c in idx] for row in matrix[:len(idx)]], prime)
             return self[idx]
     return Minors()
+
+
+def chart_matrix(point) -> list[list[int]]:
+    """The m x (m + width) integer matrix that the point (t, M) stands for:
+    [I_m | M] with its first row times t, so that each of its m-minors is
+    t times that of [I_m | M]."""
+    t, chart = point
+    m = len(chart)
+    rows = [[int(r == c) for c in range(m)] + list(row) for r, row in enumerate(chart)]
+    return [[t * x for x in rows[0]]] + rows[1:] if rows else []

@@ -626,7 +626,11 @@ def test_verify_usage_error(runner):
     assert runner.invoke(main, ["verify", "--flag", "bogus"]).exit_code == 2
 
 
-def test_verify_rejects_vacuous_or_unsound_checks(runner):
+def test_verify_rejects_vacuous_or_unsound_checks(runner, tmp_path):
+    """Each refused ``--trials`` or ``--prime`` exits 2, and an ``--output``
+    file that existed beforehand keeps its bytes."""
+    report = tmp_path / "r.json"
+    report.write_bytes(b"kept\n")
     for args in (
         ["--trials", "0"],
         ["--trials", "-1"],
@@ -639,9 +643,11 @@ def test_verify_rejects_vacuous_or_unsound_checks(runner):
         ["--prime", "101"],
         ["--prime", str((1 << 31) - 1)],
     ):
-        result = runner.invoke(main, ["verify", "--flag", "6,2,4", *args])
-        assert result.exit_code == 2, args
-        assert isinstance(result.exception, SystemExit), args
+        for output in ([], ["--output", str(report)]):
+            result = runner.invoke(main, ["verify", "--flag", "6,2,4", *args, *output])
+            assert result.exit_code == 2, args
+            assert isinstance(result.exception, SystemExit), args
+            assert report.read_bytes() == b"kept\n", args
 
 
 # -- sweep --------------------------------------------------------------------------
@@ -706,7 +712,9 @@ def test_sweep_keeps_the_finished_lines_when_a_type_fails(runner, tmp_path, monk
     assert [r["flag"] for r in reports] == [{"dims": list(f.dims), "n": f.n} for f in made[:2]]
 
 
-def test_sweep_exit_codes(runner, monkeypatch):
+def test_sweep_exit_codes(runner, tmp_path, monkeypatch):
+    """A refused ``--trials`` or ``--prime`` exits 2 and leaves an existing
+    ``--output`` file as it was."""
     from clusterflag.programs import Report
 
     def fake_verify(flag, trials, prime, master_seed):
@@ -715,8 +723,12 @@ def test_sweep_exit_codes(runner, monkeypatch):
         return rep
 
     assert runner.invoke(main, ["sweep", "--max-n", "2"]).exit_code == 2
-    assert runner.invoke(main, ["sweep", "--max-n", "4", "--trials", "0"]).exit_code == 2
-    assert runner.invoke(main, ["sweep", "--max-n", "4", "--prime", "101"]).exit_code == 2
+    out = tmp_path / "s.jsonl"
+    out.write_bytes(b"kept\n")
+    for args in (["--trials", "0"], ["--prime", "101"], ["--prime", "4"]):
+        for output in ([], ["--output", str(out)]):
+            assert runner.invoke(main, ["sweep", "--max-n", "4", *args, *output]).exit_code == 2
+            assert out.read_bytes() == b"kept\n", args
     monkeypatch.setattr(cli, "verify_theorem", fake_verify)
     result = runner.invoke(main, ["sweep", "--max-n", "4"])
     assert result.exit_code == 1

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -24,12 +25,12 @@ from clusterflag.plucker import (
     normalize_index,
     phi_star,
     random_matrix_point,
-    reduce_rows,
     sh_coordinate,
 )
 from clusterflag.tableaux import TableauError, fill_up, initial_tableau, one_column
 
 from support import (
+    chart_matrix,
     inversion_sign,
     minors,
     pattern_minor,
@@ -361,73 +362,90 @@ def test_plucker_of_prefix_is_one_on_unipotent_points():
         assert pt[tuple(range(1, d + 1))] == 1
 
 
-def _oracle_matrices(prime: int):
+def _oracle_points(prime: int):
+    """Points (t, M) of every row count m <= 4 cut from three 4 x 3 charts
+    (a dense one, one with a zero column, one with a repeated column), so
+    N = m + 3, and one short and wide point of Gr(2; 7)."""
     rng = random.Random(prime % 1000)
 
     def entry():
         return 0 if rng.random() < 0.3 else rng.randrange(1, prime)
 
-    dense = [[entry() for _ in range(7)] for _ in range(4)]
-    zero_first_column = [[0] + row[1:] for row in dense]
-    multiple_row = dense[:2] + [[3 * x for x in dense[0]]] + dense[3:]
-    repeated_column = [row[:5] + [row[1], row[5]] for row in dense]
-    short_and_wide = [[entry() for _ in range(7)] for _ in range(2)]
-    return [dense, zero_first_column, multiple_row, repeated_column, short_and_wide]
+    dense = [[entry() for _ in range(3)] for _ in range(4)]
+    zero_column = [[row[0], 0, row[2]] for row in dense]
+    repeated_column = [[row[0], row[1], row[0]] for row in dense]
+    charts = [chart[:m] for chart in (dense, zero_column, repeated_column) for m in range(5)]
+    charts.append([[entry() for _ in range(5)] for _ in range(2)])
+    return [(rng.randrange(1, prime), chart) for chart in charts]
 
 
-@pytest.mark.parametrize("prime", [7, DEFAULT_PRIME])
-def test_plucker_against_sympy_determinant(prime):
-    """Every P_I with |I| <= rows, from a plan of every index set of size m
-    run at the reduction of the top m rows, against sympy's determinant mod
-    p: pivots past column 1, dependent rows, a repeated column, |I| below
-    the row count, and a second run of the program compiled by the first."""
-    for matrix in _oracle_matrices(prime):
-        n = len(matrix[0])
-        for m in range(len(matrix) + 1):
-            indices = list(itertools.combinations(range(1, n + 1), m))
-            plan, echelon = EvaluationPlan(P(index) for index in indices), reduce_rows(matrix, m, prime)
-            for _ in range(2):
-                values = plan.run(echelon, prime)
-                assert list(values) == indices
-                for index in indices:
-                    sub = sympy.Matrix(m, m, [matrix[r][c - 1] for r in range(m) for c in index])
-                    assert values[index] == sub.det() % prime, (matrix, index)
-            assert len(plan._programs) == 1
+def _expected(point, index):
+    """t times sympy's integer determinant of the columns ``index`` of [I_m | M]."""
+    t, chart = point
+    full = chart_matrix((1, chart))
+    return t * sympy.Matrix(len(index), len(index), [row[c - 1] for row in full for c in index]).det()
+
+
+def counted_det_mods(monkeypatch) -> list[int]:
+    """The prime of every ``det_mod`` call the condensation makes from now on."""
+    calls = []
+
+    def counted_det_mod(rows, p):
+        calls.append(p)
+        return det_mod(rows, p)
+
+    monkeypatch.setattr(plucker, "det_mod", counted_det_mod)
+    return calls
+
+
+@pytest.mark.parametrize("prime", [2, 3, 7, DEFAULT_PRIME])
+def test_plucker_against_sympy_determinant(prime, monkeypatch):
+    """Every P_I at points (t, M) with m = len(M) <= 4, from a plan of every
+    index set of size m, against t times sympy's determinant of the columns
+    I of [I_m | M] mod p: a zero chart column, a repeated one, m = 0, a
+    short and wide chart, and a second run of the program compiled by the
+    first.  At p = 2 and 3 interior
+    minors vanish and the counted ``det_mod`` fallback runs."""
+    calls = counted_det_mods(monkeypatch)
+    for point in _oracle_points(prime):
+        m, width = len(point[1]), (len(point[1][0]) if point[1] else 0)
+        indices = list(itertools.combinations(range(1, m + width + 1), m))
+        plan = EvaluationPlan(P(index) for index in indices)
+        for _ in range(2):
+            values = plan.run(point, prime)
+            assert list(values) == indices
+            for index in indices:
+                assert values[index] == _expected(point, index) % prime, (point, index)
+        assert len(plan._programs) == 1
+    if prime < 7:
+        assert calls
 
 
 @pytest.mark.parametrize("prime", [2, 3, 7, DEFAULT_PRIME])
 def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
-    """A 6x10 integer matrix at one plan of the Gr(4,9) grid dictionary, its
-    index sets lifted by column 10, and every 6-subset, listed in shuffled
-    order, run at the reduction of each size, against sympy's integer
-    determinant mod p; then every size again, with the same values and the
-    same fallbacks.  At p = 2 and 3 interior minors vanish and elimination
-    takes over; at 2^61 - 1 condensation alone answers."""
+    """Points (-5, C[:m]) cut from one 6 x 10 integer chart C, at one plan
+    of the Gr(4,9) grid dictionary, its index sets lifted by column 10, and
+    every 6-subset of 1..10, listed in shuffled order, run at the point of
+    each size, against sympy's integer determinant mod p; then every size
+    again, with the same values and the same fallbacks.  At p = 2 and 3
+    interior minors vanish and elimination takes over; at 2^61 - 1
+    condensation alone answers."""
     rng = random.Random(12)
-    matrix = [[rng.randrange(-99, 100) for _ in range(10)] for _ in range(6)]
+    chart = [[rng.randrange(-99, 100) for _ in range(10)] for _ in range(6)]
     grid = [idx for poly in GrassmannianSeed(4, 9).seed.dictionary.values()
             for mono in poly.terms for idx in mono]
     indices = grid + [idx + (10,) for idx in grid] + list(itertools.combinations(range(1, 11), 6))
     rng.shuffle(indices)
-    calls = []
-
-    def counted_det_mod(rows, p):
-        calls.append(len(rows))
-        return det_mod(rows, p)
-
-    monkeypatch.setattr(plucker, "det_mod", counted_det_mod)
+    calls = counted_det_mods(monkeypatch)
     plan = EvaluationPlan(P(index) for index in indices)
     assert sorted(plan.indices) == [4, 5, 6]
-    expected = {}
-    for index in indices:
-        sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(len(index))])
-        expected[index] = sub.det() % prime
-    echelons = {m: reduce_rows(matrix, m, prime) for m in plan.indices}
+    points = {m: (-5, chart[:m]) for m in plan.indices}
+    expected = {index: _expected(points[len(index)], index) % prime for index in indices}
     for m, sized in plan.indices.items():
-        assert plan.run(echelons[m], prime) == {index: expected[index] for index in sized}, m
+        assert plan.run(points[m], prime) == {index: expected[index] for index in sized}, m
     fallbacks = len(calls)
     for m, sized in plan.indices.items():
-        assert plan.run(echelons[m], prime) == {index: expected[index] for index in sized}, m
+        assert plan.run(points[m], prime) == {index: expected[index] for index in sized}, m
     assert len(calls) == 2 * fallbacks
     if prime in (2, 3):
         assert fallbacks > 0
@@ -438,72 +456,87 @@ def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
 @pytest.mark.parametrize("dims, n", [((2, 4), 6), ((2, 5, 7), 8), ((1, 3), 8)])
 def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
     """The plan of a flag type (the grid dictionary of its Grassmannian and
-    every lifted flag coordinate) at integer points, against sympy's
-    integer determinant mod p for p in {2, 3, 7, 2^61 - 1}.  The points
-    include a zero first column (other pivots), two equal rows (dependent
-    rows) and, at small p, vanishing interior minors; counters show that
-    each fallback ran and that every program compiled holds the whole plan."""
+    every lifted flag coordinate) at integer points (t, M) of Gr(k; N),
+    against t times sympy's integer determinant of [I_k | M] mod p for p in
+    {2, 3, 7, 2^61 - 1}.  The charts include a zero column, a repeated
+    column and, at small p, vanishing interior minors; counters show that
+    the fallback ran, that at 2^61 - 1 condensation alone answers the dense
+    charts (entries below 10^6 in size), and that one program, compiled
+    once, holds the plan."""
     flag = FlagType(dims, n)
     k, ambient = flag.target_grassmannian
     plan = EvaluationPlan([*GrassmannianSeed(k, ambient).seed.dictionary.values(),
                            *embedded_flag_seed(FlagSeed(flag)).dictionary.values()])
     rng = random.Random(len(dims) * 100 + n)
-    dense = [[[rng.randrange(-99, 100) for _ in range(ambient)] for _ in range(k)] for _ in range(6)]
-    zero_first_column = [[0] + row[1:] for row in dense[0]]
-    equal_rows = [dense[1][0]] + dense[1][:-1]
-    matrices = dense + [zero_first_column, equal_rows]
-    expected = [
-        {index: sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(k)]).det()
-         for index in plan.indices[k]}
-        for matrix in matrices
-    ]
-    generic = {j: j - 1 for j in range(1, k + 1)}
-    compile_program = plucker._compile
-    compiled, det_calls = [], []
+    dense = [[[rng.randrange(-10**6, 10**6) for _ in range(ambient - k)] for _ in range(k)]
+             for _ in range(6)]
+    zero_column = [row[:1] + [0] + row[2:] for row in dense[0]]
+    repeated_column = [row[:2] + row[1:2] + row[3:] for row in dense[1]]
+    points = [(rng.choice((-1, 1)) * rng.randrange(1, 100), chart)
+              for chart in dense + [zero_column, repeated_column]]
+    expected = [{index: _expected(point, index) for index in plan.indices[k]} for point in points]
+    compile_program, compiled = plucker._compile, []
 
-    def counted_compile(indices, pivot_row, m, width):
-        compiled.append((len(indices), pivot_row == generic, len(pivot_row) < m))
-        return compile_program(indices, pivot_row, m, width)
-
-    def counted_det_mod(rows, p):
-        det_calls.append(p)
-        return det_mod(rows, p)
+    def counted_compile(indices, m, width):
+        compiled.append((len(indices), m, width))
+        return compile_program(indices, m, width)
 
     monkeypatch.setattr(plucker, "_compile", counted_compile)
-    monkeypatch.setattr(plucker, "det_mod", counted_det_mod)
+    det_calls = counted_det_mods(monkeypatch)
     assert list(plan.indices) == [k]
     for prime in (2, 3, 7, DEFAULT_PRIME):
-        for matrix, values in zip(matrices, expected):
-            got = plan.run(reduce_rows(matrix, k, prime), prime)
+        for point, values in zip(points, expected):
+            got = plan.run(point, prime)
             for index, det in values.items():
-                assert got[index] == det % prime, (prime, matrix, index)
+                assert got[index] == det % prime, (prime, point, index)
+            if point[1] is dense[-1]:
+                dense_calls = det_calls.count(prime)
         if prime < 7:
             assert det_calls.count(prime) > 0, prime
-    assert DEFAULT_PRIME not in det_calls
-    # every program holds the whole plan, and each pivot pattern compiled once
-    assert all(size == len(plan.indices[k]) for size, _, _ in compiled)
-    assert sum(is_generic for _, is_generic, _ in compiled) == 1
-    assert any(not is_generic and not dependent for _, is_generic, dependent in compiled)
-    assert any(dependent for _, _, dependent in compiled)
+    assert dense_calls == 0
+    assert compiled == [(len(plan.indices[k]), k, ambient - k)]
 
 
 def test_plan_single_lookups_and_bounds():
-    """A plan run at the reduction of m rows gives its index sets of size m
-    and no others; an index set outside a plan is a plan of its own through
-    the same kernel; a plan index set outside the matrix is refused."""
+    """A plan run at a point with m chart rows gives its index sets of size
+    m and no others, each equal to ``det_mod`` of the matrix the point
+    stands for; a plan index set outside the columns is refused."""
     matrix = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]]
     plan = EvaluationPlan([P((1, 2, 4)) * P((2, 3)), P((3, 4, 5))])
     assert plan.indices == {3: [(1, 2, 4), (3, 4, 5)], 2: [(2, 3)]}
-    values = {m: plan.run(reduce_rows(matrix, m, 101), 101) for m in (1, 2, 3)}
+    points = {m: (2, [row[:5 - m] for row in matrix[:m]]) for m in (1, 2, 3)}
+    values = {m: plan.run(points[m], 101) for m in (1, 2, 3)}
     assert [list(values[m]) for m in (1, 2, 3)] == [[], [(2, 3)], [(1, 2, 4), (3, 4, 5)]]
-    pt = minors(matrix, 101)
     for m in (1, 2, 3):
+        pt = minors(chart_matrix(points[m]), 101)
         for index in itertools.combinations(range(1, 6), m):
-            sub = sympy.Matrix([[matrix[r][c - 1] for c in index] for r in range(m)])
-            assert pt[index] == sub.det() % 101, index
+            assert pt[index] == _expected(points[m], index) % 101, index
             assert values[m].get(index, pt[index]) == pt[index], index
     with pytest.raises(PluckerError):
-        EvaluationPlan([P((2, 6))]).run(reduce_rows(matrix, 2, 101), 101)
+        EvaluationPlan([P((2, 6))]).run(points[2], 101)
+
+
+def test_scaled_charts_are_the_matrices_with_a_nonzero_unit():
+    """Over F_3 the Plucker vectors of the 3^8 matrices 2 x 4 with P_12 != 0
+    are exactly those of the 2 * 3^4 points (t, M), each |SL_2(F_3)| = 24
+    times, and P_12 = t at each point: a uniform point is a uniform matrix
+    conditioned on P_12 != 0, the distribution the sampled check had when
+    it drew whole matrices."""
+    p, indices = 3, list(itertools.combinations(range(1, 5), 2))
+    plan = EvaluationPlan(P(index) for index in indices)
+    from_points = Counter()
+    for t in (1, 2):
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            values = plan.run((t, [[a, b], [c, d]]), p)
+            assert values[1, 2] == t
+            from_points[tuple(values[index] for index in indices)] += 1
+    from_matrices = Counter()
+    for entries in itertools.product(range(p), repeat=8):
+        pt = minors([list(entries[:4]), list(entries[4:])], p)
+        if pt[1, 2]:
+            from_matrices[tuple(pt[index] for index in indices)] += 1
+    assert len(from_points) == 2 * p ** 4 and set(from_points.values()) == {1}
+    assert from_matrices == {vector: 24 for vector in from_points}
 
 
 def test_batch_inverse():
@@ -535,20 +568,15 @@ def test_unipotent_point_determinism():
 
 
 def test_evaluation_point_bounds():
-    matrix = [[1, 2, 3], [0, 1, 4]]
-    with pytest.raises(PluckerError, match="index size 3 exceeds row count 2"):
-        reduce_rows(matrix, 3, 7)       # more rows than the matrix has
-    echelon = reduce_rows(matrix, 2, 7)
+    point = (1, [[1], [4]])         # [I_2 | M] has the columns 1..3
     for index in ((0, 1), (1, 4)):
         with pytest.raises(PluckerError):
-            EvaluationPlan([P(index)]).run(echelon, 7)      # outside columns 1..3
+            EvaluationPlan([P(index)]).run(point, 7)        # outside columns 1..3
     for index in ((2, 1), (1, 1)):
         with pytest.raises(PluckerError):
-            plucker._compile([index], echelon[1], 2, 3)     # not strictly increasing
+            plucker._compile([index], 2, 1)                 # not strictly increasing
     with pytest.raises(PluckerError):
         det_mod([[1, 2]], 7)
-    with pytest.raises(PluckerError, match="rows differ in length"):
-        reduce_rows([[1, 2, 3], [4, 5]], 2, 7)      # ragged rows
 
 
 # -- coordinate dictionaries --------------------------------------------------------------

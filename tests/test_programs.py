@@ -1,6 +1,7 @@
 """Mutation schedules, their execution, and the endpoint verification."""
 
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -26,10 +27,10 @@ from clusterflag.programs import (
     sh_program,
     verify_theorem,
 )
-from clusterflag.quiver import LaurentExpr, Seed
+from clusterflag.quiver import LaurentExpr, Seed, VariableState
 from clusterflag.tableaux import Tableau, fill_up
 
-from support import all_flag_types, seeds_equal, standard_form_tableau
+from support import all_flag_types, chart_matrix, seeds_equal, standard_form_tableau
 
 
 # -- schedule shapes -----------------------------------------------------------
@@ -379,18 +380,22 @@ GR49 = FlagType((1, 3, 4), 6)
 
 
 def replayed_stream(k, ambient, trials, prime=DEFAULT_PRIME, seed=0):
-    """The first ``trials`` matrices of ``random.Random(seed)``, drawn
-    ``randrange(prime)`` row-major k x N, at which no grid coordinate
-    vanishes, with the grid dictionary's values there (plain ``det_mod``)."""
+    """The first ``trials`` points (t, M) of ``random.Random(seed)``, each
+    drawn as t = ``randrange(1, prime)`` and then the k x (N - k) chart M
+    by ``randrange(prime)`` row-major, at which no grid coordinate vanishes,
+    with the grid dictionary's values there (plain ``det_mod`` of the
+    matrix the point stands for)."""
     dictionary = GrassmannianSeed(k, ambient).seed.dictionary
     rng, stream = random.Random(seed), []
     while len(stream) < trials:
-        matrix = [[rng.randrange(prime) for _ in range(ambient)] for _ in range(k)]
+        t = rng.randrange(1, prime)
+        point = t, [[rng.randrange(prime) for _ in range(ambient - k)] for _ in range(k)]
+        matrix = chart_matrix(point)
         values = [sum(coeff * math.prod(minor(matrix, idx, prime) for idx in mono)
                       for mono, coeff in poly.terms.items()) % prime
                   for poly in dictionary.values()]
         if all(values):
-            stream.append((matrix, values))
+            stream.append((point, values))
     return stream
 
 
@@ -399,15 +404,15 @@ def minor(matrix, idx, prime):
 
 
 def record_points(monkeypatch):
-    """The (reduction, lift values, grid values) triples the value checks
-    run on, in order."""
+    """The (point, lift values, grid values) triples the value checks run
+    on, in order."""
     used = []
     target_points = programs.Target.points
 
     def recording(target, lifts):
         points = target_points(target, lifts)
-        used.extend((echelon, pluckers, values)
-                    for (echelon, _), (pluckers, values) in zip(target.drawn, points))
+        used.extend((point, pluckers, values)
+                    for (point, _), (pluckers, values) in zip(target.drawn, points))
         return points
 
     monkeypatch.setattr(programs.Target, "points", recording)
@@ -421,18 +426,18 @@ def subsets_plan(k, ambient):
 
 
 def assert_replays(used, flag, trials):
-    """Each recorded point is the reduction of the stream's matrix: a plan
-    of every coordinate, run there, gives its minors, and the lift values
-    the check read are among them."""
+    """Each recorded point is the stream's (t, M), with the stream's grid
+    values, and each lift value the check read there is the minor of the
+    matrix the point stands for."""
     k, ambient = flag.target_grassmannian
-    stream, plan = replayed_stream(k, ambient, trials), subsets_plan(k, ambient)
+    stream = replayed_stream(k, ambient, trials)
     assert len(used) == trials, flag.heading()
-    for (echelon, pluckers, values), (matrix, expected) in zip(used, stream):
+    for (point, pluckers, values), (expected_point, expected) in zip(used, stream):
+        assert point == expected_point, flag.heading()
         assert values == expected, flag.heading()
-        coordinates = plan.run(echelon, DEFAULT_PRIME)
-        for idx in plan.indices[k]:
-            assert coordinates[idx] == minor(matrix, idx, DEFAULT_PRIME), (flag.heading(), idx)
-        assert pluckers.items() <= coordinates.items(), flag.heading()
+        matrix = chart_matrix(point)
+        for idx, value in pluckers.items():
+            assert value == minor(matrix, idx, DEFAULT_PRIME), (flag.heading(), idx)
 
 
 @pytest.mark.parametrize("trials", [3, 20, 25])
@@ -482,7 +487,7 @@ def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch)
         assert (target.prime, target.master_seed, target.trials) == (prime, seed, trials)
         assert len(target.drawn) == trials
     assert shared.cache_info().currsize == 5
-    draw, zero = programs.random_matrix_point, [[0] * 8] * 4
+    draw, zero = programs.random_matrix_point, [[0] * 4] * 4
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(ProgramError):
         verify_theorem(flag, trials=5)
@@ -495,47 +500,42 @@ def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch)
 
 def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
     """Each type that samples, the first on a fresh target too, runs one
-    plan of its lifts at its target's ``trials`` saved reductions; each
-    drawn matrix is reduced once, and no lift run reduces one.  The draw,
-    made once, runs a plan of exactly the grid dictionary's index sets."""
-    runs, reduced, plans = [], [], []
-    run, reduce_rows = EvaluationPlan.run, programs.reduce_rows
+    plan of its lifts at its target's ``trials`` saved points, and no lift
+    run draws one.  The draw, made once, runs a plan of exactly the grid
+    dictionary's index sets once at each drawn point."""
+    runs, plans = [], []
+    run = EvaluationPlan.run
     sample, target_points = programs.sample_nonsingular_point, programs.Target.points
 
-    def counted_run(plan, echelon, p):
-        runs.append((plan, echelon))
-        return run(plan, echelon, p)
-
-    def counted_reduce_rows(matrix, m, p):
-        reduced.append(matrix)
-        return reduce_rows(matrix, m, p)
+    def counted_run(plan, point, p):
+        runs.append((plan, point))
+        return run(plan, point, p)
 
     def recording_sample(dictionary, rows, cols, prime, rng, plan):
         plans.append(plan)
         return sample(dictionary, rows, cols, prime, rng, plan)
 
-    def reducing_none(target, lifts):
+    def drawing_none(target, lifts):
         target.drawn        # a first call draws here, before its run
-        before = len(reduced)
+        before = counts["points"]
         points = target_points(target, lifts)
-        assert len(reduced) == before
+        assert counts["points"] == before
         return points
 
     counts = sampled_work(monkeypatch)
     monkeypatch.setattr(EvaluationPlan, "run", counted_run)
-    monkeypatch.setattr(programs, "reduce_rows", counted_reduce_rows)
     monkeypatch.setattr(programs, "sample_nonsingular_point", recording_sample)
-    monkeypatch.setattr(programs.Target, "points", reducing_none)
+    monkeypatch.setattr(programs.Target, "points", drawing_none)
     for flag in GR48[:2]:
         assert touched_kept(flag)
-        runs.clear()
+        start = len(runs)
         assert verify_theorem(flag, trials=4).passed
-        lift_runs = [(plan, echelon) for plan, echelon in runs if plan is not plans[0]]
+        lift_runs = [(plan, point) for plan, point in runs[start:] if plan is not plans[0]]
         drawn = programs._shared_target(4, 8, DEFAULT_PRIME, 0, 4).drawn
         assert len(lift_runs) == len(drawn) == 4, flag.heading()
         assert all(plan is lift_runs[0][0] for plan, _ in lift_runs), flag.heading()
-        assert all(echelon is saved for (_, echelon), (saved, _) in zip(lift_runs, drawn))
-    assert len(reduced) == counts["points"] == 4
+        assert all(point is saved for (_, point), (saved, _) in zip(lift_runs, drawn))
+    assert sum(plan is plans[0] for plan, _ in runs) == counts["points"] == 4
     assert len(plans) == 4 and all(plan is plans[0] for plan in plans)
     grid = GrassmannianSeed(4, 8).seed.dictionary
     expected = {idx for poly in grid.values() for mono in poly.terms for idx in mono}
@@ -543,28 +543,32 @@ def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
     assert sorted(plans[0].indices[4]) == sorted(expected)
 
 
-def test_kept_points_have_the_generic_pivots():
-    """The draw rejects a point where P_{[1,k]}, the grid's unit coordinate,
-    vanishes, so every saved reduction of every target of the types with
-    n <= 6 has pivots {1, ..., k}, and a plan run at all of them compiles
-    one program."""
+def test_kept_points_are_scaled_charts():
+    """Every saved point (t, M) of every target Gr(k; N) of the types with
+    n <= 6 has t != 0 and a k x (N - k) chart, the grid's ``unit``
+    coordinate P_{[1,k]} has the value t there, and a plan run at all of
+    the target's points compiles one program."""
     targets = {flag.target_grassmannian for flag in all_flag_types(6, 5)}
     assert len(targets) == 25
     trials = programs.DEFAULT_TRIALS
     for k, ambient in sorted(targets):
         target = programs._shared_target(k, ambient, DEFAULT_PRIME, 0, trials)
-        assert [echelon[1] for echelon, _ in target.drawn] == [{j: j - 1 for j in range(1, k + 1)}] * trials
+        unit = target.gr.extra_id
+        assert target.gr.seed.dictionary[unit] == PluckerPoly.variable(range(1, k + 1))
         plan = EvaluationPlan(target.gr.seed.dictionary.values())
-        for echelon, _ in target.drawn:
-            plan.run(echelon, DEFAULT_PRIME)
+        assert len(target.drawn) == trials
+        for (t, chart), values in target.drawn:
+            assert 0 < t < DEFAULT_PRIME and values[unit] == t, (k, ambient)
+            assert len(chart) == k and {len(row) for row in chart} == {ambient - k}
+            plan.run((t, chart), DEFAULT_PRIME)
         assert len(plan._programs) == 1, (k, ambient)
 
 
-def test_plan_runs_only_read_the_saved_reductions():
-    """Every type with n <= 6 runs its lift plans at the saved reductions
-    of its target, and a plan of every coordinate runs there after them;
-    each target's saved reductions and values still equal a deep copy
-    taken right after the draw."""
+def test_plan_runs_only_read_the_saved_points():
+    """Every type with n <= 6 runs its lift plans at the saved points of
+    its target, and a plan of every coordinate runs there after them; each
+    target's saved points and values still equal a deep copy taken right
+    after the draw."""
     saved = {}
     for flag in all_flag_types(6, 5):
         target = programs._shared_target(*flag.target_grassmannian, DEFAULT_PRIME, 0,
@@ -575,8 +579,8 @@ def test_plan_runs_only_read_the_saved_reductions():
     assert len(saved) == 25
     for target, drawn in saved.items():
         plan = subsets_plan(target.gr.k, target.gr.n)
-        for echelon, _ in target.drawn:
-            plan.run(echelon, DEFAULT_PRIME)
+        for point, _ in target.drawn:
+            plan.run(point, DEFAULT_PRIME)
         assert target.drawn == drawn, (target.gr.k, target.gr.n)
 
 
@@ -608,7 +612,7 @@ def test_memo_never_serves_a_changed_dictionary(dims, n, monkeypatch):
 def test_runs_leave_the_shared_target_unchanged():
     """Every type with n <= 6 on Gr(4; 8) runs on one ``Target``; afterwards
     its grid seed is that of a fresh ``GrassmannianSeed(4, 8)`` and its saved
-    reductions and values still replay the seed's stream."""
+    points and values still replay the seed's stream."""
     from clusterflag.cli import seed_to_dict
 
     flags = [flag for flag in all_flag_types(6, 5) if flag.target_grassmannian == (4, 8)]
@@ -618,7 +622,7 @@ def test_runs_leave_the_shared_target_unchanged():
     target = programs._shared_target(4, 8, DEFAULT_PRIME, 0, 3)
     assert programs._shared_target.cache_info().currsize == 1
     assert seed_to_dict(target.gr.seed) == seed_to_dict(GrassmannianSeed(4, 8).seed)
-    saved = [(echelon, {}, values) for echelon, values in target.drawn]
+    saved = [(point, {}, values) for point, values in target.drawn]
     assert_replays(saved, flags[0], 3)
 
 
@@ -817,6 +821,31 @@ def test_mutant_untouched_lift_sign(dims, n, monkeypatch):
     program = general_flag_program(flag)
     mutated = {gr.vertex_at(step.row, step.col) for step in program.mutations}
     assert run_program(gr, program).mapping[flipped_vids[0]] not in mutated
+
+
+@pytest.mark.parametrize("dims, n", [((2, 4), 6), ((2, 5), 8)])
+def test_mutant_kept_expansion_times_unit(dims, n, monkeypatch):
+    """One sampled kept vertex's Laurent expansion multiplied by the grid's
+    ``unit`` generator, that is by P_{[1,k]}: quivers, tableaux and gradings
+    are untouched, and P_{[1,k]} is 1 on every chart [I | M], so only the
+    scale t of the points tells."""
+    run = programs.run_program
+
+    def times_unit(gr, program):
+        result = run(gr, program)
+        restricted = result.restricted
+        vid = next(v for v in sorted(restricted.variables)
+                   if restricted.variables[v].laurent != LaurentExpr.generator(restricted.nvars, v))
+        state = restricted.variables[vid]
+        unit = LaurentExpr.generator(restricted.nvars, gr.extra_id)
+        variables = {**restricted.variables, vid: VariableState(state.laurent * unit, state.tableau)}
+        return dataclasses.replace(
+            result, restricted=Seed(restricted.quiver, variables, restricted.dictionary))
+
+    monkeypatch.setattr(programs, "run_program", times_unit)
+    failed = failed_checks(FlagType(dims, n))
+    assert list(failed) == [VALUES]
+    assert failed[VALUES].startswith("trial 0 at ")
 
 
 def doubled_grid(k, n):

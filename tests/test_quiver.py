@@ -23,10 +23,11 @@ from clusterflag.quiver import (
 )
 from clusterflag.cli import seed_to_dict
 from clusterflag.flags import GrassmannianSeed
-from clusterflag.plucker import DEFAULT_PRIME, EvaluationPlan, PluckerPoly, random_matrix_point, reduce_rows
+from clusterflag.plucker import DEFAULT_PRIME, EvaluationPlan, PluckerPoly, random_matrix_point
 from clusterflag.tableaux import Tableau, from_columns, one_column
 
-from support import matrix_mutation_oracle, quiver_differences, random_quiver, random_tableau, seeds_equal
+from support import (chart_matrix, matrix_mutation_oracle, minors, quiver_differences, random_quiver,
+                     random_tableau, seeds_equal)
 
 
 def rand_laurent(rng: random.Random, nvars: int, nterms: int = 3) -> LaurentExpr:
@@ -403,7 +404,7 @@ def test_grassmannian_square_exchange_values():
     rng, p = random.Random(0), DEFAULT_PRIME
     plan = EvaluationPlan(PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 5), 2))
     for _ in range(20):
-        pt = plan.run(reduce_rows(random_matrix_point(2, 4, p, rng), 2, p), p)
+        pt = plan.run((rng.randrange(1, p), random_matrix_point(2, 2, p, rng)), p)
         vals = [poly.evaluate(pt, p) for poly in seed.dictionary.values()]
         if not all(vals):
             continue
@@ -446,7 +447,7 @@ def test_variable_values_track_laurent():
         seed = seed.mutate(vid)
     rng, p = random.Random(1), DEFAULT_PRIME
     plan = EvaluationPlan(PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 6), 2))
-    pt = plan.run(reduce_rows(random_matrix_point(2, 5, p, rng), 2, p), p)
+    pt = plan.run((rng.randrange(1, p), random_matrix_point(2, 3, p, rng)), p)
     values = [poly.evaluate(pt, p) for poly in seed.dictionary.values()]
     for st in seed.variables.values():
         (column,) = st.tableau.columns()
@@ -455,34 +456,36 @@ def test_variable_values_track_laurent():
 
 def test_initial_values_raise_on_vanishing(monkeypatch):
     """A point at which an initial variable vanishes is skipped, and a
-    sampler that finds no other point raises.  Each drawn matrix, the
-    skipped ones included, is reduced once."""
+    sampler that finds no other point raises.  Each attempt draws its scale
+    first, then its chart, and runs the plan once, the skipped ones
+    included; the kept point's values are those of the matrix it stands for."""
     import clusterflag.programs as programs
 
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
     plan = EvaluationPlan(dictionary.values())
-    zero, good = [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 2, 3, 4], [0, 1, 2, 4]]
-    at_zero, at_good = (plan.run(reduce_rows(matrix, 2, 7), 7) for matrix in (zero, good))
-    assert 0 in [poly.evaluate(at_zero, 7) for poly in dictionary.values()]
-    reduced = []
+    zero, good = [[0, 0], [0, 0]], [[3, 4], [2, 4]]
+    assert 0 in [poly.evaluate(plan.run((1, zero), 7), 7) for poly in dictionary.values()]
+    run, runs = EvaluationPlan.run, []
 
-    def counted_reduce_rows(matrix, m, p):
-        reduced.append(matrix)
-        return reduce_rows(matrix, m, p)
+    def counted_run(plan, point, p):
+        runs.append(point)
+        return run(plan, point, p)
 
     draws = iter([zero, good])
-    monkeypatch.setattr(programs, "reduce_rows", counted_reduce_rows)
+    monkeypatch.setattr(EvaluationPlan, "run", counted_run)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: next(draws))
-    echelon, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
-    assert echelon == reduce_rows(good, 2, 7)
+    point, values = programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
+    rng = random.Random(0)
+    scales = [rng.randrange(1, 7), rng.randrange(1, 7)]
+    assert runs == [(scales[0], zero), (scales[1], good)] and point == runs[1]
+    at_good = minors(chart_matrix(point), 7)
     assert values == [poly.evaluate(at_good, 7) for poly in dictionary.values()]
     assert all(values)
-    assert len(reduced) == 2 and reduced[0] is zero and reduced[1] is good
-    reduced.clear()
+    runs.clear()
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: zero)
     with pytest.raises(programs.ProgramError):
         programs.sample_nonsingular_point(dictionary, 2, 4, 7, random.Random(0), plan)
-    assert len(reduced) == 100
+    assert len(runs) == 100
 
 
 def test_sampled_values_follow_positions_not_insertion_order(monkeypatch):
@@ -493,10 +496,10 @@ def test_sampled_values_follow_positions_not_insertion_order(monkeypatch):
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
     shuffled = dict(reversed(dictionary.items()))
     assert list(shuffled) != sorted(shuffled)
-    good = [[1, 2, 3, 4], [0, 1, 2, 4]]
+    good = [[3, 4], [2, 4]]
     plan = EvaluationPlan(shuffled.values())
-    at_good = plan.run(reduce_rows(good, 2, 7), 7)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: good)
-    _, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0), plan)
+    point, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0), plan)
+    at_good = minors(chart_matrix(point), 7)
     assert values == [dictionary[pos].evaluate(at_good, 7) for pos in range(len(dictionary))]
     assert values != [poly.evaluate(at_good, 7) for poly in shuffled.values()]
