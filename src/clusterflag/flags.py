@@ -8,11 +8,16 @@ Bounded faces away from the x-axis are the seed vertices, and every cell
 maps straight to its face's vertex id; faces touching the y-axis are
 frozen.  Every arrow comes from one rule, applied along boundaries,
 crossings and the spots where levels separate: one arrow per run of equal
-consecutive (source, target) face pairs.  A face's label decodes into an
-explicit quadratic (or monomial) lift in Plucker coordinates.  Lifts and
-their padded forms depend only on a face's interval data, n and d_k, so
-one process-level memo, ``face_entry``, builds each of them once for every
-flag type that shares it.
+consecutive (source, target) face pairs.  A face's label decodes into its
+interval data (i1, d1, i2, d2), the row set [i1, d1] u [i2, d2] of an
+initial minor (one interval when i2 = 0), and ``face_entry`` is the one
+place that picks the minor's lift to Plucker coordinates with its leading
+tableau: one coordinate for a single interval or a unit vertex E_d, a
+Laplace expansion for two.  Decoding merges consecutive entries, so no face
+has adjacent intervals, and the two-interval lift refuses them.  Lifts and
+their padded forms depend only on a face's key, n and d_k, so the
+process-level memo ``face_entry`` builds each of them once for every flag
+type that shares it.
 
 The Grassmannian seed is the familiar grid of solid minors; for one-step
 flags both constructions agree vertex-for-vertex and arrow-for-arrow, which
@@ -22,15 +27,11 @@ is one of the cross-checks in the test suite.
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 from typing import Sequence
 
 from . import tableaux as tb
-from .plucker import (
-    PluckerPoly,
-    interval_minor_to_plucker,
-    laplace_initial_minor,
-    phi_star,
-)
+from .plucker import PluckerError, PluckerPoly, phi_star
 from .quiver import Quiver, Seed, VariableState, Vertex
 
 
@@ -203,6 +204,71 @@ def decompose_index_set(index_set: Sequence[int], flag: FlagType) -> tuple[int, 
     raise FlagError("more than two intervals in %s" % (idx,))
 
 
+def interval_index_set(i: int, d: int, n: int) -> tuple[int, ...]:
+    """Index set [1, i-1] u [n-d+i, n]: the coordinate of a solid minor whose
+    row interval ends at level d."""
+    if not (1 <= i <= d <= n):
+        raise tb.TableauError("need 1 <= i <= d <= n")
+    return tuple(range(1, i)) + tuple(range(n - d + i, n + 1))
+
+
+def initial_tableau(i1: int, d1: int, i2: int, d2: int, n: int) -> tb.Tableau:
+    """Leading tableau of the lift of the minor with row set [i1, d1] u
+    [i2, d2], two separated intervals (d2 may be n, in which case the lift
+    is a single Plucker coordinate and the tableau has one column).
+
+    For d2 < n the tableau has two columns
+        col1 = [1, i2-1] u [n-d2+i2, n]              (height d2)
+        col2 = [1, i1-1] u [n-d2-d1+i2+i1-1, n-d2+i2-1]  (height d1)
+    """
+    if not (1 <= i1 <= d1 and d1 + 1 < i2 <= d2 <= n):
+        raise tb.TableauError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 <= n")
+    if d2 == n:
+        # the expansion collapses to one surviving Plucker coordinate
+        return tb.one_column(tuple(range(1, i1)) + tuple(range(i2 - d1 + i1 - 1, i2)))
+    col1 = tuple(range(1, i2)) + tuple(range(n - d2 + i2, n + 1))
+    col2 = tuple(range(1, i1)) + tuple(range(n - d2 - d1 + i2 + i1 - 1, n - d2 + i2))
+    return tb.from_columns([col1, col2])
+
+
+def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> PluckerPoly:
+    """Lift of the minor with row set [i1, d1] u [i2, d2], two separated
+    intervals, as a quadratic expression in Plucker coordinates (degree one
+    when it collapses).
+
+    Expansion: sum over J inside [l, n] of size d1-i1+1 (l = n-d1-d2+i1+i2-1)
+    of +- P_{[1,i1-1] u J} P_{[1,i2-1] u J^c}; terms with repeated indices
+    vanish.  When d2 = n the second factor is the full determinant, which is
+    1 on the unipotent patch, so the expansion collapses to one Plucker
+    coordinate.  The global sign is normalized so that the standard monomial
+    of the leading tableau has coefficient +1.
+    """
+    if not (1 <= i1 <= d1 and d1 + 1 < i2 <= d2 <= n):
+        raise PluckerError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 <= n")
+    low = n - d1 - d2 + i1 + i2 - 1
+    window = range(low, n + 1)
+    size = d1 - i1 + 1
+    base_sign = sum(range(i1, d1 + 1))
+    head1 = tuple(range(1, i1))
+    head2 = tuple(range(1, i2))
+    terms = []
+    for J in combinations(window, size):
+        sign = (-1) ** (base_sign + sum(J))
+        first = head1 + J
+        second = head2 + tuple(x for x in window if x not in J)
+        if d2 < n:
+            terms.append(([first, second], sign))
+        elif len(set(second)) == len(second):
+            # second factor would be the full determinant: drop it, keeping
+            # only the terms where it has no repeated index
+            terms.append(([first], sign))
+    out = PluckerPoly(terms)
+    lead_coeff = out.coefficient(initial_tableau(i1, d1, i2, d2, n).columns())
+    if lead_coeff == 0:
+        raise PluckerError("leading standard monomial missing from expansion")
+    return -out if lead_coeff < 0 else out
+
+
 @functools.cache
 def face_entry(i1: int, d1: int, i2: int, d2: int, n: int, dk: int) -> tuple[PluckerPoly, tb.Tableau]:
     """The (polynomial, tableau) of the face with interval data (i1, d1, i2,
@@ -214,20 +280,10 @@ def face_entry(i1: int, d1: int, i2: int, d2: int, n: int, dk: int) -> tuple[Plu
         poly, tab = face_entry(i1, d1, i2, d2, n, 0)
         levels = {d1, d2, dk} - {0, n}  # the flag levels the lift's indices can have
         return phi_star(poly, levels, n), tb.fill_up(tab, levels, n)
-    if i1 == 0:
-        prefix = range(1, d1 + 1)
-        return PluckerPoly.variable(prefix), tb.one_column(prefix)
     if i2 == 0:
-        return interval_minor_to_plucker(i1, d1, n), tb.one_column(tb.interval_index_set(i1, d1, n))
-    return laplace_initial_minor(i1, d1, i2, d2, n), tb.initial_tableau(i1, d1, i2, d2, n)
-
-
-def lift_index_set(index_set: Sequence[int], flag: FlagType, dk: int = 0) -> tuple[PluckerPoly, tb.Tableau]:
-    """The seed variable attached to a face label: a Plucker polynomial on
-    the flag variety together with its leading tableau, padded to height
-    ``dk`` when it is given.  The label is checked against ``flag`` on every
-    call; the entry comes from ``face_entry``."""
-    return face_entry(*decompose_index_set(index_set, flag), flag.n, dk)
+        idx = interval_index_set(i1, d1, n) if i1 else range(1, d1 + 1)
+        return PluckerPoly.variable(idx), tb.one_column(idx)
+    return laplace_initial_minor(i1, d1, i2, d2, n), initial_tableau(i1, d1, i2, d2, n)
 
 
 def build_flag_quiver(arr: Arrangement, vertices: list[Vertex], unit_vertex: dict) -> Quiver:
@@ -272,7 +328,8 @@ def build_flag_quiver(arr: Arrangement, vertices: list[Vertex], unit_vertex: dic
 class FlagSeed:
     """Initial seed of a partial flag variety, with face bookkeeping: vertex
     i is the face ``arrangement.faces[i]``, followed by one frozen vertex
-    E_d per level d."""
+    E_d per level d.  ``keys[i]`` is vertex i's ``face_entry`` key: a face's
+    interval data, or (0, d, 0, 0) for E_d."""
 
     def __init__(self, flag: FlagType):
         self.flag = flag
@@ -284,10 +341,10 @@ class FlagSeed:
             Vertex(vid, "F{%s}" % ",".join(map(str, face.index_set)), face.frozen)
             for vid, face in enumerate(faces)
         ]
-        entries = {vid: lift_index_set(face.index_set, flag) for vid, face in enumerate(faces)}
-        for d, vid in self.unit_vertex.items():
-            vertices.append(Vertex(vid, "E%d" % d, True))
-            entries[vid] = face_entry(0, d, 0, 0, flag.n, 0)
+        vertices += [Vertex(vid, "E%d" % d, True) for d, vid in self.unit_vertex.items()]
+        self.keys = [decompose_index_set(face.index_set, flag) for face in faces]
+        self.keys += [(0, d, 0, 0) for d in self.unit_vertex]
+        entries = {vid: face_entry(*key, flag.n, 0) for vid, key in enumerate(self.keys)}
         quiver = build_flag_quiver(arr, vertices, self.unit_vertex)
         self.seed = Seed.initial(quiver, entries)
 
@@ -310,7 +367,7 @@ class GrassmannianSeed:
         for r in range(1, self.rows + 1):
             for c in range(1, self.cols + 1):
                 vid = len(vertices)
-                idx = tb.interval_index_set(c, k, n - r + 1)
+                idx = interval_index_set(c, k, n - r + 1)
                 vertices.append(Vertex(vid, "r%dc%d" % (r, c), r == 1 or c == 1))
                 entries[vid] = (PluckerPoly.variable(idx), tb.one_column(idx))
                 self.grid[(r, c)] = vid
@@ -355,9 +412,7 @@ def embedded_flag_seed(flag_seed: FlagSeed) -> Seed:
     phi-star applied and tableaux are padded to height d_k, so the seed is
     graded by degree.  Laurent data and the quiver are unchanged."""
     flag, seed = flag_seed.flag, flag_seed.seed
-    dk = flag.dims[-1]
-    padded = [lift_index_set(face.index_set, flag, dk) for face in flag_seed.arrangement.faces]
-    padded += [face_entry(0, d, 0, 0, flag.n, dk) for d in flag_seed.unit_vertex]
+    padded = [face_entry(*key, flag.n, flag.dims[-1]) for key in flag_seed.keys]
     variables = {
         vid: VariableState(st.laurent, padded[vid][1]) for vid, st in seed.variables.items()
     }

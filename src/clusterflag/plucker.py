@@ -2,7 +2,8 @@ r"""Exact arithmetic in Plucker coordinates and the numeric evaluation oracle.
 
 Variables are Plucker coordinates P_I indexed by strictly increasing tuples.
 Polynomials are sparse integer combinations of monomials (multisets of index
-tuples).  Identity testing is randomized: evaluate both sides at random
+tuples).  ``phi_star`` pads a flag polynomial into the big Grassmannian; the
+lifts it pads are built in ``flags``.  Identity testing is randomized: evaluate both sides at random
 points of the big cell P_{[1,m]} != 0 of Gr(m; N) over F_p (p a large prime).
 
 A point is a scale and a chart (t, M): t in F_p^* and M an m x (N - m)
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .tableaux import TableauError, initial_tableau, interval_index_set, pad_index
+from .tableaux import TableauError, pad_index
 
 
 class PluckerError(ValueError):
@@ -179,61 +180,6 @@ def phi_star(poly: PluckerPoly, dims: Sequence[int], n: int) -> PluckerPoly:
     except TableauError as exc:
         raise PluckerError(str(exc)) from None
     return poly if padded == poly else padded
-
-
-# -- solid and two-interval minors ------------------------------------------
-
-
-def interval_minor_to_plucker(i: int, d: int, n: int) -> PluckerPoly:
-    """Lift of the solid minor with row interval [i, d]: a single Plucker
-    coordinate."""
-    return PluckerPoly.variable(interval_index_set(i, d, n))
-
-
-def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> PluckerPoly:
-    """Lift of the minor with row set [i1, d1] u [i2, d2] as a quadratic
-    expression in Plucker coordinates (degree one when it collapses).
-
-    Expansion: sum over J inside [l, n] of size d1-i1+1 (l = n-d1-d2+i1+i2-1)
-    of +- P_{[1,i1-1] u J} P_{[1,i2-1] u J^c}; terms with repeated indices
-    vanish.  When d2 = n the second factor is the full determinant, which is
-    1 on the unipotent patch, so the expansion collapses to one Plucker
-    coordinate.  The global sign is normalized so that the standard monomial
-    of the leading tableau has coefficient +1.
-    """
-    if not (1 <= i1 <= d1 < i2 <= d2 <= n):
-        raise PluckerError("need 1 <= i1 <= d1 < i2 <= d2 <= n")
-    if i2 == d1 + 1 and d2 < n:
-        # adjacent intervals merge: the row set is the single interval
-        # [i1, d2] and the lift is one solid-minor coordinate
-        return interval_minor_to_plucker(i1, d2, n)
-    from itertools import combinations
-
-    low = n - d1 - d2 + i1 + i2 - 1
-    window = range(low, n + 1)
-    size = d1 - i1 + 1
-    base_sign = sum(range(i1, d1 + 1))
-    head1 = tuple(range(1, i1))
-    head2 = tuple(range(1, i2))
-    terms = []
-    for J in combinations(window, size):
-        sign = (-1) ** (base_sign + sum(J))
-        first = head1 + J
-        second = head2 + tuple(x for x in window if x not in J)
-        if d2 < n:
-            terms.append(([first, second], sign))
-        elif len(set(second)) == len(second):
-            # second factor would be the full determinant: drop it, keeping
-            # only the terms where it has no repeated index
-            terms.append(([first], sign))
-    out = PluckerPoly(terms)
-    lead = initial_tableau(i1, d1, i2, d2, n)
-    lead_coeff = out.coefficient(lead.columns())
-    if lead_coeff == 0:
-        raise PluckerError("leading standard monomial missing from expansion")
-    if lead_coeff < 0:
-        out = -out
-    return out
 
 
 # -- evaluation points -------------------------------------------------------

@@ -519,7 +519,8 @@ def quivers_agree(q1: Quiver, q2: Quiver, mapping: Mapping[int, int]) -> list[st
     """Compare two quivers under a vertex bijection; returns mismatch
     descriptions (empty when they agree)."""
     problems = []
-    if set(mapping) != set(q1.vertices) or set(mapping.values()) != set(q2.vertices):
+    image = set(mapping.values())
+    if set(mapping) != set(q1.vertices) or image != set(q2.vertices) or len(image) != len(mapping):
         problems.append("vertex map is not a bijection between the quivers")
         return problems
     for vid, v in q1.vertices.items():

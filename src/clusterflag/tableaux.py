@@ -8,7 +8,10 @@ the ones the mutation machinery needs:
 * ``union``: row-wise multiset merge (the monoid product),
 * ``quotient``: row-wise multiset difference (partial inverse),
 * ``dominance_compare``: the order used to pick the leading exchange term,
-* ``tableau_mutation``: the combinatorial shadow of a cluster mutation.
+* ``tableau_mutation``: the combinatorial shadow of a cluster mutation,
+* ``pad_index`` and ``fill_up``: the padding of phi-star.
+
+The leading tableaux of the seed's face lifts are built in ``flags``.
 
 Entries are positive integers; rows are weakly increasing, columns strictly
 increasing, row lengths weakly decreasing.
@@ -205,7 +208,7 @@ def dominance_compare(s: Tableau, t: Tableau) -> str:
     return "less" if le else "greater"
 
 
-# -- embeddings and seed tableaux -----------------------------------------
+# -- embeddings -----------------------------------------------------------
 
 
 def pad_index(idx: Sequence[int], dims: Sequence[int], n: int) -> tuple[int, ...]:
@@ -226,37 +229,6 @@ def fill_up(t: Tableau, dims: Sequence[int], n: int) -> Tableau:
     itself."""
     padded = from_columns([pad_index(c, dims, n) for c in t.columns()])
     return t if padded == t else padded
-
-
-def interval_index_set(i: int, d: int, n: int) -> tuple[int, ...]:
-    """Index set [1, i-1] u [n-d+i, n]: the coordinate of a solid minor whose
-    row interval ends at level d."""
-    if not (1 <= i <= d <= n):
-        raise TableauError("need 1 <= i <= d <= n")
-    return tuple(range(1, i)) + tuple(range(n - d + i, n + 1))
-
-
-def initial_tableau(i1: int, d1: int, i2: int, d2: int, n: int) -> Tableau:
-    """Leading tableau of the seed variable attached to the index set
-    [i1, d1] u [i2, d2] (d2 may be n, in which case the variable is a single
-    Plucker coordinate and the tableau has one column).
-
-    For d2 < n the tableau has two columns
-        col1 = [1, i2-1] u [n-d2+i2, n]              (height d2)
-        col2 = [1, i1-1] u [n-d2-d1+i2+i1-1, n-d2+i2-1]  (height d1)
-    """
-    if not (1 <= i1 <= d1 < i2 <= d2 <= n):
-        raise TableauError("need 1 <= i1 <= d1 < i2 <= d2 <= n")
-    if d2 == n:
-        # the expansion collapses to one surviving Plucker coordinate
-        col = tuple(range(1, i1)) + tuple(range(i2 - d1 + i1 - 1, i2))
-        return one_column(col)
-    if i2 == d1 + 1:
-        # adjacent intervals merge into the single interval [i1, d2]
-        return one_column(interval_index_set(i1, d2, n))
-    col1 = tuple(range(1, i2)) + tuple(range(n - d2 + i2, n + 1))
-    col2 = tuple(range(1, i1)) + tuple(range(n - d2 - d1 + i2 + i1 - 1, n - d2 + i2))
-    return from_columns([col1, col2])
 
 
 # -- mutation -------------------------------------------------------------

@@ -8,13 +8,8 @@ import itertools
 import random
 import time
 
-from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed
-from clusterflag.plucker import (
-    DEFAULT_PRIME,
-    PluckerPoly,
-    laplace_initial_minor,
-    phi_star,
-)
+from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed, laplace_initial_minor
+from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, phi_star
 from clusterflag.programs import (
     expected_mutation_count,
     general_flag_program,

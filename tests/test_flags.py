@@ -15,18 +15,14 @@ from clusterflag.flags import (
     decompose_index_set,
     embedded_flag_seed,
     face_entry,
-    lift_index_set,
+    initial_tableau,
+    laplace_initial_minor,
     sigma_draw,
 )
-from clusterflag.plucker import (
-    DEFAULT_PRIME,
-    PluckerPoly,
-    laplace_initial_minor,
-    phi_star,
-)
+from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, phi_star
 from clusterflag.programs import general_flag_program, run_program
 from clusterflag.quiver import tableau_weight
-from clusterflag.tableaux import fill_up, initial_tableau, one_column
+from clusterflag.tableaux import fill_up, one_column
 
 from support import (
     all_flag_types,
@@ -150,14 +146,22 @@ def test_decompose_index_set():
         decompose_index_set((2, 5), flag)           # second run at wrong level
 
 
-def test_lift_index_set():
+def test_face_keys_and_entries():
+    """A flag seed's keys are its faces' interval data, then (0, d, 0, 0)
+    per level; a single interval lifts to one coordinate, two separated
+    ones to their Laplace expansion, and E_d to P_{[1,d]}."""
     flag = FlagType((2, 4), 5)
-    poly, tab = lift_index_set((2,), flag)
-    assert poly == PluckerPoly.variable((1, 5))
-    assert tab == one_column([1, 5])
-    poly, tab = lift_index_set((2, 4), flag)
-    assert poly == laplace_initial_minor(2, 2, 4, 4, 5)
-    assert tab == initial_tableau(2, 2, 4, 4, 5)
+    fs = FlagSeed(flag)
+    faces = fs.arrangement.faces
+    assert fs.keys == [decompose_index_set(f.index_set, flag) for f in faces] + [(0, 2, 0, 0), (0, 4, 0, 0)]
+    key = {face.index_set: k for face, k in zip(faces, fs.keys)}
+    assert face_entry(*key[(2,)], 5, 0) == (PluckerPoly.variable((1, 5)), one_column([1, 5]))
+    assert face_entry(*key[(2, 4)], 5, 0) == (
+        laplace_initial_minor(2, 2, 4, 4, 5), initial_tableau(2, 2, 4, 4, 5)
+    )
+    assert face_entry(0, 4, 0, 0, 5, 0) == (PluckerPoly.variable((1, 2, 3, 4)), one_column([1, 2, 3, 4]))
+    for vid, k in enumerate(fs.keys):
+        assert fs.seed.dictionary[vid] == face_entry(*k, 5, 0)[0]
 
 
 def test_weight_of_index_set():
@@ -416,7 +420,8 @@ def test_padding_that_changes_nothing_keeps_the_entry():
     flag = FlagType((2, 4), 6)
     kept = 0
     for face in Arrangement(flag).faces:
-        (poly, tab), padded = lift_index_set(face.index_set, flag), lift_index_set(face.index_set, flag, 4)
+        key = decompose_index_set(face.index_set, flag)
+        (poly, tab), padded = face_entry(*key, 6, 0), face_entry(*key, 6, 4)
         full = all(len(idx) == 4 for mono in poly.terms for idx in mono)
         assert (padded[0] is poly) == full, face
         assert (padded[1] is tab) == all(len(col) == 4 for col in tab.columns()) == full, face

@@ -8,7 +8,15 @@ import pytest
 import sympy
 
 from clusterflag import plucker
-from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed, embedded_flag_seed
+from clusterflag.flags import (
+    FlagSeed,
+    FlagType,
+    GrassmannianSeed,
+    embedded_flag_seed,
+    face_entry,
+    initial_tableau,
+    laplace_initial_minor,
+)
 from clusterflag.plucker import (
     DEFAULT_PRIME,
     EvaluationPlan,
@@ -18,16 +26,14 @@ from clusterflag.plucker import (
     det_mod,
     format_poly,
     index_label,
-    interval_minor_to_plucker,
     is_prime,
-    laplace_initial_minor,
     mt_coordinate,
     normalize_index,
     phi_star,
     random_matrix_point,
     sh_coordinate,
 )
-from clusterflag.tableaux import TableauError, fill_up, initial_tableau, one_column
+from clusterflag.tableaux import TableauError, fill_up, one_column
 
 from support import (
     chart_matrix,
@@ -287,8 +293,8 @@ def test_phi_star_maps_relations_to_relations():
 
 
 def test_interval_lift_examples():
-    assert interval_minor_to_plucker(1, 3, 6) == P((4, 5, 6))
-    assert interval_minor_to_plucker(2, 2, 5) == P((1, 5))
+    assert face_entry(1, 3, 0, 0, 6, 0) == (P((4, 5, 6)), one_column([4, 5, 6]))
+    assert face_entry(2, 2, 0, 0, 5, 0) == (P((1, 5)), one_column([1, 5]))
 
 
 def test_two_interval_lift_exact_polynomials():
@@ -311,7 +317,7 @@ def test_lifts_match_unipotent_minors():
             matrix = random_unipotent_point((d,), n, DEFAULT_PRIME, rng)
             pt = minors(matrix, DEFAULT_PRIME)
             for i in range(1, d + 1):
-                lift = interval_minor_to_plucker(i, d, n)
+                lift = face_entry(i, d, 0, 0, n, 0)[0]
                 rows = tuple(range(i, d + 1))
                 assert lift.evaluate(pt, DEFAULT_PRIME) == pattern_minor(matrix, rows, DEFAULT_PRIME)
     for n in range(4, 8):
@@ -320,7 +326,7 @@ def test_lifts_match_unipotent_minors():
                 matrix = random_unipotent_point((d1, d2), n, DEFAULT_PRIME, rng)
                 pt = minors(matrix, DEFAULT_PRIME)
                 for i1 in range(1, d1 + 1):
-                    for i2 in range(d1 + 1, d2 + 1):
+                    for i2 in range(d1 + 2, d2 + 1):
                         lift = laplace_initial_minor(i1, d1, i2, d2, n)
                         rows = tuple(range(i1, d1 + 1)) + tuple(range(i2, d2 + 1))
                         expect = pattern_minor(matrix, rows, DEFAULT_PRIME)
@@ -331,17 +337,17 @@ def test_two_interval_lift_leading_coefficient():
     for n in range(4, 8):
         for d1, d2 in itertools.combinations(range(1, n), 2):
             for i1 in range(1, d1 + 1):
-                for i2 in range(d1 + 1, d2 + 1):
+                with pytest.raises(PluckerError):     # adjacent: no face has them
+                    laplace_initial_minor(i1, d1, d1 + 1, d2, n)
+                for i2 in range(d1 + 2, d2 + 1):
                     lift = laplace_initial_minor(i1, d1, i2, d2, n)
                     lead = initial_tableau(i1, d1, i2, d2, n)
                     assert lift.coefficient(lead.columns()) == 1
-                    if d2 < n and i2 > d1 + 1:
+                    if d2 < n:
                         # bi-homogeneous: every term one size-d1 and one
                         # size-d2 coordinate
                         for mono in lift.terms:
                             assert sorted(len(i) for i in mono) == [d1, d2]
-                    elif i2 == d1 + 1 and d2 < n:
-                        assert lift == interval_minor_to_plucker(i1, d2, n)
 
 
 def test_two_interval_collapse_at_full_height():

@@ -244,6 +244,17 @@ def test_match_embedded_vertices_is_injective():
     assert len(set(mapping.values())) == len(mapping)
 
 
+def test_endpoint_expansions_keep_narrow_keys():
+    """Every endpoint expansion of every type with n <= 7 has 8-bit
+    monomial keys: the exponents of these programs stay within +-4, far
+    inside the +-31 that the narrow width holds, so no key is widened."""
+    flags = [flag for flag in all_flag_types(7, 6) if flag.n >= 3]
+    assert len(flags) == 119
+    for flag in flags:
+        result = run_program(GrassmannianSeed(*flag.target_grassmannian), general_flag_program(flag))
+        assert {st.laurent._bits for st in result.endpoint.variables.values()} == {8}, flag.heading()
+
+
 # -- full verification ---------------------------------------------------------------
 
 

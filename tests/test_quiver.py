@@ -248,6 +248,10 @@ def test_quivers_agree_under_relabeling():
     assert quivers_agree(q1, q2, {0: 11, 1: 10, 2: 12})      # wrong map: mismatches
     q2.add_arrow(10, 12, 1)
     assert any("extra arrow" in p for p in quivers_agree(q1, q2, {0: 10, 1: 11, 2: 12}))
+    # a map onto the second quiver's vertices that sends two vertices to one
+    assert quivers_agree(make_quiver(2, []), make_quiver(1, []), {0: 0, 1: 0}) == [
+        "vertex map is not a bijection between the quivers"
+    ]
 
 
 # -- seeds ----------------------------------------------------------------------

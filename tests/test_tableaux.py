@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterflag.flags import initial_tableau, interval_index_set
 from clusterflag.tableaux import (
     Tableau,
     TableauError,
@@ -15,8 +16,6 @@ from clusterflag.tableaux import (
     fill_up,
     pad_index,
     from_columns,
-    initial_tableau,
-    interval_index_set,
     one_column,
     quotient,
     tableau_mutation,
@@ -254,11 +253,12 @@ def test_interval_index_set():
 def test_initial_tableau_examples():
     assert initial_tableau(1, 2, 4, 4, 5) == Tableau([[1, 3], [2, 4], [3], [5]])
     assert initial_tableau(1, 2, 4, 4, 6) == Tableau([[1, 4], [2, 5], [3], [6]])
-    # adjacent intervals merge into one interval column
-    assert initial_tableau(1, 2, 3, 4, 6) == one_column(interval_index_set(1, 4, 6))
-    assert initial_tableau(2, 2, 3, 4, 6) == one_column(interval_index_set(2, 4, 6))
-    with pytest.raises(TableauError):
-        initial_tableau(3, 2, 4, 4, 6)
+    # full height: one column
+    assert initial_tableau(1, 2, 4, 5, 5) == one_column([2, 3])
+    # refused: adjacent intervals, which no face key has, and i1 > d1
+    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (3, 2, 4, 4, 6)]:
+        with pytest.raises(TableauError):
+            initial_tableau(*key)
 
 
 def test_initial_tableau_column_structure():
@@ -266,7 +266,7 @@ def test_initial_tableau_column_structure():
         for d1 in range(1, n):
             for d2 in range(d1 + 1, n):
                 for i1 in range(1, d1 + 1):
-                    for i2 in range(d1 + 2, d2 + 1):  # skip the merged case
+                    for i2 in range(d1 + 2, d2 + 1):
                         t = initial_tableau(i1, d1, i2, d2, n)
                         assert t.shape.count(2) == d1
                         assert t.num_rows == d2
