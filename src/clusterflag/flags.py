@@ -12,9 +12,10 @@ consecutive (source, target) face pairs.  A face's label decodes into its
 interval data (i1, d1, i2, d2), the row set [i1, d1] u [i2, d2] of an
 initial minor (one interval when i2 = 0), and ``face_entry`` is the one
 place that picks the minor's lift to Plucker coordinates with its leading
-tableau: one coordinate for a single interval or a unit vertex E_d, a
-Laplace expansion for two.  Decoding merges consecutive entries, so no face
-has adjacent intervals, and the two-interval lift refuses them.  Lifts and
+tableau: one coordinate for a unit vertex E_d, a single interval or a pair
+whose second interval ends at n, a Laplace expansion for any other pair.
+Decoding merges consecutive entries, so no face has adjacent intervals, and
+the Laplace expansion refuses them and full-height pairs.  Lifts and
 their padded forms depend only on a face's key, n and d_k, so the
 process-level memo ``face_entry`` builds each of them once for every flag
 type that shares it.
@@ -212,39 +213,20 @@ def interval_index_set(i: int, d: int, n: int) -> tuple[int, ...]:
     return tuple(range(1, i)) + tuple(range(n - d + i, n + 1))
 
 
-def initial_tableau(i1: int, d1: int, i2: int, d2: int, n: int) -> tb.Tableau:
-    """Leading tableau of the lift of the minor with row set [i1, d1] u
-    [i2, d2], two separated intervals (d2 may be n, in which case the lift
-    is a single Plucker coordinate and the tableau has one column).
-
-    For d2 < n the tableau has two columns
-        col1 = [1, i2-1] u [n-d2+i2, n]              (height d2)
-        col2 = [1, i1-1] u [n-d2-d1+i2+i1-1, n-d2+i2-1]  (height d1)
-    """
-    if not (1 <= i1 <= d1 and d1 + 1 < i2 <= d2 <= n):
-        raise tb.TableauError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 <= n")
-    if d2 == n:
-        # the expansion collapses to one surviving Plucker coordinate
-        return tb.one_column(tuple(range(1, i1)) + tuple(range(i2 - d1 + i1 - 1, i2)))
-    col1 = tuple(range(1, i2)) + tuple(range(n - d2 + i2, n + 1))
-    col2 = tuple(range(1, i1)) + tuple(range(n - d2 - d1 + i2 + i1 - 1, n - d2 + i2))
-    return tb.from_columns([col1, col2])
-
-
-def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> PluckerPoly:
+def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> tuple[PluckerPoly, tb.Tableau]:
     """Lift of the minor with row set [i1, d1] u [i2, d2], two separated
-    intervals, as a quadratic expression in Plucker coordinates (degree one
-    when it collapses).
+    intervals with d2 < n, as a quadratic expression in Plucker coordinates,
+    with its leading tableau of two columns
+        col1 = [1, i2-1] u [n-d2+i2, n]                   (height d2)
+        col2 = [1, i1-1] u [n-d2-d1+i2+i1-1, n-d2+i2-1]  (height d1)
 
     Expansion: sum over J inside [l, n] of size d1-i1+1 (l = n-d1-d2+i1+i2-1)
     of +- P_{[1,i1-1] u J} P_{[1,i2-1] u J^c}; terms with repeated indices
-    vanish.  When d2 = n the second factor is the full determinant, which is
-    1 on the unipotent patch, so the expansion collapses to one Plucker
-    coordinate.  The global sign is normalized so that the standard monomial
-    of the leading tableau has coefficient +1.
+    vanish.  The global sign is normalized so that the standard monomial of
+    the leading tableau has coefficient +1.
     """
-    if not (1 <= i1 <= d1 and d1 + 1 < i2 <= d2 <= n):
-        raise PluckerError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 <= n")
+    if not (1 <= i1 <= d1 and d1 + 1 < i2 <= d2 < n):
+        raise PluckerError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 < n")
     low = n - d1 - d2 + i1 + i2 - 1
     window = range(low, n + 1)
     size = d1 - i1 + 1
@@ -254,36 +236,34 @@ def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> Plucker
     terms = []
     for J in combinations(window, size):
         sign = (-1) ** (base_sign + sum(J))
-        first = head1 + J
         second = head2 + tuple(x for x in window if x not in J)
-        if d2 < n:
-            terms.append(([first, second], sign))
-        elif len(set(second)) == len(second):
-            # second factor would be the full determinant: drop it, keeping
-            # only the terms where it has no repeated index
-            terms.append(([first], sign))
+        terms.append(([head1 + J, second], sign))
     out = PluckerPoly(terms)
-    lead_coeff = out.coefficient(initial_tableau(i1, d1, i2, d2, n).columns())
+    lead = tb.from_columns([interval_index_set(i2, d2, n), interval_index_set(i1, d1, n - d2 + i2 - 1)])
+    lead_coeff = out.coefficient(lead.columns())
     if lead_coeff == 0:
         raise PluckerError("leading standard monomial missing from expansion")
-    return -out if lead_coeff < 0 else out
+    return (-out if lead_coeff < 0 else out), lead
 
 
 @functools.cache
 def face_entry(i1: int, d1: int, i2: int, d2: int, n: int, dk: int) -> tuple[PluckerPoly, tb.Tableau]:
     """The (polynomial, tableau) of the face with interval data (i1, d1, i2,
-    d2) in n, or, for i1 = 0, of the unit vertex E_{d1}, the coordinate
-    P_{[1,d1]}; for ``dk`` = d_k > 0 padded into the target Grassmannian by
-    phi-star.  Built once per process for every flag type with these
-    numbers; the entries are shared, so callers must not change them."""
+    d2) in n, or, for i1 = 0, of the unit vertex E_{d1}; for ``dk`` = d_k > 0
+    padded into the target Grassmannian by phi-star.  E_d is P_{[1,d]}; a
+    single interval, and a pair (i1, d1, i2, n) whose second factor is the
+    full determinant, 1 on the unipotent patch, lift to the coordinate of
+    the interval (i1, d1) inside n, or inside i2 - 1.  Built once per
+    process for every flag type with these numbers; the entries are shared,
+    so callers must not change them."""
     if dk:
         poly, tab = face_entry(i1, d1, i2, d2, n, 0)
         levels = {d1, d2, dk} - {0, n}  # the flag levels the lift's indices can have
         return phi_star(poly, levels, n), tb.fill_up(tab, levels, n)
-    if i2 == 0:
-        idx = interval_index_set(i1, d1, n) if i1 else range(1, d1 + 1)
+    if i2 == 0 or d2 == n:
+        idx = interval_index_set(i1, d1, i2 - 1 if i2 else n) if i1 else range(1, d1 + 1)
         return PluckerPoly.variable(idx), tb.one_column(idx)
-    return laplace_initial_minor(i1, d1, i2, d2, n), initial_tableau(i1, d1, i2, d2, n)
+    return laplace_initial_minor(i1, d1, i2, d2, n)
 
 
 def build_flag_quiver(arr: Arrangement, vertices: list[Vertex], unit_vertex: dict) -> Quiver:

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed, laplace_initial_minor
+from clusterflag.flags import FlagSeed, FlagType, GrassmannianSeed, face_entry
 from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, phi_star
 from clusterflag.programs import (
     expected_mutation_count,
@@ -145,8 +145,8 @@ def test_criterion_4_character_examples():
         - M([(1, 2, 3, 5), (4, 6)])
         + M([(1, 2, 3, 6), (4, 5)])
     )
-    got_5 = laplace_initial_minor(1, 2, 4, 4, 5)
-    got_6 = laplace_initial_minor(1, 2, 4, 4, 6)
+    got_5 = face_entry(1, 2, 4, 4, 5, 0)[0]
+    got_6 = face_entry(1, 2, 4, 4, 6, 0)[0]
     problems = []
     if got_5 != expect_5:
         problems.append("ambient 5 expansion differs")

@@ -15,18 +15,19 @@ from clusterflag.flags import (
     decompose_index_set,
     embedded_flag_seed,
     face_entry,
-    initial_tableau,
+    interval_index_set,
     laplace_initial_minor,
     sigma_draw,
 )
-from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, phi_star
+from clusterflag.plucker import DEFAULT_PRIME, PluckerError, PluckerPoly, phi_star
 from clusterflag.programs import general_flag_program, run_program
 from clusterflag.quiver import tableau_weight
-from clusterflag.tableaux import fill_up, one_column
+from clusterflag.tableaux import Tableau, TableauError, fill_up, one_column
 
 from support import (
     all_flag_types,
     arrangement_regions,
+    check_semistandard,
     column_weight,
     initial_index_sets,
     laurent_grading_problems,
@@ -149,19 +150,52 @@ def test_decompose_index_set():
 def test_face_keys_and_entries():
     """A flag seed's keys are its faces' interval data, then (0, d, 0, 0)
     per level; a single interval lifts to one coordinate, two separated
-    ones to their Laplace expansion, and E_d to P_{[1,d]}."""
+    ones to their Laplace expansion, or to one coordinate when the second
+    ends at n, and E_d to P_{[1,d]}."""
     flag = FlagType((2, 4), 5)
     fs = FlagSeed(flag)
     faces = fs.arrangement.faces
     assert fs.keys == [decompose_index_set(f.index_set, flag) for f in faces] + [(0, 2, 0, 0), (0, 4, 0, 0)]
     key = {face.index_set: k for face, k in zip(faces, fs.keys)}
     assert face_entry(*key[(2,)], 5, 0) == (PluckerPoly.variable((1, 5)), one_column([1, 5]))
-    assert face_entry(*key[(2, 4)], 5, 0) == (
-        laplace_initial_minor(2, 2, 4, 4, 5), initial_tableau(2, 2, 4, 4, 5)
-    )
+    assert face_entry(*key[(2, 4)], 5, 0) == laplace_initial_minor(2, 2, 4, 4, 5)
     assert face_entry(0, 4, 0, 0, 5, 0) == (PluckerPoly.variable((1, 2, 3, 4)), one_column([1, 2, 3, 4]))
     for vid, k in enumerate(fs.keys):
         assert fs.seed.dictionary[vid] == face_entry(*k, 5, 0)[0]
+    # full height: the face {1,2,4,5} of (2; 5) is the minor on rows 1, 2, 4, 5
+    assert (1, 2, 4, 5) in FlagSeed(FlagType((2,), 5)).keys
+    assert face_entry(1, 2, 4, 5, 5, 0) == (PluckerPoly.variable((2, 3)), one_column([2, 3]))
+
+
+def test_interval_index_set():
+    assert interval_index_set(1, 3, 6) == (4, 5, 6)
+    assert interval_index_set(2, 2, 5) == (1, 5)
+    assert interval_index_set(3, 3, 3) == (1, 2, 3)
+    with pytest.raises(TableauError):
+        interval_index_set(4, 3, 6)
+
+
+def test_leading_tableau_examples():
+    assert face_entry(1, 2, 4, 4, 5, 0)[1] == Tableau([[1, 3], [2, 4], [3], [5]])
+    assert face_entry(1, 2, 4, 4, 6, 0)[1] == Tableau([[1, 4], [2, 5], [3], [6]])
+    # full height: one column
+    assert face_entry(1, 2, 4, 5, 5, 0)[1] == one_column([2, 3])
+    # refused: adjacent intervals, which no face key has, and i1 > d1
+    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (3, 2, 4, 4, 6)]:
+        with pytest.raises(PluckerError):
+            face_entry(*key, 0)
+
+
+def test_leading_tableau_column_structure():
+    for n in range(5, 9):
+        for d1 in range(1, n):
+            for d2 in range(d1 + 1, n):
+                for i1 in range(1, d1 + 1):
+                    for i2 in range(d1 + 2, d2 + 1):
+                        t = face_entry(i1, d1, i2, d2, n, 0)[1]
+                        assert t.shape.count(2) == d1
+                        assert t.num_rows == d2
+                        assert check_semistandard(t.rows)
 
 
 def test_weight_of_index_set():

@@ -14,7 +14,6 @@ from clusterflag.flags import (
     GrassmannianSeed,
     embedded_flag_seed,
     face_entry,
-    initial_tableau,
     laplace_initial_minor,
 )
 from clusterflag.plucker import (
@@ -298,10 +297,10 @@ def test_interval_lift_examples():
 
 
 def test_two_interval_lift_exact_polynomials():
-    assert laplace_initial_minor(1, 2, 4, 4, 5) == (
+    assert laplace_initial_minor(1, 2, 4, 4, 5)[0] == (
         M([(1, 2, 3, 5), (3, 4)]) - M([(1, 2, 3, 4), (3, 5)])
     )
-    assert laplace_initial_minor(1, 2, 4, 4, 6) == (
+    assert laplace_initial_minor(1, 2, 4, 4, 6)[0] == (
         M([(1, 2, 3, 4), (5, 6)])
         - M([(1, 2, 3, 5), (4, 6)])
         + M([(1, 2, 3, 6), (4, 5)])
@@ -320,14 +319,15 @@ def test_lifts_match_unipotent_minors():
                 lift = face_entry(i, d, 0, 0, n, 0)[0]
                 rows = tuple(range(i, d + 1))
                 assert lift.evaluate(pt, DEFAULT_PRIME) == pattern_minor(matrix, rows, DEFAULT_PRIME)
+    # d2 runs up to n: the full-height pairs (i1, d1, i2, n) lift to one coordinate
     for n in range(4, 8):
-        for d1, d2 in itertools.combinations(range(1, n), 2):
+        for d1, d2 in itertools.combinations(range(1, n + 1), 2):
             for trial in range(3):
                 matrix = random_unipotent_point((d1, d2), n, DEFAULT_PRIME, rng)
                 pt = minors(matrix, DEFAULT_PRIME)
                 for i1 in range(1, d1 + 1):
                     for i2 in range(d1 + 2, d2 + 1):
-                        lift = laplace_initial_minor(i1, d1, i2, d2, n)
+                        lift = face_entry(i1, d1, i2, d2, n, 0)[0]
                         rows = tuple(range(i1, d1 + 1)) + tuple(range(i2, d2 + 1))
                         expect = pattern_minor(matrix, rows, DEFAULT_PRIME)
                         assert lift.evaluate(pt, DEFAULT_PRIME) == expect
@@ -339,20 +339,20 @@ def test_two_interval_lift_leading_coefficient():
             for i1 in range(1, d1 + 1):
                 with pytest.raises(PluckerError):     # adjacent: no face has them
                     laplace_initial_minor(i1, d1, d1 + 1, d2, n)
+                with pytest.raises(PluckerError):     # full height: one coordinate
+                    laplace_initial_minor(i1, d1, d2 + 1, n, n)
                 for i2 in range(d1 + 2, d2 + 1):
-                    lift = laplace_initial_minor(i1, d1, i2, d2, n)
-                    lead = initial_tableau(i1, d1, i2, d2, n)
+                    lift, lead = laplace_initial_minor(i1, d1, i2, d2, n)
                     assert lift.coefficient(lead.columns()) == 1
-                    if d2 < n:
-                        # bi-homogeneous: every term one size-d1 and one
-                        # size-d2 coordinate
-                        for mono in lift.terms:
-                            assert sorted(len(i) for i in mono) == [d1, d2]
+                    # bi-homogeneous: every term one size-d1 and one size-d2
+                    # coordinate
+                    for mono in lift.terms:
+                        assert sorted(len(i) for i in mono) == [d1, d2]
 
 
 def test_two_interval_collapse_at_full_height():
     # d2 = n: the second factor is the full determinant, degree drops to one
-    lift = laplace_initial_minor(1, 2, 4, 5, 5)
+    lift = face_entry(1, 2, 4, 5, 5, 0)[0]
     assert len(lift.terms) == 1
     mono = next(iter(lift.terms))
     assert len(mono) == 1 and len(mono[0]) == 2

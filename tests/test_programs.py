@@ -651,20 +651,32 @@ def face_keys(flag) -> set[tuple[int, ...]]:
 
 def test_certifying_builds_each_face_entry_once(monkeypatch):
     """Certifying every type with n <= 6 from an empty face memo builds
-    each distinct face key of those types once, and no other key."""
+    each distinct face key of those types once, and no other key; the
+    Laplace expansion runs once per unpadded pair with d2 < n, and never
+    for a full-height pair, which lifts to one coordinate."""
     built, build = [], flags_module.face_entry.__wrapped__
+    expanded, expand = [], flags_module.laplace_initial_minor
 
     def recorded(*key, **named):
         built.append(key + tuple(named.values()))
         return build(*key, **named)
 
+    def recorded_expansion(*key):
+        expanded.append(key)
+        return expand(*key)
+
     monkeypatch.setattr(flags_module, "face_entry", functools.cache(recorded))
+    monkeypatch.setattr(flags_module, "laplace_initial_minor", recorded_expansion)
     flags = all_flag_types(6, 5)
     for flag in flags:
         assert verify_theorem(flag, trials=3).passed
     keys = set().union(*map(face_keys, flags))
     assert len(keys) == 274
     assert len(built) == len(keys) and set(built) == keys
+    pairs = {key[:5] for key in keys if key[2] and not key[5]}
+    full_height = {key for key in pairs if key[3] == key[4]}
+    assert full_height and not full_height & set(expanded)
+    assert sorted(expanded) == sorted(pairs - full_height)
 
 
 def test_runs_leave_the_face_memo_unchanged():

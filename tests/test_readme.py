@@ -1,5 +1,6 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and the names it cites exist."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -11,7 +12,8 @@ from clusterflag.cli import main, seed_from_dict, seed_to_dict
 from clusterflag.flags import GrassmannianSeed
 from clusterflag.quiver import MAX_EXPONENT, LaurentError, LaurentExpr
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_examples_run():
@@ -69,3 +71,41 @@ def test_readme_states_the_kernel_bound():
         data["vertices"][3]["laurent"] = [[[0, past, 0, 0, 0], 1]]
         with pytest.raises(LaurentError, match="exponent beyond"):
             seed_from_dict(data)
+
+
+def _bound_names() -> set[str]:
+    """Every name the code under ``src/``, ``tests/`` and ``bench/`` binds:
+    a module file, def, class, assigned name or attribute, argument, or
+    string dict key."""
+    names = set()
+    for path in (ROOT / "src", ROOT / "tests", ROOT / "bench"):
+        for source in path.rglob("*.py"):
+            names.add(source.stem)
+            for node in ast.walk(ast.parse(source.read_text(), str(source))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    names.add(node.attr)
+                elif isinstance(node, ast.arg):
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(k.value for k in node.keys
+                                 if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return names
+
+
+def test_readme_names_are_defined():
+    """Each backticked name or call in README.md with a ``_`` or ``.`` in
+    it names something the code binds, by its last dotted part; only the
+    environment variable and the standard-library function are exempt."""
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    named = {
+        m.group(1) for m in map(re.compile(r"([A-Za-z_][\w.]*)(\(.*\))?").fullmatch, spans)
+        if m and ("_" in m.group(1) or "." in m.group(1))
+    }
+    assert len(named) > 25, "README.md lost its backticked names"
+    bound = _bound_names()
+    unbound = {name for name in named if name.rsplit(".", 1)[-1] not in bound}
+    assert unbound == {"CLUSTERFLAG_SEED", "itertools.combinations"}, sorted(unbound)

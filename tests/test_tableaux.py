@@ -6,7 +6,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterflag.flags import initial_tableau, interval_index_set
 from clusterflag.tableaux import (
     Tableau,
     TableauError,
@@ -237,40 +236,6 @@ def test_fill_up_shape_and_commutation():
             assert u.num_rows == max(dims)
             assert check_semistandard(u.rows)
             assert max(row[-1] for row in u.rows) <= 8 + max(dims) - min(dims)
-
-
-# -- initial tableaux -------------------------------------------------------------
-
-
-def test_interval_index_set():
-    assert interval_index_set(1, 3, 6) == (4, 5, 6)
-    assert interval_index_set(2, 2, 5) == (1, 5)
-    assert interval_index_set(3, 3, 3) == (1, 2, 3)
-    with pytest.raises(TableauError):
-        interval_index_set(4, 3, 6)
-
-
-def test_initial_tableau_examples():
-    assert initial_tableau(1, 2, 4, 4, 5) == Tableau([[1, 3], [2, 4], [3], [5]])
-    assert initial_tableau(1, 2, 4, 4, 6) == Tableau([[1, 4], [2, 5], [3], [6]])
-    # full height: one column
-    assert initial_tableau(1, 2, 4, 5, 5) == one_column([2, 3])
-    # refused: adjacent intervals, which no face key has, and i1 > d1
-    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (3, 2, 4, 4, 6)]:
-        with pytest.raises(TableauError):
-            initial_tableau(*key)
-
-
-def test_initial_tableau_column_structure():
-    for n in range(5, 9):
-        for d1 in range(1, n):
-            for d2 in range(d1 + 1, n):
-                for i1 in range(1, d1 + 1):
-                    for i2 in range(d1 + 2, d2 + 1):
-                        t = initial_tableau(i1, d1, i2, d2, n)
-                        assert t.shape.count(2) == d1
-                        assert t.num_rows == d2
-                        assert check_semistandard(t.rows)
 
 
 # -- mutation rule ----------------------------------------------------------------
