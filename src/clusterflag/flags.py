@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import tableaux as tb
-from .plucker import PluckerError, PluckerPoly, phi_star
+from .plucker import PluckerPoly, phi_star
 from .quiver import Quiver, Seed, VariableState, Vertex
 
 
@@ -209,7 +209,7 @@ def interval_index_set(i: int, d: int, n: int) -> tuple[int, ...]:
     """Index set [1, i-1] u [n-d+i, n]: the coordinate of a solid minor whose
     row interval ends at level d."""
     if not (1 <= i <= d <= n):
-        raise tb.TableauError("need 1 <= i <= d <= n")
+        raise FlagError("need 1 <= i <= d <= n")
     return tuple(range(1, i)) + tuple(range(n - d + i, n + 1))
 
 
@@ -226,7 +226,7 @@ def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> tuple[P
     the leading tableau has coefficient +1.
     """
     if not (1 <= i1 <= d1 and d1 + 1 < i2 <= d2 < n):
-        raise PluckerError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 < n")
+        raise FlagError("need 1 <= i1 <= d1, d1 + 1 < i2 <= d2 < n")
     low = n - d1 - d2 + i1 + i2 - 1
     window = range(low, n + 1)
     size = d1 - i1 + 1
@@ -242,7 +242,7 @@ def laplace_initial_minor(i1: int, d1: int, i2: int, d2: int, n: int) -> tuple[P
     lead = tb.from_columns([interval_index_set(i2, d2, n), interval_index_set(i1, d1, n - d2 + i2 - 1)])
     lead_coeff = out.coefficient(lead.columns())
     if lead_coeff == 0:
-        raise PluckerError("leading standard monomial missing from expansion")
+        raise FlagError("leading standard monomial missing from expansion")
     return (-out if lead_coeff < 0 else out), lead
 
 
@@ -253,13 +253,16 @@ def face_entry(i1: int, d1: int, i2: int, d2: int, n: int, dk: int) -> tuple[Plu
     padded into the target Grassmannian by phi-star.  E_d is P_{[1,d]}; a
     single interval, and a pair (i1, d1, i2, n) whose second factor is the
     full determinant, 1 on the unipotent patch, lift to the coordinate of
-    the interval (i1, d1) inside n, or inside i2 - 1.  Built once per
+    the interval (i1, d1) inside n, or inside i2 - 1.  A malformed key, E_d
+    outside 1 <= d < n among them, raises FlagError.  Built once per
     process for every flag type with these numbers; the entries are shared,
     so callers must not change them."""
     if dk:
         poly, tab = face_entry(i1, d1, i2, d2, n, 0)
         levels = {d1, d2, dk} - {0, n}  # the flag levels the lift's indices can have
         return phi_star(poly, levels, n), tb.fill_up(tab, levels, n)
+    if i1 == 0 and not (1 <= d1 < n and i2 == d2 == 0):
+        raise FlagError("need 1 <= d < n for the unit vertex E_d, got %s" % ((i1, d1, i2, d2, n),))
     if i2 == 0 or d2 == n:
         idx = interval_index_set(i1, d1, i2 - 1 if i2 else n) if i1 else range(1, d1 + 1)
         return PluckerPoly.variable(idx), tb.one_column(idx)

@@ -16,15 +16,16 @@ P(A) = (det A_L) * P([I | A_L^-1 A_R]), and for uniform A the pair
 
 Minors of M are condensed over F_p (Desnanot-Jacobi; Dodgson, Proc. R.
 Soc. 1866): M(r, c) M(r[1:-1], c[1:-1]) = M(r[:-1], c[:-1]) M(r[1:], c[1:])
-- M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` holds the index
-sets of a family of polynomials (for the certifier: the grid dictionary of
-a target when it draws its points, or the lifts one type samples) and
-compiles them once per size and chart width into a straight-line program
-of slot-indexed nodes, grouped by size.  ``plan.run(point, p)`` runs it at
-one point, with one batched inversion per size (Montgomery, Math. Comp.
-1987), and returns the values of the plan's index sets of size m = len(M),
-which ``PluckerPoly.evaluate`` reads.  One fallback keeps every value
-exact: a node whose interior minor is 0 mod p is computed by ``det_mod``.
+- M(r[:-1], c[1:]) M(r[1:], c[:-1]).  An ``EvaluationPlan`` of Gr(m; N)
+holds the index sets of a family of polynomials (for the certifier: the
+grid dictionary of a target when it draws its points, or the lifts one type
+samples) and compiles them, when it is built, into one straight-line
+program of slot-indexed nodes at the m x (N - m) charts, grouped by minor
+size.  ``plan.run(point, p)`` runs it at one point, with one batched
+inversion per size (Montgomery, Math. Comp. 1987), and returns the values
+of all the plan's index sets, which ``PluckerPoly.evaluate`` reads.  One
+fallback keeps every value exact: a node whose interior minor is 0 mod p
+is computed by ``det_mod``.
 An isolated minor of size 10 shares no windows and is about 6 times slower
 than elimination; the certifier evaluates none.
 """
@@ -219,82 +220,67 @@ Point = tuple[int, list[list[int]]]
 
 
 class EvaluationPlan:
-    """The index sets of some Plucker polynomials, grouped by size, with
-    their programs: one per size and chart width, compiled on first use."""
+    """The distinct index sets of some Plucker polynomials, in first-seen
+    order, each a k-subset of the columns 1..n, compiled into one
+    straight-line program at the charts M (k x (n - k)) of Gr(k; n).  Slot
+    r * (n - k) + c holds M[r][c], slot k * (n - k) holds 1, and every
+    further slot a minor of M of size 2 or more, condensed from five smaller
+    ones; the nodes (slot, the slots it reads, rows, cols) are grouped by
+    size, and each index set has an output slot and sign."""
 
-    __slots__ = ("indices", "_programs")
+    __slots__ = ("indices", "_nslots", "_levels", "_outputs")
 
-    def __init__(self, polys: Iterable[PluckerPoly]):
-        self.indices: dict[int, list[tuple[int, ...]]] = {}
-        for idx in dict.fromkeys(idx for poly in polys for mono in poly.terms for idx in mono):
-            self.indices.setdefault(len(idx), []).append(idx)
-        self._programs: dict[tuple[int, int], tuple] = {}
+    def __init__(self, polys: Iterable[PluckerPoly], k: int, n: int):
+        self.indices = list(dict.fromkeys(idx for poly in polys for mono in poly.terms for idx in mono))
+        width = n - k
+        one = k * width
+        slots: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        levels: list[list[tuple]] = [[] for _ in range(k - 1)]
+
+        def slot(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+            size = len(rows)
+            if size < 2:
+                return rows[0] * width + cols[0] if size else one
+            s = slots.get((rows, cols))
+            if s is None:
+                top, bottom, left, right = rows[:-1], rows[1:], cols[:-1], cols[1:]
+                node = (slot(top, left), slot(bottom, right), slot(top, right), slot(bottom, left),
+                        slot(rows[1:-1], cols[1:-1]), rows, cols)
+                s = slots[rows, cols] = one + 1 + len(slots)
+                levels[size - 2].append((s, *node))
+            return s
+
+        self._outputs = []
+        for index in self.indices:
+            if len(index) != k or any(not 1 <= i <= n for i in index):
+                raise PluckerError("index %s is not a %d-subset of the columns 1..%d" % (index, k, n))
+            # column i <= k of [I | M] is the unit vector e_i: it drops row i from
+            # the minor, with sign (-1)^(i - 1 + its position in the index)
+            hits = {i - 1: pos for pos, i in enumerate(index) if i <= k}
+            rows = tuple(r for r in range(k) if r not in hits)
+            cols = tuple(c - k - 1 for c in index if c > k)
+            self._outputs.append((slot(rows, cols), sum(map(sum, hits.items())) & 1))
+        self._nslots = one + 1 + len(slots)
+        self._levels = [level for level in levels if level]
 
     def run(self, point: Point, p: int) -> dict[tuple[int, ...], int]:
-        """P_I mod p at ``point = (t, M)``, which stands for t * P([I_m | M]),
-        for every index set I of the plan of size m = len(M); the point is
-        only read."""
-        chart = point[1]
-        m, width = len(chart), (len(chart[0]) if chart else 0)
-        indices = self.indices.get(m, ())
-        if (m, width) not in self._programs:
-            self._programs[m, width] = _compile(indices, m, width)
-        return dict(zip(indices, _run(self._programs[m, width], point, p)))
-
-
-def _compile(indices: Iterable[tuple[int, ...]], m: int, width: int) -> tuple:
-    """The straight-line program of ``indices``, each of size m, at a chart
-    M (m x ``width``) of [I_m | M].  Slot r * width + c holds M[r][c], slot
-    m * width holds 1, and every further slot a minor of M of size 2 or
-    more, condensed from five smaller ones.  Returns the slot count, the
-    nodes grouped by size (slot, the slots it reads, rows, cols), and each
-    index set's slot and sign."""
-    one = m * width
-    slots: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    levels: list[list[tuple]] = [[] for _ in range(m - 1)]
-
-    def slot(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        size = len(rows)
-        if size < 2:
-            return rows[0] * width + cols[0] if size else one
-        s = slots.get((rows, cols))
-        if s is None:
-            top, bottom, left, right = rows[:-1], rows[1:], cols[:-1], cols[1:]
-            node = (slot(top, left), slot(bottom, right), slot(top, right), slot(bottom, left),
-                    slot(rows[1:-1], cols[1:-1]), rows, cols)
-            s = slots[rows, cols] = one + 1 + len(slots)
-            levels[size - 2].append((s, *node))
-        return s
-
-    outputs = []
-    for index in indices:
-        if m and (index[0] < 1 or index[-1] > m + width or any(b <= a for a, b in zip(index, index[1:]))):
-            raise PluckerError("index %s is not strictly increasing within the columns" % (index,))
-        # column i <= m of [I | M] is the unit vector e_i: it drops row i from
-        # the minor, with sign (-1)^(i - 1 + its position in the index)
-        hits = {i - 1: pos for pos, i in enumerate(index) if i <= m}
-        rows = tuple(r for r in range(m) if r not in hits)
-        cols = tuple(c - m - 1 for c in index if c > m)
-        outputs.append((slot(rows, cols), sum(map(sum, hits.items())) & 1))
-    return one + 1 + len(slots), [level for level in levels if level], outputs
-
-
-def _run(program: tuple, point: Point, p: int) -> list[int]:
-    """The values of a program's index sets at ``point``, one minor size
-    after the other, with one batched inversion per size from 3 up."""
-    nslots, levels, outputs = program
-    scale, chart = point
-    vals = [x % p for row in chart for x in row]
-    vals += [1] + [0] * (nslots - len(vals) - 1)
-    for s, a, b, c, d, *_ in levels[0] if levels else ():     # size 2: interior 1
-        vals[s] = (vals[a] * vals[b] - vals[c] * vals[d]) % p
-    for level in levels[1:]:
-        inner = [vals[node[5]] for node in level]
-        invs = iter(batch_inverse([x for x in inner if x], p))
-        for (s, a, b, c, d, _, rows, cols), x in zip(level, inner):
-            vals[s] = ((vals[a] * vals[b] - vals[c] * vals[d]) * next(invs) % p if x
-                       else det_mod([[chart[r][j] for j in cols] for r in rows], p))
-    return [(-scale if neg else scale) * vals[s] % p for s, neg in outputs]
+        """P_I mod p at ``point = (t, M)``, which stands for t * P([I_k | M]),
+        for every index set I of the plan, one minor size after the other,
+        with one batched inversion per size from 3 up; the point is only read."""
+        scale, chart = point
+        vals = [x % p for row in chart for x in row]
+        vals += [1] + [0] * (self._nslots - len(vals) - 1)
+        levels = self._levels
+        for s, a, b, c, d, *_ in levels[0] if levels else ():     # size 2: interior 1
+            vals[s] = (vals[a] * vals[b] - vals[c] * vals[d]) % p
+        for level in levels[1:]:
+            inner = [vals[node[5]] for node in level]
+            invs = iter(batch_inverse([x for x in inner if x], p))
+            for (s, a, b, c, d, _, rows, cols), x in zip(level, inner):
+                vals[s] = ((vals[a] * vals[b] - vals[c] * vals[d]) * next(invs) % p if x
+                           else det_mod([[chart[r][j] for j in cols] for r in rows], p))
+        return {index: (-scale if neg else scale) * vals[s] % p
+                for index, (s, neg) in zip(self.indices, self._outputs)}
 
 
 def batch_inverse(values: Sequence[int], p: int) -> list[int]:

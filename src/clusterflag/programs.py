@@ -116,8 +116,8 @@ def mt_program(n: int) -> MutationProgram:
 
 def sh_program(n: int) -> MutationProgram:
     """The (2, n-2) flag family; length (1/2)(n-5)(n^2-10n+30)."""
-    if n < 6:
-        raise ProgramError("need n >= 6")
+    if n < 5:
+        raise ProgramError("need n >= 5")
     return general_flag_program(FlagType((2, n - 2), n))
 
 
@@ -312,14 +312,14 @@ class Target:
         each kept as its scale and chart with the grid dictionary's values there;
         a draw that raises keeps nothing."""
         dictionary = self.gr.seed.dictionary
-        rng, plan = random.Random(self.master_seed), EvaluationPlan(dictionary.values())
+        rng, plan = random.Random(self.master_seed), EvaluationPlan(dictionary.values(), self.gr.k, self.gr.n)
         return [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
                 for _ in range(self.trials)]
 
     def points(self, lifts: list[PluckerPoly]) -> list[tuple[dict, list[int]]]:
         """The values of ``lifts``' index sets at each ``drawn`` point, run by
         one plan, with the grid dictionary's values there."""
-        plan = EvaluationPlan(lifts)
+        plan = EvaluationPlan(lifts, self.gr.k, self.gr.n)
         return [(plan.run(point, self.prime), values) for point, values in self.drawn]
 
 

@@ -520,6 +520,16 @@ def test_run_flag_without_preset(runner):
     assert "mutations: " in result.output
 
 
+def test_run_preset_sh_from_n5(runner):
+    """(2, 3; 5) is the first flag type of the sh family: the preset runs
+    it and prints what the same flag given by --flag prints."""
+    preset = runner.invoke(main, ["run", "--preset", "sh", "--n", "5"])
+    flag = runner.invoke(main, ["run", "--flag", "5,2,3"])
+    assert preset.exit_code == flag.exit_code == 0
+    assert preset.output == flag.output
+    assert preset.output.startswith("flag (2,3; 5) in Gr(")
+
+
 def test_run_usage_errors(runner):
     assert runner.invoke(main, ["run"]).exit_code == 2
     assert runner.invoke(main, ["run", "--preset", "mt"]).exit_code == 2

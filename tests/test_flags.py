@@ -19,10 +19,10 @@ from clusterflag.flags import (
     laplace_initial_minor,
     sigma_draw,
 )
-from clusterflag.plucker import DEFAULT_PRIME, PluckerError, PluckerPoly, phi_star
+from clusterflag.plucker import DEFAULT_PRIME, PluckerPoly, phi_star
 from clusterflag.programs import general_flag_program, run_program
 from clusterflag.quiver import tableau_weight
-from clusterflag.tableaux import Tableau, TableauError, fill_up, one_column
+from clusterflag.tableaux import Tableau, fill_up, one_column
 
 from support import (
     all_flag_types,
@@ -171,7 +171,7 @@ def test_interval_index_set():
     assert interval_index_set(1, 3, 6) == (4, 5, 6)
     assert interval_index_set(2, 2, 5) == (1, 5)
     assert interval_index_set(3, 3, 3) == (1, 2, 3)
-    with pytest.raises(TableauError):
+    with pytest.raises(FlagError):
         interval_index_set(4, 3, 6)
 
 
@@ -180,9 +180,11 @@ def test_leading_tableau_examples():
     assert face_entry(1, 2, 4, 4, 6, 0)[1] == Tableau([[1, 4], [2, 5], [3], [6]])
     # full height: one column
     assert face_entry(1, 2, 4, 5, 5, 0)[1] == one_column([2, 3])
-    # refused: adjacent intervals, which no face key has, and i1 > d1
-    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (3, 2, 4, 4, 6)]:
-        with pytest.raises(PluckerError):
+    # refused: adjacent intervals, which no face key has, i1 > d1 below and at
+    # full height, and a unit vertex E_d outside 1 <= d < n
+    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (3, 2, 4, 4, 6), (3, 2, 4, 5, 5),
+                (0, 7, 0, 0, 5), (0, 0, 0, 0, 5)]:
+        with pytest.raises(FlagError):
             face_entry(*key, 0)
 
 

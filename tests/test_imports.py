@@ -10,10 +10,13 @@ that no ``src/`` module loads outside its own definition is reported too, so
 that code only the tests need lives under ``tests/``.  A method counts as
 read when any attribute of its name is loaded.  Click commands, which the
 command line reads through their decorator, and dunders such as methods or
-``__version__``, which Python or packaging read, are exempt.
+``__version__``, which Python or packaging read, are exempt.  Every module
+under ``src/``, ``tests/`` and ``bench/`` must also parse with the grammar of
+the oldest Python that ``pyproject.toml`` declares.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -121,3 +124,16 @@ def test_reader_guard_sees_unread_definitions():
 def test_library_definitions_are_read_by_the_library():
     library = sorted((ROOT / "src").rglob("*.py"))
     assert unread_definitions({str(p.relative_to(ROOT)): p.read_text() for p in library}) == []
+
+
+REQUIRES_PYTHON = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups()))
+
+
+@pytest.mark.parametrize("path", MODULES + sorted((ROOT / "bench").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_modules_parse_at_the_oldest_declared_python(path):
+    """Every module under ``src/``, ``tests/`` and ``bench/`` parses with the
+    grammar of the oldest Python that ``pyproject.toml`` declares, so syntax
+    newer than that version is caught where only a newer one is installed."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=REQUIRES_PYTHON)

@@ -9,6 +9,7 @@ import sympy
 
 from clusterflag import plucker
 from clusterflag.flags import (
+    FlagError,
     FlagSeed,
     FlagType,
     GrassmannianSeed,
@@ -337,9 +338,9 @@ def test_two_interval_lift_leading_coefficient():
     for n in range(4, 8):
         for d1, d2 in itertools.combinations(range(1, n), 2):
             for i1 in range(1, d1 + 1):
-                with pytest.raises(PluckerError):     # adjacent: no face has them
+                with pytest.raises(FlagError):     # adjacent: no face has them
                     laplace_initial_minor(i1, d1, d1 + 1, d2, n)
-                with pytest.raises(PluckerError):     # full height: one coordinate
+                with pytest.raises(FlagError):     # full height: one coordinate
                     laplace_initial_minor(i1, d1, d2 + 1, n, n)
                 for i2 in range(d1 + 2, d2 + 1):
                     lift, lead = laplace_initial_minor(i1, d1, i2, d2, n)
@@ -409,20 +410,18 @@ def test_plucker_against_sympy_determinant(prime, monkeypatch):
     """Every P_I at points (t, M) with m = len(M) <= 4, from a plan of every
     index set of size m, against t times sympy's determinant of the columns
     I of [I_m | M] mod p: a zero chart column, a repeated one, m = 0, a
-    short and wide chart, and a second run of the program compiled by the
-    first.  At p = 2 and 3 interior
-    minors vanish and the counted ``det_mod`` fallback runs."""
+    short and wide chart, and a second run of the same plan.  At p = 2 and
+    3 interior minors vanish and the counted ``det_mod`` fallback runs."""
     calls = counted_det_mods(monkeypatch)
     for point in _oracle_points(prime):
         m, width = len(point[1]), (len(point[1][0]) if point[1] else 0)
         indices = list(itertools.combinations(range(1, m + width + 1), m))
-        plan = EvaluationPlan(P(index) for index in indices)
+        plan = EvaluationPlan((P(index) for index in indices), m, m + width)
         for _ in range(2):
             values = plan.run(point, prime)
             assert list(values) == indices
             for index in indices:
                 assert values[index] == _expected(point, index) % prime, (point, index)
-        assert len(plan._programs) == 1
     if prime < 7:
         assert calls
 
@@ -430,10 +429,11 @@ def test_plucker_against_sympy_determinant(prime, monkeypatch):
 @pytest.mark.parametrize("prime", [2, 3, 7, DEFAULT_PRIME])
 def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
     """Points (-5, C[:m]) cut from one 6 x 10 integer chart C, at one plan
-    of the Gr(4,9) grid dictionary, its index sets lifted by column 10, and
-    every 6-subset of 1..10, listed in shuffled order, run at the point of
-    each size, against sympy's integer determinant mod p; then every size
-    again, with the same values and the same fallbacks.  At p = 2 and 3
+    per size m of Gr(m; m + 10): the Gr(4,9) grid dictionary, its index sets
+    lifted by column 10, and every 6-subset of 1..10, listed in shuffled
+    order, each plan run at the point of its size, against sympy's integer
+    determinant mod p; then every size again, with the same values and the
+    same fallbacks.  At p = 2 and 3
     interior minors vanish and elimination takes over; at 2^61 - 1
     condensation alone answers."""
     rng = random.Random(12)
@@ -443,15 +443,18 @@ def test_condensed_minors_against_sympy_determinant(prime, monkeypatch):
     indices = grid + [idx + (10,) for idx in grid] + list(itertools.combinations(range(1, 11), 6))
     rng.shuffle(indices)
     calls = counted_det_mods(monkeypatch)
-    plan = EvaluationPlan(P(index) for index in indices)
-    assert sorted(plan.indices) == [4, 5, 6]
-    points = {m: (-5, chart[:m]) for m in plan.indices}
+    sizes = {m: [index for index in dict.fromkeys(indices) if len(index) == m] for m in (4, 5, 6)}
+    plans = {m: EvaluationPlan((P(index) for index in sized), m, m + 10)
+             for m, sized in sizes.items()}
+    assert {m: plan.indices for m, plan in plans.items()} == sizes
+    assert sum(map(len, sizes.values())) == len(set(indices))
+    points = {m: (-5, chart[:m]) for m in plans}
     expected = {index: _expected(points[len(index)], index) % prime for index in indices}
-    for m, sized in plan.indices.items():
-        assert plan.run(points[m], prime) == {index: expected[index] for index in sized}, m
+    for m, plan in plans.items():
+        assert plan.run(points[m], prime) == {index: expected[index] for index in sizes[m]}, m
     fallbacks = len(calls)
-    for m, sized in plan.indices.items():
-        assert plan.run(points[m], prime) == {index: expected[index] for index in sized}, m
+    for m, plan in plans.items():
+        assert plan.run(points[m], prime) == {index: expected[index] for index in sizes[m]}, m
     assert len(calls) == 2 * fallbacks
     if prime in (2, 3):
         assert fallbacks > 0
@@ -465,14 +468,13 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
     every lifted flag coordinate) at integer points (t, M) of Gr(k; N),
     against t times sympy's integer determinant of [I_k | M] mod p for p in
     {2, 3, 7, 2^61 - 1}.  The charts include a zero column, a repeated
-    column and, at small p, vanishing interior minors; counters show that
-    the fallback ran, that at 2^61 - 1 condensation alone answers the dense
-    charts (entries below 10^6 in size), and that one program, compiled
-    once, holds the plan."""
+    column and, at small p, vanishing interior minors; a counter shows that
+    the fallback ran, and that at 2^61 - 1 condensation alone answers the
+    dense charts (entries below 10^6 in size)."""
     flag = FlagType(dims, n)
     k, ambient = flag.target_grassmannian
     plan = EvaluationPlan([*GrassmannianSeed(k, ambient).seed.dictionary.values(),
-                           *embedded_flag_seed(FlagSeed(flag)).dictionary.values()])
+                           *embedded_flag_seed(FlagSeed(flag)).dictionary.values()], k, ambient)
     rng = random.Random(len(dims) * 100 + n)
     dense = [[[rng.randrange(-10**6, 10**6) for _ in range(ambient - k)] for _ in range(k)]
              for _ in range(6)]
@@ -480,16 +482,9 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
     repeated_column = [row[:2] + row[1:2] + row[3:] for row in dense[1]]
     points = [(rng.choice((-1, 1)) * rng.randrange(1, 100), chart)
               for chart in dense + [zero_column, repeated_column]]
-    expected = [{index: _expected(point, index) for index in plan.indices[k]} for point in points]
-    compile_program, compiled = plucker._compile, []
-
-    def counted_compile(indices, m, width):
-        compiled.append((len(indices), m, width))
-        return compile_program(indices, m, width)
-
-    monkeypatch.setattr(plucker, "_compile", counted_compile)
+    expected = [{index: _expected(point, index) for index in plan.indices} for point in points]
     det_calls = counted_det_mods(monkeypatch)
-    assert list(plan.indices) == [k]
+    assert {len(index) for index in plan.indices} == {k}
     for prime in (2, 3, 7, DEFAULT_PRIME):
         for point, values in zip(points, expected):
             got = plan.run(point, prime)
@@ -500,18 +495,19 @@ def test_plan_values_against_sympy_determinant(dims, n, monkeypatch):
         if prime < 7:
             assert det_calls.count(prime) > 0, prime
     assert dense_calls == 0
-    assert compiled == [(len(plan.indices[k]), k, ambient - k)]
 
 
 def test_plan_single_lookups_and_bounds():
-    """A plan run at a point with m chart rows gives its index sets of size
-    m and no others, each equal to ``det_mod`` of the matrix the point
-    stands for; a plan index set outside the columns is refused."""
+    """A plan of Gr(m; 5) run at a point with m chart rows gives exactly its
+    index sets, each equal to ``det_mod`` of the matrix the point stands
+    for; a plan refuses an index set of another size or outside the
+    columns."""
     matrix = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]]
-    plan = EvaluationPlan([P((1, 2, 4)) * P((2, 3)), P((3, 4, 5))])
-    assert plan.indices == {3: [(1, 2, 4), (3, 4, 5)], 2: [(2, 3)]}
+    polys = {1: [], 2: [P((2, 3))], 3: [P((1, 2, 4)), P((3, 4, 5))]}
+    plans = {m: EvaluationPlan(polys[m], m, 5) for m in (1, 2, 3)}
+    assert [plans[m].indices for m in (1, 2, 3)] == [[], [(2, 3)], [(1, 2, 4), (3, 4, 5)]]
     points = {m: (2, [row[:5 - m] for row in matrix[:m]]) for m in (1, 2, 3)}
-    values = {m: plan.run(points[m], 101) for m in (1, 2, 3)}
+    values = {m: plans[m].run(points[m], 101) for m in (1, 2, 3)}
     assert [list(values[m]) for m in (1, 2, 3)] == [[], [(2, 3)], [(1, 2, 4), (3, 4, 5)]]
     for m in (1, 2, 3):
         pt = minors(chart_matrix(points[m]), 101)
@@ -519,7 +515,9 @@ def test_plan_single_lookups_and_bounds():
             assert pt[index] == _expected(points[m], index) % 101, index
             assert values[m].get(index, pt[index]) == pt[index], index
     with pytest.raises(PluckerError):
-        EvaluationPlan([P((2, 6))]).run(points[2], 101)
+        EvaluationPlan([P((1, 2, 4)) * P((2, 3))], 3, 5)     # (2, 3) has size 2
+    with pytest.raises(PluckerError):
+        EvaluationPlan([P((2, 6))], 2, 5)
 
 
 def test_scaled_charts_are_the_matrices_with_a_nonzero_unit():
@@ -529,7 +527,7 @@ def test_scaled_charts_are_the_matrices_with_a_nonzero_unit():
     conditioned on P_12 != 0, the distribution the sampled check had when
     it drew whole matrices."""
     p, indices = 3, list(itertools.combinations(range(1, 5), 2))
-    plan = EvaluationPlan(P(index) for index in indices)
+    plan = EvaluationPlan((P(index) for index in indices), 2, 4)
     from_points = Counter()
     for t in (1, 2):
         for a, b, c, d in itertools.product(range(p), repeat=4):
@@ -574,13 +572,9 @@ def test_unipotent_point_determinism():
 
 
 def test_evaluation_point_bounds():
-    point = (1, [[1], [4]])         # [I_2 | M] has the columns 1..3
-    for index in ((0, 1), (1, 4)):
+    for index in ((0, 1), (1, 4), (1,), (1, 2, 3)):
         with pytest.raises(PluckerError):
-            EvaluationPlan([P(index)]).run(point, 7)        # outside columns 1..3
-    for index in ((2, 1), (1, 1)):
-        with pytest.raises(PluckerError):
-            plucker._compile([index], 2, 1)                 # not strictly increasing
+            EvaluationPlan([P(index)], 2, 3)        # not a 2-subset of the columns 1..3
     with pytest.raises(PluckerError):
         det_mod([[1, 2]], 7)
 

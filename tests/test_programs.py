@@ -96,7 +96,7 @@ def test_preset_guards():
     with pytest.raises(ProgramError):
         mt_program(4)
     with pytest.raises(ProgramError):
-        sh_program(5)
+        sh_program(4)
     with pytest.raises(FlagError):
         general_flag_program(FlagType((3, 3), 6))
 
@@ -108,7 +108,7 @@ def test_count_formula_over_flag_sweep():
 
 
 def test_sh_lengths():
-    for n, expect in [(6, 3), (7, 9), (8, 21)]:
+    for n, expect in [(5, 0), (6, 3), (7, 9), (8, 21)]:
         prog = sh_program(n)
         assert len(prog.mutations) == expect
         assert expect == (n - 5) * (n * n - 10 * n + 30) // 2
@@ -247,12 +247,16 @@ def test_match_embedded_vertices_is_injective():
 def test_endpoint_expansions_keep_narrow_keys():
     """Every endpoint expansion of every type with n <= 7 has 8-bit
     monomial keys: the exponents of these programs stay within +-4, far
-    inside the +-31 that the narrow width holds, so no key is widened."""
+    inside the +-31 that the narrow width holds, so no key is widened.
+    Every coefficient is positive, as Laurent positivity for skew-symmetric
+    cluster algebras (Lee-Schiffler, Ann. of Math. 2015) says it must be."""
     flags = [flag for flag in all_flag_types(7, 6) if flag.n >= 3]
     assert len(flags) == 119
     for flag in flags:
         result = run_program(GrassmannianSeed(*flag.target_grassmannian), general_flag_program(flag))
-        assert {st.laurent._bits for st in result.endpoint.variables.values()} == {8}, flag.heading()
+        expansions = [st.laurent for st in result.endpoint.variables.values()]
+        assert {laurent._bits for laurent in expansions} == {8}, flag.heading()
+        assert all(c > 0 for laurent in expansions for c in laurent.terms.values()), flag.heading()
 
 
 # -- full verification ---------------------------------------------------------------
@@ -432,8 +436,8 @@ def record_points(monkeypatch):
 
 def subsets_plan(k, ambient):
     """A plan of every coordinate P_I of Gr(k; ambient)."""
-    return EvaluationPlan(PluckerPoly.variable(idx)
-                          for idx in itertools.combinations(range(1, ambient + 1), k))
+    return EvaluationPlan((PluckerPoly.variable(idx)
+                           for idx in itertools.combinations(range(1, ambient + 1), k)), k, ambient)
 
 
 def assert_replays(used, flag, trials):
@@ -550,15 +554,14 @@ def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
     assert len(plans) == 4 and all(plan is plans[0] for plan in plans)
     grid = GrassmannianSeed(4, 8).seed.dictionary
     expected = {idx for poly in grid.values() for mono in poly.terms for idx in mono}
-    assert list(plans[0].indices) == [4]
-    assert sorted(plans[0].indices[4]) == sorted(expected)
+    assert set(plans[0].indices) == expected
 
 
 def test_kept_points_are_scaled_charts():
     """Every saved point (t, M) of every target Gr(k; N) of the types with
     n <= 6 has t != 0 and a k x (N - k) chart, the grid's ``unit``
-    coordinate P_{[1,k]} has the value t there, and a plan run at all of
-    the target's points compiles one program."""
+    coordinate P_{[1,k]} has the value t there, and a plan of the grid
+    dictionary of Gr(k; N) runs at each of them."""
     targets = {flag.target_grassmannian for flag in all_flag_types(6, 5)}
     assert len(targets) == 25
     trials = programs.DEFAULT_TRIALS
@@ -566,13 +569,12 @@ def test_kept_points_are_scaled_charts():
         target = programs._shared_target(k, ambient, DEFAULT_PRIME, 0, trials)
         unit = target.gr.extra_id
         assert target.gr.seed.dictionary[unit] == PluckerPoly.variable(range(1, k + 1))
-        plan = EvaluationPlan(target.gr.seed.dictionary.values())
+        plan = EvaluationPlan(target.gr.seed.dictionary.values(), k, ambient)
         assert len(target.drawn) == trials
         for (t, chart), values in target.drawn:
             assert 0 < t < DEFAULT_PRIME and values[unit] == t, (k, ambient)
             assert len(chart) == k and {len(row) for row in chart} == {ambient - k}
             plan.run((t, chart), DEFAULT_PRIME)
-        assert len(plan._programs) == 1, (k, ambient)
 
 
 def test_plan_runs_only_read_the_saved_points():

@@ -406,7 +406,8 @@ def test_grassmannian_square_exchange_values():
     vid = seed.mutable_ids()[0]
     mutated = seed.mutate(vid)
     rng, p = random.Random(0), DEFAULT_PRIME
-    plan = EvaluationPlan(PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 5), 2))
+    plan = EvaluationPlan((PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 5), 2)),
+                          2, 4)
     for _ in range(20):
         pt = plan.run((rng.randrange(1, p), random_matrix_point(2, 2, p, rng)), p)
         vals = [poly.evaluate(pt, p) for poly in seed.dictionary.values()]
@@ -450,7 +451,8 @@ def test_variable_values_track_laurent():
     for vid in seed.mutable_ids():
         seed = seed.mutate(vid)
     rng, p = random.Random(1), DEFAULT_PRIME
-    plan = EvaluationPlan(PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 6), 2))
+    plan = EvaluationPlan((PluckerPoly.variable(idx) for idx in itertools.combinations(range(1, 6), 2)),
+                          2, 5)
     pt = plan.run((rng.randrange(1, p), random_matrix_point(2, 3, p, rng)), p)
     values = [poly.evaluate(pt, p) for poly in seed.dictionary.values()]
     for st in seed.variables.values():
@@ -466,7 +468,7 @@ def test_initial_values_raise_on_vanishing(monkeypatch):
     import clusterflag.programs as programs
 
     dictionary = GrassmannianSeed(2, 4).seed.dictionary
-    plan = EvaluationPlan(dictionary.values())
+    plan = EvaluationPlan(dictionary.values(), 2, 4)
     zero, good = [[0, 0], [0, 0]], [[3, 4], [2, 4]]
     assert 0 in [poly.evaluate(plan.run((1, zero), 7), 7) for poly in dictionary.values()]
     run, runs = EvaluationPlan.run, []
@@ -501,7 +503,7 @@ def test_sampled_values_follow_positions_not_insertion_order(monkeypatch):
     shuffled = dict(reversed(dictionary.items()))
     assert list(shuffled) != sorted(shuffled)
     good = [[3, 4], [2, 4]]
-    plan = EvaluationPlan(shuffled.values())
+    plan = EvaluationPlan(shuffled.values(), 2, 4)
     monkeypatch.setattr(programs, "random_matrix_point", lambda *args: good)
     point, values = programs.sample_nonsingular_point(shuffled, 2, 4, 7, random.Random(0), plan)
     at_good = minors(chart_matrix(point), 7)
