@@ -369,14 +369,14 @@ def run_cmd(preset, n_opt, flag_opt, export_fmt, output):
 
 def _value_check_options(command: Callable) -> Callable:
     """The value check's ``--trials``, ``--prime`` and ``--seed``, for ``verify`` and ``sweep``;
-    a refused ``--trials`` or ``--prime`` exits 2 before the command opens its output."""
+    a refused ``--trials``, ``--prime`` or ``--seed`` exits 2 before the command opens its output."""
     @functools.wraps(command)
-    def checked(*args, trials: int, prime: int, **kwargs):
+    def checked(*args, trials: int, prime: int, master_seed: int, **kwargs):
         try:
-            check_value_parameters(trials, prime)
+            check_value_parameters(trials, prime, master_seed)
         except ProgramError as exc:
             raise click.UsageError(str(exc)) from None
-        return command(*args, trials=trials, prime=prime, **kwargs)
+        return command(*args, trials=trials, prime=prime, master_seed=master_seed, **kwargs)
 
     checked = click.option("--seed", "master_seed", type=int, default=0, envvar="CLUSTERFLAG_SEED",
                            help="master RNG seed (env CLUSTERFLAG_SEED)")(checked)

@@ -251,21 +251,25 @@ def face_entry(i1: int, d1: int, i2: int, d2: int, n: int, dk: int) -> tuple[Plu
     """The (polynomial, tableau) of the face with interval data (i1, d1, i2,
     d2) in n, or, for i1 = 0, of the unit vertex E_{d1}; for ``dk`` = d_k > 0
     padded into the target Grassmannian by phi-star.  E_d is P_{[1,d]}; a
-    single interval, and a pair (i1, d1, i2, n) whose second factor is the
-    full determinant, 1 on the unipotent patch, lift to the coordinate of
-    the interval (i1, d1) inside n, or inside i2 - 1.  A malformed key, E_d
-    outside 1 <= d < n among them, raises FlagError.  Built once per
-    process for every flag type with these numbers; the entries are shared,
-    so callers must not change them."""
+    single interval (i1, d1, 0, 0), and a separated pair (i1, d1, i2, n)
+    whose second factor is the full determinant, 1 on the unipotent patch,
+    lift to the coordinate of the interval (i1, d1) inside n, or inside
+    i2 - 1.  A malformed key, E_d outside 1 <= d < n, one interval with
+    d2 != 0 or an adjacent full-height pair among them, raises FlagError.
+    Built once per process for every flag type with these numbers; the
+    entries are shared, so callers must not change them."""
     if dk:
         poly, tab = face_entry(i1, d1, i2, d2, n, 0)
         levels = {d1, d2, dk} - {0, n}  # the flag levels the lift's indices can have
         return phi_star(poly, levels, n), tb.fill_up(tab, levels, n)
     if i1 == 0 and not (1 <= d1 < n and i2 == d2 == 0):
         raise FlagError("need 1 <= d < n for the unit vertex E_d, got %s" % ((i1, d1, i2, d2, n),))
-    if i2 == 0 or d2 == n:
+    if i2 == d2 == 0 or d1 + 1 < i2 <= d2 == n:
         idx = interval_index_set(i1, d1, i2 - 1 if i2 else n) if i1 else range(1, d1 + 1)
         return PluckerPoly.variable(idx), tb.one_column(idx)
+    if i2 == 0 or d2 == n:
+        raise FlagError("need d2 = 0 for one interval, d1 + 1 < i2 for a full-height pair, got %s"
+                        % ((i1, d1, i2, d2, n),))
     return laplace_initial_minor(i1, d1, i2, d2, n)
 
 

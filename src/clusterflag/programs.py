@@ -9,7 +9,9 @@ are deleted, which must leave a legal restricted seed equal to the flag
 initial seed.  That comparison is what ``verify_theorem`` certifies, with
 its last check run at ``DEFAULT_TRIALS`` random points unless told
 otherwise.  The types of one target Gr(k; N) share a ``Target``: its grid
-seed and points.
+seed, its points, and at each point the Plucker values P_I mod p that
+earlier checks asked for, so a type compiles a plan only of the index sets
+that are not there yet.
 """
 
 from __future__ import annotations
@@ -300,7 +302,8 @@ def sample_nonsingular_point(
 
 class Target:
     """The rectangles seed ``gr`` of Gr(k; N) and the value check's points
-    at one prime, master seed and trial count, drawn on first use."""
+    at one prime, master seed and trial count, drawn on first use, each
+    with a table of the Plucker values P_I mod p that checks asked for there."""
 
     def __init__(self, k: int, ambient: int, prime: int, master_seed: int, trials: int):
         self.prime, self.master_seed, self.trials = prime, master_seed, trials
@@ -316,11 +319,24 @@ class Target:
         return [sample_nonsingular_point(dictionary, self.gr.k, self.gr.n, self.prime, rng, plan)
                 for _ in range(self.trials)]
 
+    @functools.cached_property
+    def tables(self) -> list[dict[tuple[int, ...], int]]:
+        """One table {I: P_I mod p} per ``drawn`` point, in draw order."""
+        return [{} for _ in self.drawn]
+
     def points(self, lifts: list[PluckerPoly]) -> list[tuple[dict, list[int]]]:
-        """The values of ``lifts``' index sets at each ``drawn`` point, run by
-        one plan, with the grid dictionary's values there."""
-        plan = EvaluationPlan(lifts, self.gr.k, self.gr.n)
-        return [(plan.run(point, self.prime), values) for point, values in self.drawn]
+        """The table of each ``drawn`` point, holding every index set of
+        ``lifts``, with the grid dictionary's values there.  The index sets
+        no earlier call asked for are run by one plan at every point."""
+        tables = self.tables
+        missing = [idx for idx in dict.fromkeys(idx for poly in lifts for mono in poly.terms for idx in mono)
+                   if idx not in tables[0]]
+        if missing:  # every table holds the same index sets: run at all points, then fill
+            plan = EvaluationPlan(map(PluckerPoly.variable, missing), self.gr.k, self.gr.n)
+            runs = [plan.run(point, self.prime) for point, _ in self.drawn]
+            for table, run in zip(tables, runs):
+                table.update(run)
+        return [(table, values) for table, (_, values) in zip(tables, self.drawn)]
 
 
 # The types with the same five ints share one Target in a process; a call
@@ -328,13 +344,16 @@ class Target:
 _shared_target = functools.lru_cache(maxsize=128)(Target)  # 48 targets at n <= 8, 120 at n <= 12
 
 
-def check_value_parameters(trials: int, prime: int) -> None:
+def check_value_parameters(trials: int, prime: int, master_seed: int) -> None:
     """Raise ProgramError when the evaluation check would be vacuous
-    (``trials < 1``), unsound (``prime`` not a prime below 2**64) or weak
+    (``trials < 1``), unsound (``prime`` not a prime below 2**64), weak
     (``prime`` below 2**31, where sampling may fail outright and a passing
-    check says little)."""
+    check says little) or drawn from another seed's points (a negative
+    ``master_seed``: ``random.Random(-s)`` draws the stream of ``s``)."""
     if trials < 1:
         raise ProgramError("trials must be at least 1, got %d" % trials)
+    if master_seed < 0:
+        raise ProgramError("master seed must not be negative, got %d" % master_seed)
     if not (1 << 31 <= prime < 1 << 64 and (prime == DEFAULT_PRIME or is_prime(prime))):
         raise ProgramError("prime must be a prime between 2^31 and 2^64, got %d" % prime)
 
@@ -348,7 +367,7 @@ def verify_theorem(
     """Run the program for a flag type and certify that freezing plus
     deletion turns the endpoint into the padded flag initial seed; raises
     ProgramError on the parameters ``check_value_parameters`` refuses."""
-    check_value_parameters(trials, prime)
+    check_value_parameters(trials, prime, master_seed)
     t0 = time.perf_counter()
     report = Report(flag, prime=prime, trials=trials, master_seed=master_seed)
     _certify(report)

@@ -660,6 +660,24 @@ def test_verify_rejects_vacuous_or_unsound_checks(runner, tmp_path):
             assert report.read_bytes() == b"kept\n", args
 
 
+def test_negative_seed_is_refused(runner, tmp_path, monkeypatch):
+    """``random.Random(-s)`` draws the stream of ``s``, so a report of a
+    negative seed would not state what drew its points: ``--seed -1`` and
+    ``CLUSTERFLAG_SEED=-1`` exit 2 for ``verify`` and ``sweep``, and an
+    ``--output`` file that existed beforehand keeps its bytes."""
+    out = tmp_path / "r.json"
+    out.write_bytes(b"kept\n")
+    for command in (["verify", "--flag", "6,2,4"], ["sweep", "--max-n", "4"]):
+        for output in ([], ["--output", str(out)]):
+            result = runner.invoke(main, [*command, "--seed", "-1", *output])
+            assert result.exit_code == 2 and "master seed" in result.output, command
+            monkeypatch.setenv("CLUSTERFLAG_SEED", "-1")
+            result = runner.invoke(main, [*command, *output])
+            monkeypatch.delenv("CLUSTERFLAG_SEED")
+            assert result.exit_code == 2 and "master seed" in result.output, command
+            assert out.read_bytes() == b"kept\n", command
+
+
 # -- sweep --------------------------------------------------------------------------
 
 

@@ -180,10 +180,11 @@ def test_leading_tableau_examples():
     assert face_entry(1, 2, 4, 4, 6, 0)[1] == Tableau([[1, 4], [2, 5], [3], [6]])
     # full height: one column
     assert face_entry(1, 2, 4, 5, 5, 0)[1] == one_column([2, 3])
-    # refused: adjacent intervals, which no face key has, i1 > d1 below and at
-    # full height, and a unit vertex E_d outside 1 <= d < n
-    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (3, 2, 4, 4, 6), (3, 2, 4, 5, 5),
-                (0, 7, 0, 0, 5), (0, 0, 0, 0, 5)]:
+    # refused: adjacent intervals, which no face key has, below and at full
+    # height, i1 > d1 below and at full height, a unit vertex E_d outside
+    # 1 <= d < n, and one interval with a nonzero d2
+    for key in [(1, 2, 3, 4, 6), (2, 2, 3, 4, 6), (1, 2, 3, 5, 5), (3, 2, 4, 4, 6), (3, 2, 4, 5, 5),
+                (0, 7, 0, 0, 5), (0, 0, 0, 0, 5), (1, 2, 0, 4, 5)]:
         with pytest.raises(FlagError):
             face_entry(*key, 0)
 

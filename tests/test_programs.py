@@ -316,6 +316,14 @@ def test_prime_guard_tests_every_prime_but_the_default(monkeypatch):
             verify_theorem(flag, trials=1, prime=bad)
 
 
+def test_negative_master_seed_is_refused():
+    """``random.Random(-1)`` draws the points of ``random.Random(1)``, so a
+    negative master seed is refused before any work."""
+    assert random.Random(-1).random() == random.Random(1).random()
+    with pytest.raises(ProgramError, match="master seed"):
+        verify_theorem(FlagType((2, 4), 6), trials=1, master_seed=-1)
+
+
 def test_verify_at_a_non_default_prime_through_n6():
     """At a prime other than 2^61 - 1, every type with n <= 6 gets the
     report it gets at the default prime, but for the prime."""
@@ -513,48 +521,71 @@ def test_value_points_are_kept_per_dictionary_prime_seed_and_trials(monkeypatch)
     assert counts["points"] == 5
 
 
+def index_sets(polys):
+    """The distinct index sets of ``polys``, in first-seen order."""
+    return list(dict.fromkeys(idx for poly in polys for mono in poly.terms for idx in mono))
+
+
 def test_every_sampling_type_evaluates_its_lifts_the_same_way(monkeypatch):
-    """Each type that samples, the first on a fresh target too, runs one
-    plan of its lifts at its target's ``trials`` saved points, and no lift
-    run draws one.  The draw, made once, runs a plan of exactly the grid
-    dictionary's index sets once at each drawn point."""
-    runs, plans = [], []
-    run = EvaluationPlan.run
+    """Each type that samples, the first on a fresh target too, builds at
+    most one lift plan, holding exactly its lifts' index sets that no
+    earlier call asked for, and runs it once at each of its target's
+    ``trials`` saved points; a second call of a type builds and runs none,
+    and no lift run draws a point.  The draw, made once, runs a plan of
+    exactly the grid dictionary's index sets once at each drawn point."""
+    runs, plans, built, asked = [], [], [], []
+    run, init = EvaluationPlan.run, EvaluationPlan.__init__
     sample, target_points = programs.sample_nonsingular_point, programs.Target.points
 
     def counted_run(plan, point, p):
         runs.append((plan, point))
         return run(plan, point, p)
 
+    def counted_init(plan, *args):
+        built.append(plan)
+        init(plan, *args)
+
     def recording_sample(dictionary, rows, cols, prime, rng, plan):
         plans.append(plan)
         return sample(dictionary, rows, cols, prime, rng, plan)
 
     def drawing_none(target, lifts):
-        target.drawn        # a first call draws here, before its run
+        target.drawn        # a first call draws here, before its lift plan
         before = counts["points"]
+        asked.append(index_sets(lifts))
         points = target_points(target, lifts)
         assert counts["points"] == before
         return points
 
     counts = sampled_work(monkeypatch)
     monkeypatch.setattr(EvaluationPlan, "run", counted_run)
+    monkeypatch.setattr(EvaluationPlan, "__init__", counted_init)
     monkeypatch.setattr(programs, "sample_nonsingular_point", recording_sample)
     monkeypatch.setattr(programs.Target, "points", drawing_none)
-    for flag in GR48[:2]:
+    seen, missing_counts = set(), []
+    for flag in GR48 + GR48[:1]:
         assert touched_kept(flag)
-        start = len(runs)
+        start, built_start = len(runs), len(built)
         assert verify_theorem(flag, trials=4).passed
+        missing = [idx for idx in asked[-1] if idx not in seen]
+        seen.update(asked[-1])
+        missing_counts.append(len(missing))
+        lift_plans = [plan for plan in built[built_start:] if plan is not plans[0]]
         lift_runs = [(plan, point) for plan, point in runs[start:] if plan is not plans[0]]
+        if not missing:
+            assert lift_plans == lift_runs == [], flag.heading()
+            continue
         drawn = programs._shared_target(4, 8, DEFAULT_PRIME, 0, 4).drawn
+        assert len(lift_plans) == 1 and lift_plans[0].indices == missing, flag.heading()
         assert len(lift_runs) == len(drawn) == 4, flag.heading()
-        assert all(plan is lift_runs[0][0] for plan, _ in lift_runs), flag.heading()
+        assert all(plan is lift_plans[0] for plan, _ in lift_runs), flag.heading()
         assert all(point is saved for (_, point), (saved, _) in zip(lift_runs, drawn))
+    # the three types of Gr(4; 8) share index sets, and the repeat asks for none
+    assert missing_counts == [8, 2, 4, 0]
     assert sum(plan is plans[0] for plan, _ in runs) == counts["points"] == 4
     assert len(plans) == 4 and all(plan is plans[0] for plan in plans)
     grid = GrassmannianSeed(4, 8).seed.dictionary
-    expected = {idx for poly in grid.values() for mono in poly.terms for idx in mono}
-    assert set(plans[0].indices) == expected
+    assert set(plans[0].indices) == set(index_sets(grid.values()))
 
 
 def test_kept_points_are_scaled_charts():
@@ -581,7 +612,8 @@ def test_plan_runs_only_read_the_saved_points():
     """Every type with n <= 6 runs its lift plans at the saved points of
     its target, and a plan of every coordinate runs there after them; each
     target's saved points and values still equal a deep copy taken right
-    after the draw."""
+    after the draw, and each entry of a point's table equals that plan's
+    value there."""
     saved = {}
     for flag in all_flag_types(6, 5):
         target = programs._shared_target(*flag.target_grassmannian, DEFAULT_PRIME, 0,
@@ -590,11 +622,15 @@ def test_plan_runs_only_read_the_saved_points():
             saved[target] = copy.deepcopy(target.drawn)
         assert verify_theorem(flag).passed, flag.heading()
     assert len(saved) == 25
+    entries = 0
     for target, drawn in saved.items():
         plan = subsets_plan(target.gr.k, target.gr.n)
-        for point, _ in target.drawn:
-            plan.run(point, DEFAULT_PRIME)
+        for (point, _), table in zip(target.drawn, target.tables):
+            values = plan.run(point, DEFAULT_PRIME)
+            assert {idx: values[idx] for idx in table} == table, (target.gr.k, target.gr.n)
+            entries += len(table)
         assert target.drawn == drawn, (target.gr.k, target.gr.n)
+    assert entries
 
 
 def test_target_cache_holds_every_target_through_n12():
@@ -709,6 +745,23 @@ def test_reports_do_not_depend_on_type_order():
             data.pop("elapsed_s")
         runs.append(reports)
     assert runs[0] == runs[1]
+
+
+def test_tables_do_not_depend_on_type_order():
+    """Every type with n <= 6 in forward and in reverse order, each order
+    from an empty target cache, leaves each target with the same table at
+    each point, and a target no type sampled on with none."""
+    flags = all_flag_types(6, 5)
+    keys = sorted({(*flag.target_grassmannian, DEFAULT_PRIME, 0, 3) for flag in flags})
+    runs = []
+    for order in (flags, flags[::-1]):
+        programs._shared_target.cache_clear()
+        for flag in order:
+            assert verify_theorem(flag, trials=3).passed
+        runs.append({key: vars(programs._shared_target(*key)).get("tables") for key in keys})
+        assert programs._shared_target.cache_info().currsize == len(keys)
+    assert runs[0] == runs[1]
+    assert any(runs[0].values()) and not all(runs[0].values())
 
 
 # -- certificate mutants -------------------------------------------------------------
@@ -871,6 +924,26 @@ def test_mutant_kept_expansion_times_unit(dims, n, monkeypatch):
     failed = failed_checks(FlagType(dims, n))
     assert list(failed) == [VALUES]
     assert failed[VALUES].startswith("trial 0 at ")
+
+
+class FirstPointTables(programs.Target):
+    """A ``Target`` whose tables hold the first point's values at every point."""
+
+    def points(self, lifts):
+        points = super().points(lifts)
+        for table in self.tables[1:]:
+            table.update(self.tables[0])
+        return points
+
+
+@pytest.mark.parametrize("dims, n", [((2, 4), 6), ((2, 5), 8)])
+def test_mutant_first_point_tables(dims, n, monkeypatch):
+    """Every point's lift values taken from the first point: the grid
+    values and Laurent expansions are right, so only later trials tell."""
+    monkeypatch.setattr(programs, "_shared_target", FirstPointTables)
+    failed = failed_checks(FlagType(dims, n))
+    assert list(failed) == [VALUES]
+    assert failed[VALUES].startswith("trial 1 at ")
 
 
 def doubled_grid(k, n):
